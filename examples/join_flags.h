@@ -44,7 +44,9 @@ inline const char* JoinFlagsUsage() {
 }
 
 /// Parses everything both binaries share into `cfg`. Prints the problem to
-/// stderr and returns false on a usage error. Corpus loading and
+/// stderr and returns false on a usage error — including a malformed flag
+/// value and a configuration the topology does not support, which must
+/// never reach a CHECK. Corpus loading and
 /// length-partition planning stay with the caller: the length partition is
 /// only consumed by dispatcher tasks, which live on rank 0, so workers never
 /// need the corpus.
@@ -180,6 +182,10 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
     std::fprintf(stderr, "--spill_watermark needs --store_dir and --max_index_bytes\n");
     return false;
   }
+  for (const std::string& error : flags.ValueErrors()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return false;
+  }
   for (const std::string& key : flags.UnusedKeys()) {
     std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
     return false;
@@ -242,6 +248,10 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
     return false;
   }
   if (cfg->local == "bundle") {
+    if (options.strategy == dssj::DistributionStrategy::kPrefixBased) {
+      std::fprintf(stderr, "--local=bundle does not support --strategy=prefix\n");
+      return false;
+    }
     options.local = dssj::LocalAlgorithm::kBundle;
   } else if (cfg->local != "record") {
     std::fprintf(stderr, "unknown local algorithm '%s'\n", cfg->local.c_str());

@@ -1,8 +1,8 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
-
-#include "common/logging.h"
 
 namespace dssj {
 
@@ -54,9 +54,12 @@ int64_t Flags::GetInt(const std::string& key, int64_t def) const {
   if (it == values_.end()) return def;
   used_[key] = true;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  CHECK(end != nullptr && *end == '\0' && !it->second.empty())
-      << "flag --" << key << " expects an integer, got '" << it->second << "'";
+  if (it->second.empty() || *end != '\0' || errno == ERANGE) {
+    value_errors_.push_back("flag --" + key + " expects an integer, got '" + it->second + "'");
+    return def;
+  }
   return static_cast<int64_t>(v);
 }
 
@@ -65,9 +68,12 @@ double Flags::GetDouble(const std::string& key, double def) const {
   if (it == values_.end()) return def;
   used_[key] = true;
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(it->second.c_str(), &end);
-  CHECK(end != nullptr && *end == '\0' && !it->second.empty())
-      << "flag --" << key << " expects a number, got '" << it->second << "'";
+  if (it->second.empty() || *end != '\0' || errno == ERANGE || std::isnan(v)) {
+    value_errors_.push_back("flag --" + key + " expects a number, got '" + it->second + "'");
+    return def;
+  }
   return v;
 }
 
@@ -78,7 +84,7 @@ bool Flags::GetBool(const std::string& key, bool def) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  LOG(FATAL) << "flag --" << key << " expects a boolean, got '" << v << "'";
+  value_errors_.push_back("flag --" + key + " expects a boolean, got '" + v + "'");
   return def;
 }
 

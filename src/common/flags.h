@@ -22,9 +22,9 @@ class Flags {
 
   bool Has(const std::string& key) const;
 
-  /// Typed getters; return `def` when the flag is absent and abort via
-  /// CHECK when the value does not parse (a CLI usage error worth failing
-  /// loudly on).
+  /// Typed getters; return `def` when the flag is absent. A value that
+  /// does not parse (or overflows) also yields `def` and is recorded as a
+  /// usage error that names the flag — see ValueErrors().
   std::string GetString(const std::string& key, const std::string& def) const;
   int64_t GetInt(const std::string& key, int64_t def) const;
   double GetDouble(const std::string& key, double def) const;
@@ -36,9 +36,14 @@ class Flags {
   /// reject typos.
   std::vector<std::string> UnusedKeys() const;
 
+  /// One message per malformed value a getter met, in query order — call
+  /// after all getters and treat any as a usage error.
+  const std::vector<std::string>& ValueErrors() const { return value_errors_; }
+
  private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> used_;
+  mutable std::vector<std::string> value_errors_;
   std::vector<std::string> positional_;
 };
 

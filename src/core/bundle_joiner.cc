@@ -64,6 +64,7 @@ uint64_t BundleJoiner::EvictOldestEntry() {
   members.erase(pos);
   if (members.empty()) {
     approx_bytes_ -= ApproxBundleBytes(it->second);
+    RemovePostings(entry.bundle_id, it->second);
     bundles_.erase(it);
     // A retired id supersedes any dirty record of it (ids are never
     // reused, so a later delta cannot resurrect it by accident).
@@ -75,6 +76,28 @@ uint64_t BundleJoiner::EvictOldestEntry() {
   --alive_members_;
   ++stats_.evictions;
   return seq;
+}
+
+void BundleJoiner::RemovePostings(uint64_t bundle_id, const Bundle& bundle) {
+  const auto erase_from = [bundle_id](std::vector<uint64_t>& list) {
+    // Bundles retire roughly in birth order, so the id sits near the front.
+    const auto pos = std::find(list.begin(), list.end(), bundle_id);
+    CHECK(pos != list.end()) << "bundle " << bundle_id << " missing from its posting list";
+    list.erase(pos);
+  };
+  for (const TokenId w : bundle.indexed) {
+    if (options_.direct_index) {
+      std::vector<uint64_t>& list = dense_index_[w];
+      erase_from(list);
+      if (list.empty()) std::vector<uint64_t>().swap(list);
+    } else {
+      const auto it = sparse_index_.find(w);
+      CHECK(it != sparse_index_.end());
+      erase_from(it->second);
+      if (it->second.empty()) sparse_index_.erase(it);
+    }
+  }
+  stats_.dead_postings_purged += bundle.indexed.size();
 }
 
 size_t BundleJoiner::EvictOldest(size_t n) {
@@ -182,7 +205,7 @@ void BundleJoiner::Probe(const Record& r, const ResultCallback& cb,
   ++probe_stamp_;
   for (size_t i = 0; i < prefix_len; ++i) {
     const TokenId w = r.tokens[i];
-    std::vector<uint64_t>* list_ptr;
+    const std::vector<uint64_t>* list_ptr;
     if (options_.direct_index) {
       if (w >= dense_index_.size() || dense_index_[w].empty()) continue;
       list_ptr = &dense_index_[w];
@@ -191,23 +214,16 @@ void BundleJoiner::Probe(const Record& r, const ResultCallback& cb,
       if (it == sparse_index_.end()) continue;
       list_ptr = &it->second;
     }
-    std::vector<uint64_t>& list = *list_ptr;
-    size_t write = 0;
-    for (size_t read = 0; read < list.size(); ++read) {
-      const uint64_t bundle_id = list[read];
-      auto bit = bundles_.find(bundle_id);
-      if (bit == bundles_.end()) {
-        ++stats_.dead_postings_purged;  // bundle fully evicted
-        continue;
-      }
-      list[write++] = bundle_id;
+    for (const uint64_t bundle_id : *list_ptr) {
+      // Lists hold live ids only: a retiring bundle removes its postings.
+      const auto bit = bundles_.find(bundle_id);
+      CHECK(bit != bundles_.end()) << "dead bundle " << bundle_id << " in posting list " << w;
       ++stats_.postings_scanned;
       Bundle& bundle = bit->second;
       if (bundle.probe_stamp == probe_stamp_) continue;  // already probed
       bundle.probe_stamp = probe_stamp_;
       ProbeBundle(r, bundle_id, bundle, cb, admission);
     }
-    list.resize(write);
   }
 }
 
@@ -476,7 +492,8 @@ void BundleJoiner::Restore(const std::string& blob) {
 store::FrozenBlob BundleJoiner::FreezeBase() {
   // Bundle state is mutated in place (diffs, counters, sorted inserts),
   // so there is no refcount-cheap frozen view; the base serializes
-  // eagerly. Bases are periodic — the steady-state cost is the deltas.
+  // eagerly. Its cost is O(live window): retired bundles leave no
+  // postings behind.
   auto blob = std::make_shared<std::string>();
   Snapshot(blob.get());
   MarkFrozen();
@@ -540,17 +557,30 @@ void BundleJoiner::RestoreDelta(const std::string& blob) {
   BinaryReader r(blob);
   const uint8_t tag = r.ReadU8();
   CHECK(tag == kTagDelta) << "non-delta blob passed to RestoreDelta";
+  // Retire first, as the live joiner did: each retired bundle that existed
+  // at the previous freeze removes its postings (its `indexed` set here is
+  // exactly the lists it is on). Bundles born and retired inside the
+  // interval never existed here.
   const uint64_t retired = r.ReadU64();
-  for (uint64_t i = 0; i < retired; ++i) bundles_.erase(r.ReadU64());
+  for (uint64_t i = 0; i < retired; ++i) {
+    const auto it = bundles_.find(r.ReadU64());
+    if (it == bundles_.end()) continue;
+    RemovePostings(it->first, it->second);
+    bundles_.erase(it);
+  }
   const uint64_t dirty = r.ReadU64();
   for (uint64_t i = 0; i < dirty; ++i) {
     const uint64_t id = r.ReadU64();
     ReadBundleInto(&r, &bundles_[id]);  // insert or overwrite with final state
   }
+  // Appends land in live order. Those of bundles that retired later in
+  // the interval were removed again live, so they are skipped; every
+  // bundle still alive is in bundles_ by now (gaining a posting dirties it).
   const uint64_t postings = r.ReadU64();
   for (uint64_t i = 0; i < postings; ++i) {
     const TokenId token = r.ReadU32();
     const uint64_t id = r.ReadU64();
+    if (bundles_.count(id) == 0) continue;
     std::vector<uint64_t>* list;
     if (options_.direct_index) {
       if (token >= dense_index_.size()) dense_index_.resize(token + 1);

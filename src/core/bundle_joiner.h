@@ -43,8 +43,8 @@ struct BundleJoinerOptions {
   /// unlimited). When the budget is exceeded the oldest members are evicted
   /// ahead of the window policy — counted as budget_evictions with the
   /// horizon in eviction_horizon_seq. The accounting is incremental and
-  /// deterministic (postings of dead bundles stay counted until the bundle
-  /// dies, mirroring lazy purging).
+  /// deterministic (a bundle's postings are charged while it lives and
+  /// released, with the postings themselves, when it retires).
   size_t max_index_bytes = 0;
 };
 
@@ -75,9 +75,9 @@ class BundleJoiner : public LocalJoiner {
   /// joins the best bundle existing at its arrival), so unlike RecordJoiner
   /// the state cannot be rebuilt by re-storing records: the snapshot
   /// serializes the full structure — bundles with member diffs, posting
-  /// lists verbatim (dead bundle ids included, so lazy purging proceeds
-  /// identically after a restore), eviction order, and stats. Probe stamps
-  /// reset to zero on restore (per-probe scratch, never observable).
+  /// lists verbatim (their order is the probe order), eviction order, and
+  /// stats. Probe stamps reset to zero on restore (per-probe scratch, never
+  /// observable).
   bool SupportsSnapshot() const override { return true; }
   void Snapshot(std::string* out) const override;
   void Restore(const std::string& blob) override;
@@ -86,9 +86,10 @@ class BundleJoiner : public LocalJoiner {
   /// which bundles were touched, which retired, and which postings were
   /// appended since the last freeze; a delta ships deep copies of just
   /// the dirty bundles plus those logs. FreezeBase serializes the full
-  /// image eagerly (bundle state has no cheap immutable view — unlike the
-  /// record joiner's refcounted window — so the async win here is that
-  /// bases are periodic and deltas small).
+  /// image eagerly (bundle state has no cheap immutable view, unlike the
+  /// record joiner's refcounted window). Retired bundles take their
+  /// postings with them, so a base costs O(live window) and a delta
+  /// O(change), however long the stream has run.
   bool SupportsIncrementalSnapshot() const override { return true; }
   store::FrozenBlob FreezeBase() override;
   store::FrozenBlob FreezeDelta() override;
@@ -135,11 +136,14 @@ class BundleJoiner : public LocalJoiner {
   /// Removes the single oldest member (and its bundle when it empties),
   /// maintaining the byte accounting. Returns the member's seq.
   uint64_t EvictOldestEntry();
+  /// Removes a retiring bundle's postings from the lists its `indexed`
+  /// tokens name, keeping list order, and drops lists that fall empty.
+  void RemovePostings(uint64_t bundle_id, const Bundle& bundle);
   /// Per-member / per-bundle contributions to the incremental accounting
   /// backing max_index_bytes. Deterministic O(1) proxies for real resident
   /// bytes (MemoryBytes walks capacities); index postings are charged as
   /// tokens enter a bundle's `indexed` set and released when the bundle
-  /// dies, matching lazy posting purges.
+  /// retires and RemovePostings drops them.
   size_t ApproxMemberBytes(const Member& m) const;
   size_t ApproxBundleBytes(const Bundle& b) const;
   void RecomputeApproxBytes();
@@ -162,8 +166,9 @@ class BundleJoiner : public LocalJoiner {
 
   std::unordered_map<uint64_t, Bundle> bundles_;
   // Inverted index over indexed prefix tokens; exactly one layout is
-  // populated, per options_.direct_index. In the dense layout lists that
-  // fall empty keep their 24-byte header.
+  // populated, per options_.direct_index. Lists hold live bundle ids only:
+  // a list that falls empty is erased (sparse) or releases its storage and
+  // keeps just its 24-byte header (dense).
   std::vector<std::vector<uint64_t>> dense_index_;
   std::unordered_map<TokenId, std::vector<uint64_t>> sparse_index_;
   std::deque<OrderEntry> store_order_;

@@ -259,6 +259,8 @@ class JoinerBolt : public stream::Bolt {
     if (lanes_ > 1) {
       lane_buf_.assign(static_cast<size_t>(lanes_), {});
       lane_frontier_.assign(static_cast<size_t>(lanes_), 0);
+      lane_pops_.assign(static_cast<size_t>(lanes_), 0);
+      lane_frozen_len_.assign(static_cast<size_t>(lanes_), 0);
     }
     joiner_ = MakeLocalJoiner(*options_, partition_);
     if (!options_->store_dir.empty() && options_->spill_watermark > 0.0 &&
@@ -351,30 +353,16 @@ class JoinerBolt : public stream::Bolt {
   bool SupportsSnapshot() const override { return joiner_->SupportsSnapshot(); }
   void Snapshot(std::string* out) const override {
     BinaryWriter w(out);
-    w.WriteU64(result_count_);
-    w.WriteU64(shed_probes_);
-    w.WriteU64(shed_ub_);
-    w.WriteU64(shed_pending_);
-    w.WriteU32(shed_active_ ? 1 : 0);
-    w.WriteU64(shed_seqs_.size());
-    for (const uint64_t seq : shed_seqs_) w.WriteU64(seq);
-    WriteMergeState(w);
+    WriteCounters(w);
+    WriteMerge(*CaptureMerge(/*delta=*/false), w);
     std::string joiner_blob;
     joiner_->Snapshot(&joiner_blob);
     w.WriteBytes(joiner_blob);
   }
   void Restore(const std::string& blob) override {
     BinaryReader r(blob);
-    result_count_ = r.ReadU64();
-    shed_probes_ = r.ReadU64();
-    shed_ub_ = r.ReadU64();
-    shed_pending_ = r.ReadU64();
-    shed_active_ = r.ReadU32() != 0;
-    shed_seqs_.clear();
-    const uint64_t n = r.ReadU64();
-    shed_seqs_.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) shed_seqs_.push_back(r.ReadU64());
-    ReadMergeState(r);
+    ReadCounters(r);
+    ReadMerge(r, /*delta=*/false);
     std::string joiner_blob;
     r.ReadBytes(&joiner_blob);
     joiner_->Restore(joiner_blob);
@@ -389,9 +377,12 @@ class JoinerBolt : public stream::Bolt {
 
   /// Async-checkpoint path (TopologyBuilder::SetStore). The bolt header
   /// (a few counters + the shed seq list) is copied eagerly — it mutates
-  /// with the very next tuple; the joiner contributes its frozen view,
-  /// which serializes later on the checkpoint thread. Layout matches
-  /// Snapshot/Restore, so bases restore through Restore() unchanged.
+  /// with the very next tuple. The merge buffers are captured as
+  /// RecordPtrs (immutable, so a refcount copy) and the joiner contributes
+  /// its frozen view; both serialize later on the checkpoint thread. A
+  /// base uses the Snapshot layout, so it restores through Restore(); a
+  /// delta carries only the merge buffers' change since the previous
+  /// freeze (see CaptureMerge).
   bool SupportsDeltaSnapshot() const override {
     return joiner_->SupportsIncrementalSnapshot();
   }
@@ -399,18 +390,11 @@ class JoinerBolt : public stream::Bolt {
     auto header = std::make_shared<std::string>();
     {
       BinaryWriter w(header.get());
-      w.WriteU64(result_count_);
-      w.WriteU64(shed_probes_);
-      w.WriteU64(shed_ub_);
-      w.WriteU64(shed_pending_);
-      w.WriteU32(shed_active_ ? 1 : 0);
-      w.WriteU64(shed_seqs_.size());
-      for (const uint64_t seq : shed_seqs_) w.WriteU64(seq);
-      // Merge buffers mutate with the very next tuple, so they are copied
-      // eagerly into the header rather than deferred to the freeze view.
-      WriteMergeState(w);
+      WriteCounters(w);
     }
     store::FrozenBlob inner = want_delta ? joiner_->FreezeDelta() : joiner_->FreezeBase();
+    std::shared_ptr<const MergeCapture> merge = CaptureMerge(inner.is_delta);
+    MarkMergeFrozen();
     if (!inner.is_delta && spill_ != nullptr &&
         options_->checkpoint_mode == store::CheckpointMode::kAsync) {
       // Segments fully retired before this base was frozen are invisible
@@ -421,26 +405,20 @@ class JoinerBolt : public stream::Bolt {
         std::make_shared<std::function<void(std::string*)>>(std::move(inner.encode));
     store::FrozenBlob f;
     f.is_delta = inner.is_delta;
-    f.encode = [header, inner_encode](std::string* out) {
+    f.encode = [header, merge, inner_encode](std::string* out) {
       *out = std::move(*header);
+      BinaryWriter w(out);
+      WriteMerge(*merge, w);
       std::string joiner_blob;
       (*inner_encode)(&joiner_blob);
-      BinaryWriter(out).WriteBytes(joiner_blob);
+      w.WriteBytes(joiner_blob);
     };
     return f;
   }
   void RestoreDelta(const std::string& blob) override {
     BinaryReader r(blob);
-    result_count_ = r.ReadU64();
-    shed_probes_ = r.ReadU64();
-    shed_ub_ = r.ReadU64();
-    shed_pending_ = r.ReadU64();
-    shed_active_ = r.ReadU32() != 0;
-    shed_seqs_.clear();
-    const uint64_t n = r.ReadU64();
-    shed_seqs_.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) shed_seqs_.push_back(r.ReadU64());
-    ReadMergeState(r);
+    ReadCounters(r);
+    ReadMerge(r, /*delta=*/true);
     std::string joiner_blob;
     r.ReadBytes(&joiner_blob);
     joiner_->RestoreDelta(joiner_blob);
@@ -549,25 +527,88 @@ class JoinerBolt : public stream::Bolt {
       if (best < 0 || best_seq >= bound) return;
       PendingTuple p = std::move(lane_buf_[static_cast<size_t>(best)].front());
       lane_buf_[static_cast<size_t>(best)].pop_front();
+      ++lane_pops_[static_cast<size_t>(best)];
       lane_frontier_[static_cast<size_t>(best)] =
           std::max(lane_frontier_[static_cast<size_t>(best)], best_seq + 1);
       ProcessInOrder(p.record, p.flags, p.emit_us, out);
     }
   }
 
-  /// Serializes lane frontiers + buffered tuples (records re-encoded in
-  /// full — buffered payloads may borrow frame arenas that do not survive
-  /// an incarnation). No-op layout when sharding is off, keeping
-  /// single-lane checkpoint blobs byte-identical to earlier builds.
-  void WriteMergeState(BinaryWriter& w) const {
-    if (lanes_ <= 1) return;
-    w.WriteU32(static_cast<uint32_t>(lanes_));
+  void WriteCounters(BinaryWriter& w) const {
+    w.WriteU64(result_count_);
+    w.WriteU64(shed_probes_);
+    w.WriteU64(shed_ub_);
+    w.WriteU64(shed_pending_);
+    w.WriteU32(shed_active_ ? 1 : 0);
+    w.WriteU64(shed_seqs_.size());
+    for (const uint64_t seq : shed_seqs_) w.WriteU64(seq);
+  }
+  void ReadCounters(BinaryReader& r) {
+    result_count_ = r.ReadU64();
+    shed_probes_ = r.ReadU64();
+    shed_ub_ = r.ReadU64();
+    shed_pending_ = r.ReadU64();
+    shed_active_ = r.ReadU32() != 0;
+    shed_seqs_.clear();
+    const uint64_t n = r.ReadU64();
+    shed_seqs_.reserve(n);
+    for (uint64_t i = 0; i < n; ++i) shed_seqs_.push_back(r.ReadU64());
+  }
+
+  /// Lane-merge state captured at a freeze (empty when sharding is off,
+  /// keeping single-lane checkpoint blobs byte-identical to earlier
+  /// builds). A full image holds each lane's whole buffer. A delta holds,
+  /// per lane, the pops since the previous freeze and the appended suffix
+  /// — the FIFO rule BundleJoiner uses for its eviction order. Pops can
+  /// exceed the previous image's length when tuples were appended and
+  /// drained within one interval; those never existed in the image.
+  struct MergeCapture {
+    bool delta = false;
+    std::vector<uint64_t> frontier;
+    std::vector<uint64_t> pops;  ///< delta only
+    std::vector<std::vector<PendingTuple>> tuples;
+  };
+
+  std::shared_ptr<const MergeCapture> CaptureMerge(bool delta) const {
+    auto c = std::make_shared<MergeCapture>();
+    if (lanes_ <= 1) return c;
+    c->delta = delta;
+    c->frontier = lane_frontier_;
+    if (delta) c->pops = lane_pops_;
+    c->tuples.resize(static_cast<size_t>(lanes_));
+    for (size_t l = 0; l < lane_buf_.size(); ++l) {
+      const auto& buf = lane_buf_[l];
+      size_t start = 0;
+      if (delta && lane_frozen_len_[l] > lane_pops_[l]) {
+        start = static_cast<size_t>(lane_frozen_len_[l] - lane_pops_[l]);
+      }
+      c->tuples[l].assign(buf.begin() + static_cast<ptrdiff_t>(start), buf.end());
+    }
+    return c;
+  }
+
+  /// The next delta is relative to the buffers as they stand now.
+  void MarkMergeFrozen() {
+    for (size_t l = 0; l < lane_buf_.size(); ++l) {
+      lane_pops_[l] = 0;
+      lane_frozen_len_[l] = lane_buf_[l].size();
+    }
+  }
+
+  /// The one merge-state encoder, for bases, deltas, Snapshot and
+  /// migration blobs alike. Records are re-encoded in full: buffered
+  /// payloads may borrow frame arenas that do not survive an incarnation.
+  /// Runs on the checkpoint thread for async freezes; the captured
+  /// RecordPtrs keep any borrowed arena pinned until it is done.
+  static void WriteMerge(const MergeCapture& c, BinaryWriter& w) {
+    if (c.frontier.empty()) return;
+    w.WriteU32(static_cast<uint32_t>(c.frontier.size()));
     std::string encoded;
-    for (int l = 0; l < lanes_; ++l) {
-      w.WriteU64(lane_frontier_[static_cast<size_t>(l)]);
-      const auto& buf = lane_buf_[static_cast<size_t>(l)];
-      w.WriteU64(buf.size());
-      for (const PendingTuple& p : buf) {
+    for (size_t l = 0; l < c.frontier.size(); ++l) {
+      w.WriteU64(c.frontier[l]);
+      if (c.delta) w.WriteU64(c.pops[l]);
+      w.WriteU64(c.tuples[l].size());
+      for (const PendingTuple& p : c.tuples[l]) {
         w.WriteU64(static_cast<uint64_t>(p.flags));
         w.WriteU64(static_cast<uint64_t>(p.emit_us));
         encoded.clear();
@@ -576,14 +617,19 @@ class JoinerBolt : public stream::Bolt {
       }
     }
   }
-  void ReadMergeState(BinaryReader& r) {
+  void ReadMerge(BinaryReader& r, bool delta) {
     if (lanes_ <= 1) return;
     const uint32_t lanes = r.ReadU32();
     CHECK_EQ(static_cast<int>(lanes), lanes_) << "checkpoint from a different lane count";
-    for (int l = 0; l < lanes_; ++l) {
-      lane_frontier_[static_cast<size_t>(l)] = r.ReadU64();
-      auto& buf = lane_buf_[static_cast<size_t>(l)];
-      buf.clear();
+    for (size_t l = 0; l < lane_buf_.size(); ++l) {
+      lane_frontier_[l] = r.ReadU64();
+      auto& buf = lane_buf_[l];
+      if (delta) {
+        const uint64_t pops = r.ReadU64();
+        for (uint64_t i = 0; i < pops && !buf.empty(); ++i) buf.pop_front();
+      } else {
+        buf.clear();
+      }
       const uint64_t n = r.ReadU64();
       for (uint64_t i = 0; i < n; ++i) {
         PendingTuple p;
@@ -598,6 +644,7 @@ class JoinerBolt : public stream::Bolt {
         buf.push_back(std::move(p));
       }
     }
+    MarkMergeFrozen();
   }
 
   void ProcessInOrder(const RecordPtr& record, int64_t flags, int64_t emit_us,
@@ -648,6 +695,10 @@ class JoinerBolt : public stream::Bolt {
   int lanes_ = 1;
   std::vector<std::deque<PendingTuple>> lane_buf_;
   std::vector<uint64_t> lane_frontier_;
+  /// Per lane: pops since the last freeze and the buffer length at it
+  /// (the delta bookkeeping behind CaptureMerge).
+  std::vector<uint64_t> lane_pops_;
+  std::vector<uint64_t> lane_frozen_len_;
   stream::TaskMetrics* metrics_ = nullptr;
   std::function<stream::QueueHealth()> queue_health_;
   std::unique_ptr<LocalJoiner> joiner_;

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -224,6 +225,9 @@ struct TopologyImpl {
   std::map<uint32_t, MigrationRun> migration_runs;  ///< guarded by mig_mu
   std::set<uint32_t> activated_migrations;          ///< target-side dedup (mig_mu)
   bool coordinator_done = false;  ///< rank 0 run-over broadcast landed (mig_mu)
+  /// Wait() has finished the run (every executor joined, the finish
+  /// barrier passed). MigrateTaskId's remote waits give up once it is set.
+  std::atomic<bool> run_over{false};
   std::mutex elastic_mu;  ///< serializes migrations: one handoff at a time
   std::vector<std::thread> elastic_threads;  ///< adopted executors (mig_mu)
 
@@ -242,8 +246,18 @@ struct TopologyImpl {
   std::unique_ptr<std::atomic<uint8_t>[]> dyn_kill;
   std::thread action_driver;
   std::atomic<bool> driver_stop{false};
+  /// Spout emissions at which the next unfired action is due (kNoHold once
+  /// none is left). Spouts wait there until the action thread has fired
+  /// it, so a scripted action lands at its seq even when the host stalls
+  /// that thread; otherwise the stream could end first.
+  static constexpr uint64_t kNoHold = std::numeric_limits<uint64_t>::max();
+  std::atomic<uint64_t> action_hold{kNoHold};
 
   void RunSpoutTask(Task& task);
+  /// Total tuples emitted by the spouts: the clock scripted actions use.
+  uint64_t SpoutEmitted() const;
+  /// Blocks a spout while the next scripted action is due (see action_hold).
+  void WaitForDueAction() const;
   void RunBoltTask(Task& task, const MigrationState* restore = nullptr);
   void NoteTaskExit(int task_id);
   void MarkFailed(const std::string& msg);
@@ -1064,6 +1078,7 @@ void TopologyImpl::RunSpoutTask(Task& task) {
       m.checkpoint_bytes.Add(ckpt.state.size());
       m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
     }
+    WaitForDueAction();
     if (!task.spout->NextTuple(collector)) break;
     ++calls;
   }
@@ -1755,6 +1770,7 @@ Status TopologyImpl::MigrateTaskId(int task_id, int target_worker) {
     std::unique_lock<std::mutex> lock(mig_mu);
     MigrationRun& run = migration_runs.at(migration_id);
     while (run.phase == MigPhase::kFreezing && !failed.load(std::memory_order_acquire) &&
+           !run_over.load(std::memory_order_acquire) &&
            !(src_local && task_exited != nullptr &&
              task_exited[static_cast<size_t>(task_id)].load(std::memory_order_acquire) != 0)) {
       mig_cv.wait_for(lock, std::chrono::milliseconds(5));
@@ -1848,11 +1864,15 @@ Status TopologyImpl::MigrateTaskId(int task_id, int target_worker) {
     {
       std::unique_lock<std::mutex> lock(mig_mu);
       MigrationRun& run = migration_runs.at(migration_id);
-      while (run.phase == MigPhase::kShipped && !failed.load(std::memory_order_acquire)) {
+      while (run.phase == MigPhase::kShipped && !failed.load(std::memory_order_acquire) &&
+             !run_over.load(std::memory_order_acquire)) {
         mig_cv.wait_for(lock, std::chrono::milliseconds(5));
       }
       if (run.phase != MigPhase::kHandoff) {
         lock.unlock();
+        if (run_over.load(std::memory_order_acquire)) {
+          return abort_run(Status::FailedPrecondition("run finished before the handoff"));
+        }
         return abort_run(Status::Internal("migration " + std::to_string(migration_id) +
                                           ": handoff did not complete"));
       }
@@ -2042,14 +2062,31 @@ bool TopologyImpl::ActivateMigratedTask(uint32_t migration_id, int task_id, std:
   return true;
 }
 
+uint64_t TopologyImpl::SpoutEmitted() const {
+  uint64_t emitted = 0;
+  for (const Task& task : tasks) {
+    if (comps[task.comp]->is_spout) emitted += task.metrics->emitted.Get();
+  }
+  return emitted;
+}
+
+void TopologyImpl::WaitForDueAction() const {
+  for (;;) {
+    const uint64_t hold = action_hold.load(std::memory_order_acquire);
+    if (hold == kNoHold || failed.load(std::memory_order_acquire) || SpoutEmitted() < hold) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+}
+
 void TopologyImpl::RunActionDriver() {
   size_t next = 0;
   while (next < actions.size() && !driver_stop.load(std::memory_order_acquire) &&
          !failed.load(std::memory_order_acquire)) {
-    uint64_t emitted = 0;
+    const uint64_t emitted = SpoutEmitted();
     bool any_alive = false;
     for (Task& task : tasks) {
-      if (comps[task.comp]->is_spout) emitted += task.metrics->emitted.Get();
       if (task_exited != nullptr &&
           task_exited[static_cast<size_t>(task.id)].load(std::memory_order_relaxed) == 0) {
         any_alive = true;
@@ -2075,9 +2112,12 @@ void TopologyImpl::RunActionDriver() {
         }
       }
     }
+    action_hold.store(next < actions.size() ? actions[next].at_seq : kNoHold,
+                      std::memory_order_release);
     if (!any_alive) break;
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
+  action_hold.store(kNoHold, std::memory_order_release);  // never strand a spout
 }
 
 }  // namespace internal_topology
@@ -2509,6 +2549,7 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
                    [](const TopologyImpl::ResolvedAction& a,
                       const TopologyImpl::ResolvedAction& b) { return a.at_seq < b.at_seq; });
   if (!t.actions.empty()) {
+    t.action_hold.store(t.actions.front().at_seq, std::memory_order_relaxed);
     t.dyn_kill = std::make_unique<std::atomic<uint8_t>[]>(t.tasks.size());
     for (size_t i = 0; i < t.tasks.size(); ++i) {
       t.dyn_kill[i].store(0, std::memory_order_relaxed);
@@ -2668,6 +2709,13 @@ void Topology::Wait() {
     }
     for (std::thread& th : stragglers) th.join();
   }
+  // The run is over here, on this rank and (past the finish barrier) on
+  // every rank: no migration can complete any more. A controller thread
+  // still waiting on a remote rank's reply would wait forever, because the
+  // transport is gone; release it.
+  std::lock_guard<std::mutex> lock(t.mig_mu);
+  t.run_over.store(true, std::memory_order_release);
+  t.mig_cv.notify_all();
 }
 
 void Topology::Run() {

@@ -1,6 +1,7 @@
 #include "core/bundle_joiner.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,6 +151,48 @@ TEST(BundleJoinerTest, BatchVerificationSharesCostAgainstRecordJoiner) {
   const auto pr = Canonical(SingleNodeJoin(stream, record));
   EXPECT_EQ(pb, pr);
   EXPECT_LT(bundle.stats().postings_scanned, record.stats().postings_scanned);
+}
+
+// State must track the time window, not the stream's history: a retired
+// bundle takes its postings with it, so on a large-vocabulary stream (whose
+// rare prefix tokens are seldom probed again) neither the index nor a
+// checkpoint base keeps growing once the window is full. Sparse layout, as
+// every partitioned joiner uses.
+TEST(BundleJoinerTest, IndexAndBaseStayBoundedByTheWindow) {
+  constexpr size_t kPerWindow = 1000;
+  constexpr size_t kWindows = 12;
+  WorkloadOptions wo;
+  wo.seed = 41;
+  wo.token_universe = 1u << 20;
+  wo.zipf_skew = 0.9;
+  wo.duplicate_fraction = 0.4;
+  wo.dup_locality = 500;
+  wo.timestamp_step_us = 1000;
+  const auto stream = WorkloadGenerator(wo).Generate(kPerWindow * kWindows);
+  BundleJoinerOptions opts;
+  opts.direct_index = false;
+  BundleJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 800),
+                      WindowSpec::ByTime(static_cast<int64_t>(kPerWindow) * wo.timestamp_step_us),
+                      opts);
+  const auto cb = [](const ResultPair&) {};
+  size_t memory_at_2 = 0;
+  size_t base_at_2 = 0;
+  for (size_t w = 1; w <= kWindows; ++w) {
+    for (size_t i = (w - 1) * kPerWindow; i < w * kPerWindow; ++i) {
+      joiner.Process(stream[i], true, true, cb);
+    }
+    std::string base;
+    joiner.FreezeBase().encode(&base);
+    if (w == 2) {
+      memory_at_2 = joiner.MemoryBytes();
+      base_at_2 = base.size();
+    } else if (w >= 10) {
+      EXPECT_LE(joiner.MemoryBytes(), memory_at_2 * 3 / 2) << "after window " << w;
+      EXPECT_LE(base.size(), base_at_2 * 3 / 2) << "after window " << w;
+    }
+  }
+  EXPECT_GT(joiner.stats().evictions, kPerWindow * (kWindows - 2));
+  EXPECT_GT(joiner.stats().dead_postings_purged, 0u);
 }
 
 TEST(BundleJoinerTest, MemoryAccountingIsMonotoneInWindow) {

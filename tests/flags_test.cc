@@ -1,5 +1,8 @@
 #include "common/flags.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace dssj {
@@ -58,10 +61,38 @@ TEST(FlagsTest, MalformedInput) {
   EXPECT_FALSE(Flags::Parse(2, argv).ok());
 }
 
-TEST(FlagsDeathTest, TypeErrorsFailLoudly) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const Flags f = MustParse({"--n=abc"});
-  EXPECT_DEATH(f.GetInt("n", 0), "expects an integer");
+// A malformed value is a usage error, never an abort: the getter falls
+// back to its default and records a message naming the flag, in query
+// order, for the binary to print before exiting with status 2.
+TEST(FlagsTest, MalformedValuesAreReportedNotFatal) {
+  const Flags f = MustParse({"--n=abc", "--big=99999999999999999999", "--rate=1.5x",
+                             "--ratio=nan", "--on=maybe", "--empty="});
+  EXPECT_EQ(f.GetInt("n", 7), 7);
+  EXPECT_EQ(f.GetInt("big", 8), 8);
+  EXPECT_DOUBLE_EQ(f.GetDouble("rate", 0.5), 0.5);
+  EXPECT_DOUBLE_EQ(f.GetDouble("ratio", 0.25), 0.25);
+  EXPECT_TRUE(f.GetBool("on", true));
+  EXPECT_EQ(f.GetInt("empty", 9), 9);
+  const std::vector<std::string> expected = {
+      "flag --n expects an integer, got 'abc'",
+      "flag --big expects an integer, got '99999999999999999999'",
+      "flag --rate expects a number, got '1.5x'",
+      "flag --ratio expects a number, got 'nan'",
+      "flag --on expects a boolean, got 'maybe'",
+      "flag --empty expects an integer, got ''",
+  };
+  EXPECT_EQ(f.ValueErrors(), expected);
+  EXPECT_TRUE(f.UnusedKeys().empty());
+}
+
+TEST(FlagsTest, WellFormedValuesReportNothing) {
+  const Flags f = MustParse({"--n=-12", "--rate=2e3", "--on=no", "--s=abc"});
+  EXPECT_EQ(f.GetInt("n", 0), -12);
+  EXPECT_DOUBLE_EQ(f.GetDouble("rate", 0.0), 2000.0);
+  EXPECT_FALSE(f.GetBool("on", true));
+  EXPECT_EQ(f.GetString("s", ""), "abc");
+  EXPECT_EQ(f.GetInt("absent", 3), 3);
+  EXPECT_TRUE(f.ValueErrors().empty());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // shared adaptive router rides along: with lanes it is exact (same pair
 // set) though its replan timing is interleaving-dependent.
 #include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -16,6 +17,7 @@
 #include "core/brute_force_joiner.h"
 #include "core/join_topology.h"
 #include "net/transport.h"
+#include "store/format.h"
 #include "workload/generator.h"
 
 namespace dssj {
@@ -83,6 +85,21 @@ DistributedJoinResult RunTcpCoordinator(const std::vector<RecordPtr>& input,
   for (std::thread& t : threads) t.join();
   return result;
 }
+
+class ScopedTempDir {
+ public:
+  ScopedTempDir() {
+    std::string tmpl = ::testing::TempDir() + "dssj_lanes_XXXXXX";
+    const char* made = mkdtemp(tmpl.data());
+    EXPECT_NE(made, nullptr);
+    path_ = tmpl;
+  }
+  ~ScopedTempDir() { store::RemoveTree(path_); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 class IngestLanesTest : public ::testing::Test {
  protected:
@@ -167,6 +184,52 @@ TEST_F(IngestLanesTest, RecoversExactlyFromLaneKills) {
   EXPECT_GT(result.restarts, 0u);
   EXPECT_EQ(result.result_count, expected.size());
   EXPECT_EQ(Canonical(result.pairs), expected);
+}
+
+// The same lane recovery through the async store: joiners checkpoint as
+// base + delta chains, where a delta carries only each lane buffer's pops
+// and appended suffix since the previous freeze, encoded on the checkpoint
+// thread from the captured records. Each kill lands one to six checkpoints
+// into its joiner's run (every 64 tuples, a base every 4th), so recovery
+// composes a base with zero to three deltas, as far as they are durable,
+// and replays the rest. Every cell must reproduce the clean single-lane
+// run of the same local joiner byte for byte.
+TEST_F(IngestLanesTest, RecoversExactlyThroughAsyncDeltaChains) {
+  for (LocalAlgorithm local : {LocalAlgorithm::kRecord, LocalAlgorithm::kBundle}) {
+    options_.local = local;
+    const std::vector<ResultPair> expected = Reference();
+    for (int lanes : {2, 4}) {
+      for (size_t batch : {1, 16, 128}) {
+        for (JoinTransport transport : {JoinTransport::kInproc, JoinTransport::kLoopback}) {
+          for (const char* kills : {"kill:joiner:0@150; kill:joiner:1@220",
+                                    "kill:joiner:2@100; kill:joiner:3@300; kill:joiner:0@400"}) {
+            ScopedTempDir dir;
+            DistributedJoinOptions faulty = options_;
+            faulty.ingest_lanes = lanes;
+            faulty.batch_size = batch;
+            faulty.transport = transport;
+            if (transport == JoinTransport::kLoopback) faulty.num_workers = 2;
+            faulty.supervise = true;
+            faulty.supervision.checkpoint_interval = 64;
+            faulty.store_dir = dir.path();
+            faulty.checkpoint_mode = store::CheckpointMode::kAsync;
+            faulty.delta_base_interval = 4;
+            faulty.fault_script = kills;
+            const DistributedJoinResult result = RunDistributedJoin(stream_, faulty);
+            const std::string label = std::string(LocalAlgorithmName(local)) +
+                                      " lanes=" + std::to_string(lanes) +
+                                      " batch=" + std::to_string(batch) + " transport=" +
+                                      JoinTransportName(transport) + " kills=" + kills;
+            ASSERT_TRUE(result.ok) << label << ": " << result.failure_message;
+            EXPECT_GE(result.restarts, 2u) << label;
+            EXPECT_GT(result.delta_checkpoints, 0u) << label;
+            EXPECT_EQ(result.result_count, expected.size()) << label;
+            EXPECT_EQ(Canonical(result.pairs), expected) << label;
+          }
+        }
+      }
+    }
+  }
 }
 
 // Severed link mid-stream (loopback wire path): frames cross the cut via

@@ -182,5 +182,32 @@ TEST_F(NetSmokeTest, DisconnectAndRemoteKillRecoverExactly) {
   EXPECT_EQ(tcp, reference);
 }
 
+// A malformed flag value or an unsupported combination is a usage error:
+// both binaries exit 2 with a message naming the flag, never a CHECK abort
+// (134). Needs no sockets — every case fails before the transport starts.
+TEST_F(NetSmokeTest, BadFlagsAreUsageErrors) {
+  const std::string dir = ::testing::TempDir();
+  const struct {
+    std::vector<std::string> argv;
+    std::string expected;
+  } cases[] = {
+      {{DSSJ_CLI_BIN, corpus_, "--threshold=abc"}, "--threshold expects an integer"},
+      {{DSSJ_CLI_BIN, corpus_, "--arrival_rate=fast"}, "--arrival_rate expects a number"},
+      {{DSSJ_CLI_BIN, corpus_, "--elastic=maybe"}, "--elastic expects a boolean"},
+      {{DSSJ_CLI_BIN, corpus_, "--local=bundle", "--strategy=prefix"},
+       "--local=bundle does not support --strategy=prefix"},
+      {{DSSJ_WORKER_BIN, "--rank=1", "--transport=tcp", "--connect=127.0.0.1:1,127.0.0.1:2",
+        "--joiners=4x"},
+       "--joiners expects an integer"},
+  };
+  for (const auto& c : cases) {
+    const pid_t pid = Spawn(c.argv, dir + "/usage.out");
+    const int exit_code = WaitFor(pid);
+    const std::string output = ReadFileOrEmpty(dir + "/usage.out");
+    EXPECT_EQ(exit_code, 2) << c.expected << "\n" << output;
+    EXPECT_NE(output.find(c.expected), std::string::npos) << output;
+  }
+}
+
 }  // namespace
 }  // namespace dssj

@@ -28,6 +28,10 @@ int main(int argc, char** argv) {
   const double dup_fraction = flags.GetDouble("dup-fraction", -1.0);
   const double drift_mean = flags.GetDouble("drift-length-mean", 0.0);
   const bool print_stats = flags.GetBool("stats", true);
+  for (const std::string& error : flags.ValueErrors()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
   for (const std::string& key : flags.UnusedKeys()) {
     std::fprintf(stderr, "unknown flag --%s\n", key.c_str());
     return 2;
