@@ -139,11 +139,11 @@ void BM_Length_Tweet_CheckpointInterval(benchmark::State& state) {
   state.counters["checkpoint_MB"] = static_cast<double>(result.checkpoint_bytes) / 1e6;
 }
 
-// Same sweep with the tiered store in async-delta mode (docs/INTERNALS.md
-// §13): the task freezes a copy-on-write view and a checkpoint thread does
-// the serialization + write, with every 8th checkpoint a compacting base.
-// Compare against BM_Length_Tweet_CheckpointInterval at the same interval
-// to read off the hot-path savings.
+// Same sweep with the checkpoint chains on disk (docs/INTERNALS.md §13):
+// the task freezes a copy-on-write view and the checkpoint thread does the
+// serialization + file write, with every 8th checkpoint a compacting base.
+// Compare against BM_Length_Tweet_CheckpointInterval (the same pipeline
+// with in-memory chains) at the same interval to read off the disk cost.
 void BM_Length_Tweet_AsyncDeltaCheckpoint(benchmark::State& state) {
   const size_t n = RecordsFor(DatasetPreset::kTweet);
   const auto& stream = CachedStream(DatasetPreset::kTweet, n);
@@ -773,10 +773,10 @@ int EmitJson(const std::string& path, int runs) {
   std::fprintf(f, "  ],\n");
 
   // Tiered state store axis (docs/INTERNALS.md §13): at each checkpoint
-  // interval, the synchronous store (full image encoded + written on the
-  // hot path, every checkpoint a base) against the async-delta store
-  // (copy-on-write freeze, checkpoint thread writes, every 8th a base);
-  // both relative to the unsupervised reference measured above. Then the
+  // interval, the on-disk chain (copy-on-write freeze, checkpoint thread
+  // writes, every 8th a base) with kSync — the executor waits at each
+  // boundary until its checkpoint is durable — against kAsync, which runs
+  // on; both relative to the unsupervised reference measured above. Then the
   // windows-larger-than-RAM run: the same join with a per-joiner index
   // budget far below the window, evicting (recall loss) vs spilling
   // (full recall, disk reads on surviving candidates).
@@ -805,9 +805,10 @@ int EmitJson(const std::string& path, int runs) {
     const double ss = Median(sync_scaled), as = Median(async_scaled);
     std::fprintf(f,
                  "      {\"checkpoint_interval\": %lld,\n"
-                 "       \"sync_full\": {\"rec_per_s_wall\": %.1f, "
+                 "       \"sync_wait\": {\"rec_per_s_wall\": %.1f, "
                  "\"rec_per_s_scaled\": %.1f,\n"
                  "        \"relative_scaled\": %.3f,\n"
+                 "        \"delta_checkpoints\": %llu, \"delta_checkpoint_bytes\": %llu,\n"
                  "        \"base_checkpoints\": %llu, \"base_checkpoint_bytes\": %llu},\n"
                  "       \"async_delta\": {\"rec_per_s_wall\": %.1f, "
                  "\"rec_per_s_scaled\": %.1f,\n"
@@ -817,6 +818,8 @@ int EmitJson(const std::string& path, int runs) {
                  "       \"async_over_sync_scaled\": %.3f, \"results\": %llu}%s\n",
                  static_cast<long long>(tiered_intervals[k]), sw, ss,
                  off_scaled > 0.0 ? ss / off_scaled : 0.0,
+                 static_cast<unsigned long long>(sync_last.delta_checkpoints),
+                 static_cast<unsigned long long>(sync_last.delta_bytes),
                  static_cast<unsigned long long>(sync_last.base_checkpoints),
                  static_cast<unsigned long long>(sync_last.base_bytes), aw, as,
                  off_scaled > 0.0 ? as / off_scaled : 0.0,

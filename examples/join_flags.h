@@ -155,7 +155,7 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
     return false;
   }
   const std::string store_dir = flags.GetString("store_dir", "");
-  const std::string checkpoint_mode = flags.GetString("checkpoint_mode", "sync");
+  const std::string checkpoint_mode = flags.GetString("checkpoint_mode", "async");
   const int64_t delta_base_interval = flags.GetInt("delta_base_interval", 8);
   const double spill_watermark = flags.GetDouble("spill_watermark", 0.0);
   if (checkpoint_mode == "sync") {

@@ -269,10 +269,14 @@ class JoinerBolt : public stream::Bolt {
       // recovered base/delta chain holds handles into the previous
       // incarnation's segments. Open() treats leftover frames as
       // unclaimed; Restore re-claims the referenced ones and the rest are
-      // purged once recovery completes.
+      // purged once recovery completes. Retired segments wait for a
+      // durable base that post-dates them (bases hold handles into
+      // segments; see Freeze). Without periodic checkpoints no such base
+      // ever comes, and every restore point inlines its cold records, so
+      // they go at once.
       const std::string dir =
           options_->store_dir + "/spill_" + ctx.component + "_p" + std::to_string(partition_);
-      const auto gc = options_->checkpoint_mode == store::CheckpointMode::kAsync
+      const auto gc = options_->supervision.checkpoint_interval > 0
                           ? store::SpillStore::GcPolicy::kDeferred
                           : store::SpillStore::GcPolicy::kImmediate;
       const Status st = store::SpillStore::Open(dir, options_->store_segment_bytes, gc, &spill_);
@@ -366,16 +370,9 @@ class JoinerBolt : public stream::Bolt {
     std::string joiner_blob;
     r.ReadBytes(&joiner_blob);
     joiner_->Restore(joiner_blob);
-    // A self-contained image (tag 0: migration blob or in-memory fallback)
-    // re-appends its cold records to fresh frames, so whatever the
-    // previous incarnation left on disk is garbage now. Tiered bases wait
-    // for OnRestoreComplete — the delta chain still claims frames.
-    if (spill_ != nullptr && !joiner_blob.empty() && joiner_blob[0] == 0) {
-      spill_->PurgeUnclaimed();
-    }
   }
 
-  /// Async-checkpoint path (TopologyBuilder::SetStore). The bolt header
+  /// Checkpoint pipeline (TopologyBuilder::SetStore). The bolt header
   /// (a few counters + the shed seq list) is copied eagerly — it mutates
   /// with the very next tuple. The merge buffers are captured as
   /// RecordPtrs (immutable, so a refcount copy) and the joiner contributes
@@ -395,8 +392,7 @@ class JoinerBolt : public stream::Bolt {
     store::FrozenBlob inner = want_delta ? joiner_->FreezeDelta() : joiner_->FreezeBase();
     std::shared_ptr<const MergeCapture> merge = CaptureMerge(inner.is_delta);
     MarkMergeFrozen();
-    if (!inner.is_delta && spill_ != nullptr &&
-        options_->checkpoint_mode == store::CheckpointMode::kAsync) {
+    if (!inner.is_delta && spill_ != nullptr) {
       // Segments fully retired before this base was frozen are invisible
       // to it and to every later delta; reclaim them once it is durable.
       retire_marks_.push_back(spill_->TakeRetireMark());
@@ -433,6 +429,9 @@ class JoinerBolt : public stream::Bolt {
     retire_marks_.pop_front();
   }
   void OnRestoreComplete() override {
+    // Restore and RestoreDelta re-claimed every frame the recovered state
+    // references (a self-contained image re-appended its cold records to
+    // fresh frames); whatever else a previous incarnation left is garbage.
     if (spill_ != nullptr) spill_->PurgeUnclaimed();
     retire_marks_.clear();
   }
@@ -1040,17 +1039,14 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   if (options.supervise || options.elastic || !options.fault_script.empty()) {
     builder.SetSupervision(options.supervision);
   }
-  if (!options.store_dir.empty()) {
-    CHECK(options.supervise || options.elastic || !options.fault_script.empty())
-        << "store_dir requires supervision (checkpoints drive the store)";
-    store::StoreOptions so;
-    so.dir = options.store_dir;
-    so.mode = options.checkpoint_mode;
-    so.delta_base_interval = options.delta_base_interval;
-    so.spill_watermark = options.spill_watermark;
-    so.segment_bytes = options.store_segment_bytes;
-    builder.SetStore(std::move(so));
-  }
+  CHECK(options.store_dir.empty() || options.supervise || options.elastic ||
+        !options.fault_script.empty())
+      << "store_dir requires supervision (checkpoints drive the store)";
+  store::StoreOptions so;
+  so.dir = options.store_dir;
+  so.mode = options.checkpoint_mode;
+  so.delta_base_interval = options.delta_base_interval;
+  builder.SetStore(std::move(so));
   if (options.elastic) builder.SetElastic(true);
   if (!options.fault_script.empty()) {
     StatusOr<stream::FaultScript> script = stream::FaultScript::Parse(options.fault_script);

@@ -212,16 +212,19 @@ struct DistributedJoinOptions {
   /// max_index_bytes. Ignored by the brute-force joiner.
   size_t max_index_bytes = 0;
 
-  /// Tiered state store (docs/INTERNALS.md §13). A non-empty store_dir
-  /// roots an on-disk store there (requires `supervise`): checkpoints are
-  /// persisted per task under store_dir/task_<id>/, and joiners with a
-  /// spill_watermark > 0 overflow cold window state to
+  /// Checkpoint pipeline and tiered state store (docs/INTERNALS.md §13).
+  /// Supervised tasks checkpoint every supervision.checkpoint_interval
+  /// tuples: the task thread freezes a view, the checkpoint thread encodes
+  /// it into the task's base + delta chain (a full base every
+  /// delta_base_interval-th checkpoint, deltas between). The chain lives
+  /// in memory, or on disk under store_dir/task_<id>/ when store_dir is
+  /// set (requires `supervise`); joiners with a spill_watermark > 0 then
+  /// also overflow cold window state to
   /// store_dir/spill_<component>_p<partition>/ instead of budget-evicting
-  /// it. kAsync moves checkpoint encoding + disk writes off the task
-  /// thread (frozen views; deltas between every delta_base_interval-th
-  /// full base image); kSync writes a full base inline at each boundary.
+  /// it. kSync makes each task wait until its checkpoint is durable;
+  /// kAsync lets it run on.
   std::string store_dir;
-  store::CheckpointMode checkpoint_mode = store::CheckpointMode::kSync;
+  store::CheckpointMode checkpoint_mode = store::CheckpointMode::kAsync;
   uint32_t delta_base_interval = 8;
   /// Fraction of max_index_bytes at which the record joiner starts
   /// spilling cold records to disk rather than evicting them (<= 0 keeps
@@ -331,8 +334,8 @@ struct DistributedJoinResult {
   uint64_t replayed_tuples = 0;
   uint64_t checkpoints = 0;
   uint64_t checkpoint_bytes = 0;
-  /// Tiered-store split of the above (0 unless options.store_dir), plus
-  /// spill-tier traffic: bytes moved to cold segments and cold read-backs.
+  /// Base/delta split of the above, plus spill-tier traffic: bytes moved
+  /// to cold segments and cold read-backs (0 unless options.store_dir).
   uint64_t delta_checkpoints = 0;
   uint64_t base_checkpoints = 0;
   uint64_t delta_checkpoint_bytes = 0;

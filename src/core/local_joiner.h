@@ -123,7 +123,7 @@ class LocalJoiner {
     LOG(FATAL) << "joiner does not support snapshots";
   }
 
-  /// Incremental checkpointing for the async tiered store. FreezeBase and
+  /// Incremental checkpointing for the checkpoint pipeline. FreezeBase and
   /// FreezeDelta capture a cheap immutable view of the state at the call
   /// boundary (reference bumps + small copies of dirty bookkeeping) and
   /// return the encoder that serializes it later on the checkpoint thread;
@@ -132,8 +132,8 @@ class LocalJoiner {
   /// (is_delta = true) replays on top of the preceding image via
   /// RestoreDelta; recovery therefore applies Restore(base) then
   /// RestoreDelta(each delta, epoch order). The defaults serialize a full
-  /// image eagerly (is_delta = false), so every joiner works under the
-  /// async driver and incremental support is a pure optimization.
+  /// image eagerly (is_delta = false), so every joiner works in the
+  /// pipeline and incremental support is a pure optimization.
   virtual bool SupportsIncrementalSnapshot() const { return false; }
   virtual store::FrozenBlob FreezeBase() {
     auto blob = std::make_shared<std::string>();

@@ -13,11 +13,18 @@ CheckpointService::CheckpointService() : thread_([this] { Run(); }) {}
 CheckpointService::~CheckpointService() { Stop(); }
 
 void CheckpointService::Submit(CheckpointJob job) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CHECK(!stop_) << "Submit after CheckpointService::Stop";
-  ++tasks_[job.task_id].submitted;
-  queue_.push_back(std::move(job));
-  cv_.notify_one();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!stop_) {
+      ++tasks_[job.task_id].submitted;
+      queue_.push_back(std::move(job));
+      cv_.notify_one();
+      return;
+    }
+  }
+  // The run is over (an executor adopted by a migration that raced the end
+  // of a failed run): skip the job as a wedged store would.
+  if (job.on_complete) job.on_complete(false, 0, 0);
 }
 
 uint64_t CheckpointService::DurableEpoch(int task_id) const {

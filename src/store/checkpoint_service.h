@@ -71,7 +71,8 @@ class CheckpointService {
   bool Wedged(int task_id) const;
 
   /// Drains all queued jobs and joins the thread. Called once at topology
-  /// teardown; Submit after Stop is invalid.
+  /// teardown; a job submitted after Stop is skipped (reported not ok) and
+  /// never becomes durable.
   void Stop();
 
  private:

@@ -1,7 +1,8 @@
-// Configuration of the tiered state store (docs/INTERNALS.md §13): where
-// checkpoint and spill files live, whether checkpoints are written
-// synchronously on the task thread or encoded off-thread from a frozen
-// view, and how often the delta chain is compacted into a full base image.
+// Configuration of the checkpoint pipeline (docs/INTERNALS.md §13): where
+// checkpoint chains live, whether the executor waits for each checkpoint
+// to land, and how often the delta chain is compacted into a full base
+// image. Spill settings belong to the bolts that spill (JoinerBolt reads
+// them from DistributedJoinOptions).
 #ifndef DSSJ_STORE_OPTIONS_H_
 #define DSSJ_STORE_OPTIONS_H_
 
@@ -10,40 +11,29 @@
 
 namespace dssj::store {
 
-/// Checkpoint write discipline. kSync keeps the pre-store behavior: the
-/// task thread serializes its full state at every checkpoint boundary and
-/// keeps the blob in memory. kAsync freezes a cheap view at the boundary
-/// and hands encoding + disk write to the checkpoint service thread; the
-/// replay log is truncated only once the write is durable, so a crash at
-/// any point recovers from the newest consistent base + delta chain.
+/// Whether the executor waits for its checkpoints. Both modes run one
+/// pipeline: the executor freezes a cheap view at the boundary, the
+/// checkpoint service thread encodes it and appends it to the task's
+/// chain, and the replay log is truncated only once the epoch is durable.
+/// kSync additionally blocks the executor until each checkpoint is
+/// durable, so its replay log is cut at every boundary.
 enum class CheckpointMode : uint8_t {
   kSync = 0,
   kAsync = 1,
 };
 
 struct StoreOptions {
-  /// Root directory for checkpoint and spill files. Empty disables the
-  /// store entirely (sync in-memory checkpoints, budget eviction instead
-  /// of spill). Each task uses `dir`/task_<id>/.
+  /// Root directory for checkpoint chains; each task uses
+  /// `dir`/task_<id>/. Empty keeps every chain in memory.
   std::string dir;
 
-  CheckpointMode mode = CheckpointMode::kSync;
+  CheckpointMode mode = CheckpointMode::kAsync;
 
   /// Every Nth checkpoint of a task is a full base image; the N-1 between
-  /// are deltas (dirty sets only). Larger values shrink steady-state
-  /// checkpoint bytes but lengthen the recovery chain.
+  /// are deltas (dirty sets only); 0 never compacts after the epoch-0
+  /// seed. Larger values shrink steady-state checkpoint bytes but lengthen
+  /// the recovery chain.
   uint32_t delta_base_interval = 8;
-
-  /// Fraction of a joiner's max_index_bytes at which cold window state
-  /// starts spilling to on-disk segments instead of being budget-evicted.
-  /// <= 0 disables spilling (PR 3 eviction behavior).
-  double spill_watermark = 0.0;
-
-  /// Rotate spill segment files at this size (per joiner task).
-  size_t segment_bytes = 4u << 20;
-
-  bool enabled() const { return !dir.empty(); }
-  bool async() const { return enabled() && mode == CheckpointMode::kAsync; }
 };
 
 }  // namespace dssj::store

@@ -29,11 +29,11 @@ struct SpillHandle {
 ///
 /// GC discipline: Release() drops a frame's liveness; a sealed segment
 /// whose frames are all dead is *retired* (tracked, file kept) rather
-/// than deleted, because an async base checkpoint written earlier may
-/// still hold handles into it. kImmediate deletes at retire time (sync
-/// checkpoints inline cold records, so only the live joiner references
-/// segments); kDeferred keeps retired segments until the owner confirms a
-/// base checkpoint that post-dates the retirement is durable
+/// than deleted, because a base checkpoint written earlier may still hold
+/// handles into it. kImmediate deletes at retire time (for owners whose
+/// checkpoints, if any, inline cold records, so only the live joiner
+/// references segments); kDeferred keeps retired segments until the owner
+/// confirms a base checkpoint that post-dates the retirement is durable
 /// (TakeRetireMark at freeze, DeleteRetiredBefore when durable).
 class SpillStore {
  public:

@@ -111,9 +111,9 @@ class Bolt {
   virtual void Snapshot(std::string* /*out*/) const {}
   virtual void Restore(const std::string& /*blob*/) {}
 
-  /// Async-checkpoint support (TopologyBuilder::SetStore). Freeze captures
-  /// a consistent view of the bolt's state at the current tuple boundary
-  /// and returns a blob whose encode runs later, possibly on the
+  /// Checkpoint pipeline support (TopologyBuilder::SetStore). Freeze
+  /// captures a consistent view of the bolt's state at the current tuple
+  /// boundary and returns a blob whose encode runs later, on the
   /// checkpoint thread — the bolt keeps executing meanwhile, so the view
   /// must be immutable (copy-on-write, refcounted, or an eager copy). The
   /// default wraps Snapshot eagerly, which is correct for every
@@ -133,11 +133,12 @@ class Bolt {
   }
   virtual void RestoreDelta(const std::string& /*blob*/) {}
   /// Called on the executor thread once a submitted checkpoint is durable
-  /// on disk (in epoch order). Bolts with retention tied to checkpoints
-  /// (e.g. spill-segment GC) release resources here.
+  /// in the task's chain (in epoch order). Bolts with retention tied to
+  /// checkpoints (e.g. spill-segment GC) release resources here.
   virtual void OnCheckpointDurable(uint64_t /*epoch*/, bool /*is_base*/) {}
-  /// Called after recovery finished replaying Restore + RestoreDelta:
-  /// drop resources that no recovered state references.
+  /// Called once a restore is complete — after Restore plus any
+  /// RestoreDelta calls, in crash recovery and in a migrated-in
+  /// incarnation: drop resources that no recovered state references.
   virtual void OnRestoreComplete() {}
 };
 

@@ -56,16 +56,18 @@ struct TaskMetrics {
   Counter link_drops_recovered;
   Counter link_dups_discarded;
 
-  // Tiered state store (zero unless TopologyBuilder::SetStore). The
-  // `checkpoints` triple above keeps counting every checkpoint; these
-  // split the async path by kind so overhead attribution (small frequent
-  // deltas vs. rare full bases) survives aggregation.
+  // Bolt checkpoint chains (zero unless supervised with a checkpoint
+  // interval). The `checkpoints` triple above also counts spout
+  // snapshots; these split the bolts' chain checkpoints by kind so
+  // overhead attribution (small frequent deltas vs. rare full bases)
+  // survives aggregation.
   Counter delta_checkpoints;
   Counter base_checkpoints;
   Counter delta_checkpoint_bytes;
   Counter base_checkpoint_bytes;
   /// Bytes moved to the on-disk spill tier, and cold-record read-backs
-  /// triggered by probes that survived the in-memory stub filters.
+  /// triggered by probes that survived the in-memory stub filters (zero
+  /// without a store directory).
   Counter spilled_bytes;
   Counter spill_reads;
 

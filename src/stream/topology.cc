@@ -80,6 +80,8 @@ struct Task {
   int id = -1;
   int comp = -1;
   int local_index = 0;
+  /// Written under mig_mu once routing can flip at runtime (elastic); read
+  /// it through TopologyImpl::CurWorker outside that lock.
   int worker = 0;
   /// Hosted (locally executing) bolt tasks only; null for spouts and for
   /// tasks a transport places on another rank.
@@ -150,11 +152,11 @@ struct TopologyImpl {
   std::mutex fail_mu;
   std::string failure_message;
 
-  // Tiered state store (SetStore). `task_stores` (by task id) holds one
-  // durable checkpoint-chain directory per hosted, snapshot-capable bolt
-  // task; `ckpt_service` is the single encode+write thread shared by every
-  // task in async mode (null in sync mode, where the executor writes its
-  // base image inline).
+  // Checkpoint pipeline (SetStore). Under supervision with a checkpoint
+  // interval, `task_stores` (by task id) holds one checkpoint chain per
+  // bolt this rank materializes — on disk under store_opts.dir, else in
+  // memory — and `ckpt_service` is the single encode+write thread they
+  // share. Both stay empty/null otherwise.
   store::StoreOptions store_opts;
   std::unique_ptr<store::CheckpointService> ckpt_service;
   std::vector<std::unique_ptr<store::StateStore>> task_stores;
@@ -298,7 +300,8 @@ struct TopologyImpl {
   void RunActionDriver();
 
   bool Hosted(int task_id) const { return hosted[static_cast<size_t>(task_id)] != 0; }
-  /// Lock-free current worker of a task (hot path: per-tuple routing).
+  /// Lock-free current worker of a task (hot path: per-tuple routing; also
+  /// every reader of Task::worker outside mig_mu).
   int CurWorker(int task_id) const {
     return live_worker != nullptr
                ? live_worker[static_cast<size_t>(task_id)].load(std::memory_order_acquire)
@@ -434,7 +437,7 @@ std::string TopologyImpl::StallDump(const char* trigger, int64_t stalled_us) {
   for (Task& task : tasks) {
     const ComponentSpec& comp = *comps[task.comp];
     out += "\n  " + comp.name + "[" + std::to_string(task.local_index) + "]" +
-           " worker=" + std::to_string(task.worker) +
+           " worker=" + std::to_string(CurWorker(task.id)) +
            " executed=" + std::to_string(task.metrics->executed.Get()) +
            " emitted=" + std::to_string(task.metrics->emitted.Get());
     if (task.queue != nullptr) {
@@ -455,6 +458,10 @@ std::string TopologyImpl::StallDump(const char* trigger, int64_t stalled_us) {
 void TopologyImpl::RunWatchdog() {
   uint64_t last_progress = ~uint64_t{0};  // first sample always "progresses"
   int64_t last_progress_us = NowMicros();
+  // First sample that found the last migration over (0: none seen yet).
+  // Quiescence is visible only at samples, so its end is known no earlier.
+  int64_t thawed_us = 0;
+  bool was_quiesced = false;
   std::unique_lock<std::mutex> lock(watchdog_mu);
   while (!watchdog_stop) {
     watchdog_cv.wait_for(lock,
@@ -493,6 +500,8 @@ void TopologyImpl::RunWatchdog() {
     }
 
     const int64_t now = NowMicros();
+    if (quiesced || was_quiesced) thawed_us = now;
+    was_quiesced = quiesced;
     bool trip = false;
     const char* trigger = "";
     int64_t stalled_us = 0;
@@ -507,14 +516,18 @@ void TopologyImpl::RunWatchdog() {
       trigger = "no progress";
       stalled_us = now - last_progress_us;
     }
-    if (!trip && !quiesced && oldest_age_us >= overload.stall_timeout_micros && !all_exited &&
+    // A tuple queued behind a migration freeze waited for the handoff, not
+    // for an overloaded consumer: only the age it gained since the freeze
+    // was seen to end counts.
+    const int64_t overdue_us = std::min(oldest_age_us, now - thawed_us);
+    if (!trip && !quiesced && overdue_us >= overload.stall_timeout_micros && !all_exited &&
         !failed.load(std::memory_order_acquire)) {
       // (b) A queued tuple has waited longer than the stall timeout: the
       // topology may still be progressing, but sustained overload has
       // pushed queueing delay past the point the caller declared tolerable.
       trip = true;
       trigger = "tuple overdue";
-      stalled_us = oldest_age_us;
+      stalled_us = overdue_us;
     }
     if (trip) {
       if (overload.fail_fast) {
@@ -610,7 +623,8 @@ class CollectorImpl : public OutputCollector {
 
   CollectorImpl(TopologyImpl* topo, Task* task)
       : topo_(topo), task_(task), comp_(*topo->comps[task->comp]),
-        batch_size_(topo->batch_size), tracking_(topo->supervised) {
+        worker_(topo->CurWorker(task->id)), batch_size_(topo->batch_size),
+        tracking_(topo->supervised) {
     rr_.assign(comp_.subs_out.size(), static_cast<uint64_t>(task->local_index));
     channels_.resize(topo->tasks.size());
     if (batch_size_ > 1) {
@@ -772,7 +786,7 @@ class CollectorImpl : public OutputCollector {
     m.total_messages.Increment();
     m.total_bytes.Add(bytes);
     int64_t extra_busy_ns = 0;
-    if (topo_->CurWorker(task_id) != task_->worker) {
+    if (topo_->CurWorker(task_id) != worker_) {
       m.remote_messages.Increment();
       m.remote_bytes.Add(bytes);
       if (topo_->remote_byte_cost_ns > 0.0) {
@@ -898,13 +912,16 @@ class CollectorImpl : public OutputCollector {
       }
     }
     std::unique_ptr<Channel>& ch = channels_[static_cast<size_t>(task_id)];
-    if (ch == nullptr) ch = topo_->MakeChannel(task_->worker, task_id);
+    if (ch == nullptr) ch = topo_->MakeChannel(worker_, task_id);
     return ch.get();
   }
 
   TopologyImpl* topo_;
   Task* task_;
   const ComponentSpec& comp_;
+  /// The producer's worker, fixed for the incarnation (a migration ends
+  /// it; the next incarnation builds a new collector).
+  const int worker_;
   const size_t batch_size_;
   const bool tracking_;
   const std::unordered_map<int, std::vector<ResolvedLinkFault>>* link_faults_ = nullptr;
@@ -997,7 +1014,7 @@ class LinkGuard {
 
 void TopologyImpl::RunSpoutTask(Task& task) {
   const ComponentSpec& comp = *comps[task.comp];
-  TaskContext ctx{comp.name, task.local_index, comp.parallelism, task.worker,
+  TaskContext ctx{comp.name, task.local_index, comp.parallelism, CurWorker(task.id),
                   task.metrics.get(), /*queue_health=*/nullptr};
   CollectorImpl collector(this, &task);
   TaskMetrics& m = *task.metrics;
@@ -1107,7 +1124,7 @@ void TopologyImpl::RunBoltTask(Task& task, const MigrationState* restore) {
 bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
                                       MigrationState* reincarnate) {
   const ComponentSpec& comp = *comps[task.comp];
-  TaskContext ctx{comp.name, task.local_index, comp.parallelism, task.worker,
+  TaskContext ctx{comp.name, task.local_index, comp.parallelism, CurWorker(task.id),
                   task.metrics.get(), /*queue_health=*/nullptr};
   if (overload_active) {
     Task* tp = &task;
@@ -1129,10 +1146,11 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   // Supervision state. `executed_total` is the bolt's canonical progress
   // counter (data tuples executed); kills and checkpoints trigger on it.
   // `log` holds the canonical data envelopes received since the last
-  // checkpoint: log[0 .. replay_pos) has been executed by the current
-  // incarnation, log[replay_pos ..) is pending (non-empty only right after
-  // a crash rewound replay_pos to 0). Live input is appended to the log and
-  // then executed from it, so the live and replay paths are one code path.
+  // durable checkpoint: log[0 .. replay_pos) has been executed by the
+  // current incarnation, log[replay_pos ..) is pending (non-empty only
+  // right after a crash rewound replay_pos to 0). Live input is appended to
+  // the log and then executed from it, so the live and replay paths are
+  // one code path.
   std::deque<uint64_t> kills;
   if (supervised) {
     kills.assign(kill_plan[task.id].begin(), kill_plan[task.id].end());
@@ -1156,7 +1174,10 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     // snapshot, canonical progress, producer cursors, consumer cursors. A
     // scripted kill at exactly the migration boundary fires here, on the
     // new incarnation (strictly earlier kills fired on the old one).
-    if (restore->has_bolt_state) task.bolt->Restore(restore->bolt_state);
+    if (restore->has_bolt_state) {
+      task.bolt->Restore(restore->bolt_state);
+      task.bolt->OnRestoreComplete();
+    }
     executed_total = restore->executed_total;
     remaining = static_cast<int>(restore->remaining_eos);
     collector.RestoreMigration(*restore);
@@ -1167,8 +1188,9 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   ckpt.executed = executed_total;
   collector.SaveCursor(&ckpt.cursor);
   if (snap_ok) {
-    // Initial checkpoint (see RunSpoutTask): recovery always restores,
-    // even before the first periodic checkpoint.
+    // Initial snapshot (see RunSpoutTask): recovery always restores, even
+    // before the first periodic checkpoint. It seeds the chain's epoch 0
+    // and stays the floor while nothing in the chain is durable.
     task.bolt->Snapshot(&ckpt.state);
     ckpt.has_state = true;
   }
@@ -1180,18 +1202,14 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   int64_t backoff = supervision.initial_backoff_micros;
   bool gave_up = false;
 
-  // Tiered state store (SetStore): this task's durable checkpoint chain.
-  // Sync mode mirrors each in-memory checkpoint with a full base image
-  // written inline; async mode freezes a view at the boundary, hands
-  // encode + write to the checkpoint service, and truncates the replay log
-  // only once the service reports the epoch durable — so a crash at any
-  // point recovers from the newest consistent base + delta chain plus the
-  // still-retained log suffix.
-  store::StateStore* sstore =
-      ckpt_interval > 0 && task.id < static_cast<int>(task_stores.size())
-          ? task_stores[task.id].get()
-          : nullptr;
-  const bool async_store = sstore != nullptr && store_opts.async();
+  // Checkpoint pipeline (docs/INTERNALS.md §13): at each boundary the
+  // executor freezes a view of the bolt, the checkpoint service encodes it
+  // and appends it to this task's chain (on disk or in memory), and the
+  // replay log is truncated only once the service reports the epoch
+  // durable — so a crash at any point recovers from the newest base +
+  // delta chain plus the still-retained log suffix. kSync waits for each
+  // checkpoint to land before executing on.
+  store::StateStore* chain = ckpt_interval > 0 ? task_stores[task.id].get() : nullptr;
   struct PendingCkpt {
     uint64_t epoch = 0;
     uint64_t executed = 0;
@@ -1200,42 +1218,15 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   };
   std::deque<PendingCkpt> pending_ckpts;  // submitted, durability unknown
   uint64_t next_epoch = 0;
-  // Freeze cadence anchor. In sync mode it mirrors ckpt.executed; in async
-  // mode ckpt.executed lags at the last *durable* epoch while freezes keep
-  // firing every ckpt_interval on this counter.
+  // Freeze cadence anchor: ckpt.executed lags at the last *durable* epoch
+  // while freezes keep firing every ckpt_interval on this counter.
   uint64_t freeze_anchor = executed_total;
-  const auto submit_frozen = [&](store::FrozenBlob fb) {
-    const bool is_base = !fb.is_delta;
-    PendingCkpt p;
-    p.epoch = next_epoch++;
-    p.executed = executed_total;
-    collector.SaveCursor(&p.cursor);
-    p.is_base = is_base;
-    store::CheckpointJob job;
-    job.task_id = task.id;
-    job.epoch = p.epoch;
-    job.is_base = is_base;
-    job.blob = std::move(fb);
-    job.store = sstore;
-    TaskMetrics* mp = &m;
-    job.on_complete = [mp, is_base](bool ok, uint64_t bytes, uint64_t nanos) {
-      if (!ok) return;  // wedge-skips and failed writes count nothing
-      // Runs on the service thread; all sinks are atomic.
-      mp->checkpoints.Increment();
-      mp->checkpoint_bytes.Add(bytes);
-      mp->checkpoint_nanos.Add(nanos);
-      (is_base ? mp->base_checkpoints : mp->delta_checkpoints).Increment();
-      (is_base ? mp->base_checkpoint_bytes : mp->delta_checkpoint_bytes).Add(bytes);
-    };
-    pending_ckpts.push_back(std::move(p));
-    ckpt_service->Submit(std::move(job));
-  };
   // Polls the durable epoch and retires confirmed checkpoints: notify the
   // bolt (segment GC hooks), truncate the replay log, and advance the
   // recovery anchor. A wedged store never advances, so the log keeps
   // everything needed to recover from the last durable chain.
   const auto confirm_durable = [&]() {
-    if (!async_store || !ckpt_service->DurableSet(task.id)) return;
+    if (chain == nullptr || !ckpt_service->DurableSet(task.id)) return;
     const uint64_t durable = ckpt_service->DurableEpoch(task.id);
     while (!pending_ckpts.empty() && pending_ckpts.front().epoch <= durable) {
       PendingCkpt p = std::move(pending_ckpts.front());
@@ -1251,30 +1242,48 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
       ckpt.cursor = p.cursor;
     }
   };
-  if (sstore != nullptr) {
+  const auto checkpoint = [&](store::FrozenBlob fb) {
+    const bool is_base = !fb.is_delta;
+    PendingCkpt p;
+    p.epoch = next_epoch++;
+    p.executed = executed_total;
+    collector.SaveCursor(&p.cursor);
+    p.is_base = is_base;
+    store::CheckpointJob job;
+    job.task_id = task.id;
+    job.epoch = p.epoch;
+    job.is_base = is_base;
+    job.blob = std::move(fb);
+    job.store = chain;
+    TaskMetrics* mp = &m;
+    job.on_complete = [mp, is_base](bool ok, uint64_t bytes, uint64_t nanos) {
+      if (!ok) return;  // wedge-skips and failed writes count nothing
+      // Runs on the service thread; all sinks are atomic.
+      mp->checkpoints.Increment();
+      mp->checkpoint_bytes.Add(bytes);
+      mp->checkpoint_nanos.Add(nanos);
+      (is_base ? mp->base_checkpoints : mp->delta_checkpoints).Increment();
+      (is_base ? mp->base_checkpoint_bytes : mp->delta_checkpoint_bytes).Add(bytes);
+    };
+    pending_ckpts.push_back(std::move(p));
+    ckpt_service->Submit(std::move(job));
+    if (store_opts.mode == store::CheckpointMode::kSync) ckpt_service->Barrier(task.id);
+    confirm_durable();
+  };
+  if (chain != nullptr) {
     // Incarnation start: this run owns the chain — drop whatever a prior
-    // incarnation left, then seed epoch 0 with a full base so recovery
-    // always has a floor to compose from.
-    if (async_store) {
-      ckpt_service->Barrier(task.id);
-      ckpt_service->Reset(task.id);
-    }
-    Status st = sstore->Truncate();
-    if (st.ok() && async_store) {
+    // incarnation left, then seed epoch 0 with the initial snapshot so
+    // recovery always has a base to compose from.
+    ckpt_service->Barrier(task.id);
+    ckpt_service->Reset(task.id);
+    const Status st = chain->Truncate();
+    if (st.ok()) {
       store::FrozenBlob init;
       auto blob = std::make_shared<std::string>(ckpt.state);
       init.encode = [blob](std::string* out) { *out = std::move(*blob); };
-      submit_frozen(std::move(init));
-    } else if (st.ok()) {
-      st = sstore->WriteBase(next_epoch++, ckpt.state);
-      if (st.ok()) {
-        m.base_checkpoints.Increment();
-        m.base_checkpoint_bytes.Add(ckpt.state.size());
-      }
-    }
-    if (!st.ok()) {
-      LOG(ERROR) << "state store init failed for task " << task.id << ": "
-                 << st.message();
+      checkpoint(std::move(init));
+    } else {
+      LOG(ERROR) << "state store init failed for task " << task.id << ": " << st.message();
     }
   }
 
@@ -1293,7 +1302,8 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     task.bolt = comp.bolt_factory();
     CHECK(task.bolt != nullptr);
     task.bolt->Prepare(ctx);
-    if (async_store) {
+    store::RecoveredChain recovered;
+    if (chain != nullptr) {
       // Quiesce the checkpoint thread, then recover from the durable
       // chain: newest intact base + contiguous deltas, in epoch order.
       // The replay log still covers everything past the durable epoch
@@ -1302,26 +1312,24 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
       ckpt_service->Barrier(task.id);
       confirm_durable();
       pending_ckpts.clear();  // processed; anything past durable is gone
-      store::RecoveredChain chain;
-      const Status st = sstore->Recover(&chain);
+      const Status st = chain->Recover(&recovered);
       if (!st.ok()) {
         LOG(ERROR) << "recovery scan failed for task " << task.id << ": "
                    << st.message();
       }
-      if (chain.valid) {
-        task.bolt->Restore(chain.base);
-        for (const std::string& d : chain.deltas) task.bolt->RestoreDelta(d);
-        task.bolt->OnRestoreComplete();
-      } else {
-        // Nothing durable yet (crash before epoch 0 landed): the anchor
-        // still sits at the in-memory initial checkpoint.
-        CHECK(!ckpt_service->DurableSet(task.id))
-            << "durable chain lost for task " << task.id;
-        if (ckpt.has_state) task.bolt->Restore(ckpt.state);
-      }
-    } else {
-      if (ckpt.has_state) task.bolt->Restore(ckpt.state);
+      CHECK(recovered.valid || !ckpt_service->DurableSet(task.id))
+          << "durable chain lost for task " << task.id;
     }
+    if (recovered.valid) {
+      task.bolt->Restore(recovered.base);
+      for (const std::string& d : recovered.deltas) task.bolt->RestoreDelta(d);
+    } else if (ckpt.has_state) {
+      // No chain, or nothing durable in it yet (epoch 0 has not landed, or
+      // the store is wedged): the incarnation's initial snapshot is the
+      // floor, and the anchor still sits there.
+      task.bolt->Restore(ckpt.state);
+    }
+    task.bolt->OnRestoreComplete();
     collector.Rollback(ckpt.cursor);
     executed_total = ckpt.executed;
     freeze_anchor = executed_total;
@@ -1345,44 +1353,19 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
       }
       if (ckpt_interval > 0 && executed_total == freeze_anchor + ckpt_interval) {
         collector.FlushAll();  // checkpointed cursors must equal delivery state
+        // Freeze a consistent view at this exact boundary and hand it to
+        // the service thread. Only the capture cost lands on the hot path;
+        // encode + write time is attributed via on_complete. The log is
+        // truncated once the checkpoint is durable.
         const int64_t t0 = NowNanos();
-        if (async_store) {
-          // Freeze a consistent view at this exact boundary and hand it to
-          // the service thread. Only the capture cost lands on the hot
-          // path; encode + write time is attributed via on_complete. The
-          // log is NOT truncated here — that waits for durability.
-          const bool want_delta = task.bolt->SupportsDeltaSnapshot() &&
-                                  store_opts.delta_base_interval > 0 &&
-                                  (next_epoch % store_opts.delta_base_interval) != 0;
-          submit_frozen(task.bolt->Freeze(want_delta));
-          freeze_anchor = executed_total;
-          m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
-          confirm_durable();
-        } else {
-          ckpt.state.clear();
-          task.bolt->Snapshot(&ckpt.state);
-          ckpt.has_state = true;
-          ckpt.executed = executed_total;
-          collector.SaveCursor(&ckpt.cursor);
-          log.erase(log.begin(), log.begin() + static_cast<ptrdiff_t>(replay_pos));
-          log_high -= replay_pos;
-          replay_pos = 0;
-          freeze_anchor = executed_total;
-          m.checkpoints.Increment();
-          m.checkpoint_bytes.Add(ckpt.state.size());
-          m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
-          if (sstore != nullptr) {
-            // Sync store: mirror the checkpoint with a durable base image.
-            const Status st = sstore->WriteBase(next_epoch++, ckpt.state);
-            if (st.ok()) {
-              m.base_checkpoints.Increment();
-              m.base_checkpoint_bytes.Add(ckpt.state.size());
-            } else {
-              LOG(ERROR) << "sync base write failed for task " << task.id << ": "
-                         << st.message();
-            }
-          }
-        }
+        // Every delta_base_interval-th epoch is a base; 0 never compacts.
+        const uint32_t base_every = store_opts.delta_base_interval;
+        const bool want_delta = task.bolt->SupportsDeltaSnapshot() &&
+                                (base_every == 0 || next_epoch % base_every != 0);
+        store::FrozenBlob frozen = task.bolt->Freeze(want_delta);
+        m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
+        freeze_anchor = executed_total;
+        checkpoint(std::move(frozen));
         continue;
       }
       // Cap the run so the next kill / checkpoint fires at its exact count.
@@ -1476,7 +1459,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
   const auto handle_marker = [&](uint64_t marker_id) -> MarkerOutcome {
     const uint32_t migration_id = static_cast<uint32_t>(marker_id);
     collector.FlushAll();
-    if (async_store) {
+    if (chain != nullptr) {
       // No checkpoint write may race the handoff. The migration blob is a
       // full self-contained snapshot; the next incarnation (here or on the
       // target) truncates and reseeds the chain.
@@ -1647,7 +1630,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     collector.FlushAll();
     collector.SendEosAll();  // downstream still needs to terminate
   } else {
-    if (async_store) {
+    if (chain != nullptr) {
       // Settle in-flight checkpoints so end-of-run counters and spill
       // segment GC are deterministic before Finish publishes stats.
       ckpt_service->Barrier(task.id);
@@ -2290,7 +2273,6 @@ TopologyBuilder& TopologyBuilder::SetSupervision(SupervisorOptions options) {
 }
 
 TopologyBuilder& TopologyBuilder::SetStore(store::StoreOptions options) {
-  CHECK(options.enabled()) << "SetStore requires a non-empty directory";
   impl_->store_opts = std::move(options);
   return *this;
 }
@@ -2423,24 +2405,24 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
 
   t.ever_hosted = t.hosted;  // migrations extend this; Build placement seeds it
 
-  if (t.store_opts.enabled()) {
-    CHECK(t.supervised) << "SetStore requires SetSupervision";
-    Status st = store::EnsureDir(t.store_opts.dir);
-    CHECK(st.ok()) << "cannot create store dir " << t.store_opts.dir << ": "
-                   << st.message();
+  if (!t.store_opts.dir.empty()) {
+    CHECK(t.supervised) << "a store directory requires SetSupervision";
+    const Status st = store::EnsureDir(t.store_opts.dir);
+    CHECK(st.ok()) << "cannot create store dir " << t.store_opts.dir << ": " << st.message();
+  }
+  if (t.supervised && t.supervision.checkpoint_interval > 0) {
+    // One chain per bolt this rank materializes — dormant elastic bolts
+    // included, so a task adopted mid-run checkpoints like any other.
+    // Per-task chain directories are disjoint, so multi-rank runs over a
+    // shared filesystem never race each other; stale contents are
+    // truncated when the executor starts its incarnation.
     t.task_stores.resize(t.tasks.size());
     for (Task& task : t.tasks) {
-      if (task.bolt == nullptr || !t.Hosted(task.id)) continue;
-      // Per-task chain directories are disjoint, so multi-rank runs over a
-      // shared filesystem never race each other; stale contents are
-      // truncated when the executor starts its incarnation.
-      const std::string dir = t.store_opts.dir + "/task_" + std::to_string(task.id);
-      st = store::EnsureDir(dir);
-      CHECK(st.ok()) << "cannot create task store dir " << dir << ": " << st.message();
-      t.task_stores[task.id] = std::make_unique<store::StateStore>(dir);
-    }
-    if (t.store_opts.async()) {
-      t.ckpt_service = std::make_unique<store::CheckpointService>();
+      if (task.bolt == nullptr) continue;
+      t.task_stores[task.id] = std::make_unique<store::StateStore>(
+          t.store_opts.dir.empty() ? std::string()
+                                   : t.store_opts.dir + "/task_" + std::to_string(task.id));
+      if (t.ckpt_service == nullptr) t.ckpt_service = std::make_unique<store::CheckpointService>();
     }
   }
 
@@ -2736,7 +2718,7 @@ std::vector<TaskStats> Topology::AllTasks() const {
   out.reserve(impl_->tasks.size());
   for (const Task& task : impl_->tasks) {
     out.push_back(TaskStats{impl_->comps[task.comp]->name, task.local_index, task.id,
-                            task.worker, task.metrics.get()});
+                            impl_->CurWorker(task.id), task.metrics.get()});
   }
   return out;
 }

@@ -210,7 +210,9 @@ class TopologyBuilder {
   /// the last checkpoint and replaying the gap — under the given restart /
   /// checkpoint / backoff policy. Per-link emission counters make recovery
   /// exactly-once: a restarted component's re-emissions are suppressed up
-  /// to the last tuple each consumer already received.
+  /// to the last tuple each consumer already received. With a
+  /// checkpoint_interval, every snapshot-capable bolt checkpoints through
+  /// one pipeline into its own chain (see SetStore).
   TopologyBuilder& SetSupervision(SupervisorOptions options);
 
   /// Turns on overload control: bolt inbound queues track health (depth
@@ -225,21 +227,22 @@ class TopologyBuilder {
   /// the substrate never drops tuples on its own.
   TopologyBuilder& SetOverload(OverloadOptions options);
 
-  /// Attaches a tiered state store (docs/INTERNALS.md §13). Requires
-  /// supervision. Checkpoints then persist to `options.dir` instead of
-  /// living only in the supervisor's memory: in kSync mode each
-  /// checkpoint writes a full base image inline (durability without new
-  /// moving parts); in kAsync mode the executor freezes a cheap
-  /// copy-on-write view at the checkpoint boundary and a dedicated
-  /// checkpoint thread encodes and writes it — deltas between full bases
-  /// every `delta_base_interval` checkpoints — so the hot path never
-  /// blocks on serialization or I/O. Recovery composes newest intact
-  /// base + contiguous delta chain; a torn or corrupt newest checkpoint
-  /// falls back to the previous consistent chain. Bolts under a memory
-  /// budget additionally spill cold window state to checksummed segments
-  /// in the same directory (see JoinerBolt). Each task owns a disjoint
-  /// subdirectory, truncated when its executor starts — one topology run
-  /// at a time owns the tree.
+  /// Configures the checkpoint pipeline and the tiered state store
+  /// (docs/INTERNALS.md §13). Under supervision with a checkpoint interval,
+  /// every bolt checkpoints the same way: the executor freezes a cheap
+  /// copy-on-write view at the boundary, and a dedicated checkpoint thread
+  /// encodes it and appends it to the task's chain — deltas between full
+  /// bases every `delta_base_interval` checkpoints. The chain lives under
+  /// `options.dir` (each task owns a disjoint subdirectory, truncated when
+  /// its executor starts — one topology run at a time owns the tree) or,
+  /// with an empty dir, in memory. The replay log is truncated only once a
+  /// checkpoint is durable; kSync makes the executor wait for that at each
+  /// boundary, kAsync (the default) does not. Recovery composes the newest
+  /// intact base + contiguous delta chain; a torn or corrupt newest
+  /// checkpoint falls back to the previous consistent chain. With a
+  /// directory, bolts under a memory budget additionally spill cold window
+  /// state to checksummed segments there (see JoinerBolt). A directory
+  /// requires supervision.
   TopologyBuilder& SetStore(store::StoreOptions options);
 
   /// Installs a deterministic fault schedule (task kills, link

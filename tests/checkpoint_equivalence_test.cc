@@ -1,9 +1,10 @@
-// Equivalence of the tiered checkpoint paths (docs/INTERNALS.md §13):
-// sync full-image checkpoints, async base+delta chains, and the on-disk
-// spill tier must all recover a faulted run to the exact result set of the
-// failure-free run — across batch sizes, delta cadences, and kills landing
-// mid-checkpoint. The joiner-level suites additionally check that a chain
-// of FreezeBase + FreezeDelta blobs composes to a byte-identical snapshot.
+// Equivalence of the checkpoint pipeline (docs/INTERNALS.md §13): base +
+// delta chains in memory or on disk, with or without the kSync wait, and
+// the on-disk spill tier must all recover a faulted run to the exact
+// result set of the failure-free run — across batch sizes, delta cadences,
+// and kills landing mid-checkpoint. The joiner-level suites additionally
+// check that a chain of FreezeBase + FreezeDelta blobs composes to a
+// byte-identical snapshot.
 
 #include <algorithm>
 #include <cstdlib>
@@ -266,22 +267,23 @@ class StoreEquivalence : public ::testing::Test {
     return result;
   }
 
-  void ExpectMatchesClean(const std::string& fault_script, bool expect_restarts) {
+  /// Runs `fault_script` supervised and checks it against the clean run;
+  /// returns the faulted run for counter checks.
+  DistributedJoinResult ExpectMatchesClean(const std::string& fault_script,
+                                           bool expect_restarts) {
     const DistributedJoinResult clean = RunClean();
     DistributedJoinOptions cfg = options_;
     cfg.supervise = true;
     cfg.fault_script = fault_script;
     const DistributedJoinResult got = RunDistributedJoin(stream_, cfg);
-    ASSERT_TRUE(got.ok) << got.failure_message;
+    EXPECT_TRUE(got.ok) << got.failure_message;
     if (expect_restarts) {
       EXPECT_GT(got.restarts, 0u);
     }
     EXPECT_EQ(got.result_count, clean.result_count);
-    const auto expect = Canonical(clean.pairs);
-    const auto actual = Canonical(got.pairs);
-    ASSERT_EQ(actual.size(), expect.size());
-    EXPECT_EQ(actual, expect) << "recovered result set diverged";
-    ASSERT_GT(expect.size(), 0u) << "vacuous test stream";
+    EXPECT_EQ(Canonical(got.pairs), Canonical(clean.pairs)) << "recovered result set diverged";
+    EXPECT_GT(clean.pairs.size(), 0u) << "vacuous test stream";
+    return got;
   }
 
   std::vector<RecordPtr> stream_;
@@ -293,7 +295,7 @@ TEST_F(StoreEquivalence, SyncStoreMatchesCleanUnderKills) {
   options_.store_dir = tmp.path();
   options_.checkpoint_mode = store::CheckpointMode::kSync;
   ExpectMatchesClean("kill:joiner:1@150; kill:joiner:0@500", /*expect_restarts=*/true);
-  // The sync store mirrors every checkpoint as a durable base: the store
+  // kSync writes the same chains as kAsync, and waits for them: the store
   // root must hold per-task chain directories.
   size_t task_dirs = 0;
   for (const auto& e : std::filesystem::directory_iterator(tmp.path())) {
@@ -316,14 +318,24 @@ TEST_F(StoreEquivalence, AsyncDeltaMatchesCleanAcrossBatchSizes) {
 
 TEST_F(StoreEquivalence, AsyncEveryCadenceMatchesClean) {
   // interval 1 = every checkpoint a base; 0 = never compact (all deltas
-  // after the seed base); 4 = mixed.
-  for (const uint32_t interval : {0u, 1u, 4u}) {
-    ScopedTempDir tmp;
-    options_.store_dir = tmp.path();
-    options_.checkpoint_mode = store::CheckpointMode::kAsync;
-    options_.delta_base_interval = interval;
-    SCOPED_TRACE("delta_base_interval=" + std::to_string(interval));
-    ExpectMatchesClean("kill:joiner:0@300", /*expect_restarts=*/true);
+  // after the seed base); 4 = mixed. Each cadence runs on an in-memory
+  // chain (empty store_dir) and on disk.
+  for (const bool on_disk : {false, true}) {
+    for (const uint32_t interval : {0u, 1u, 4u}) {
+      ScopedTempDir tmp;
+      options_.store_dir = on_disk ? tmp.path() : "";
+      options_.checkpoint_mode = store::CheckpointMode::kAsync;
+      options_.delta_base_interval = interval;
+      SCOPED_TRACE(std::string(on_disk ? "disk" : "memory") +
+                   " delta_base_interval=" + std::to_string(interval));
+      const DistributedJoinResult got =
+          ExpectMatchesClean("kill:joiner:0@300", /*expect_restarts=*/true);
+      if (interval == 1) {
+        EXPECT_EQ(got.delta_checkpoints, 0u);
+      } else {
+        EXPECT_GT(got.delta_checkpoints, 0u) << "recovery never composed a delta";
+      }
+    }
   }
 }
 
@@ -331,12 +343,34 @@ TEST_F(StoreEquivalence, KillLandingMidCheckpointWindow) {
   // Checkpoint boundaries land every 64 executed tuples per task; kills at
   // boundary-straddling counts catch a task between freeze and durable
   // confirm (the async race the log-truncation rule must win).
-  ScopedTempDir tmp;
-  options_.store_dir = tmp.path();
-  options_.checkpoint_mode = store::CheckpointMode::kAsync;
-  options_.delta_base_interval = 2;
-  ExpectMatchesClean("kill:joiner:0@64; kill:joiner:1@65; kill:joiner:2@129",
-                     /*expect_restarts=*/true);
+  for (const bool on_disk : {false, true}) {
+    ScopedTempDir tmp;
+    options_.store_dir = on_disk ? tmp.path() : "";
+    options_.checkpoint_mode = store::CheckpointMode::kAsync;
+    options_.delta_base_interval = 2;
+    SCOPED_TRACE(on_disk ? "disk" : "memory");
+    const DistributedJoinResult got = ExpectMatchesClean(
+        "kill:joiner:0@64; kill:joiner:1@65; kill:joiner:2@129", /*expect_restarts=*/true);
+    EXPECT_GT(got.delta_checkpoints, 0u);
+  }
+}
+
+TEST_F(StoreEquivalence, SyncWaitCutsTheLogAtEveryBoundary) {
+  // kSync waits at each boundary until the checkpoint is durable, so the
+  // replay log never holds more than one interval: a kill at count K
+  // replays exactly the K mod 64 tuples since the last boundary.
+  constexpr uint64_t kKillAt = 150;
+  for (const bool on_disk : {false, true}) {
+    ScopedTempDir tmp;
+    options_.store_dir = on_disk ? tmp.path() : "";
+    options_.checkpoint_mode = store::CheckpointMode::kSync;
+    options_.delta_base_interval = 4;
+    SCOPED_TRACE(on_disk ? "disk" : "memory");
+    const DistributedJoinResult got = ExpectMatchesClean(
+        "kill:joiner:1@" + std::to_string(kKillAt), /*expect_restarts=*/true);
+    EXPECT_EQ(got.replayed_tuples, kKillAt % options_.supervision.checkpoint_interval);
+    EXPECT_GT(got.delta_checkpoints, 0u);
+  }
 }
 
 TEST_F(StoreEquivalence, RepeatedKillsOfOneTask) {
@@ -442,6 +476,35 @@ TEST_F(StoreEquivalence, SyncSpillAlsoExact) {
   EXPECT_GT(got.spilled_bytes, 0u);
   EXPECT_EQ(got.result_count, oracle.result_count);
   EXPECT_EQ(Canonical(got.pairs), Canonical(oracle.pairs));
+}
+
+TEST_F(StoreEquivalence, SpillSurvivesKillsBeforeTheFirstTieredBase) {
+  // With delta_base_interval 8 the first base after the epoch-0 seed lands
+  // at 512 executed tuples, so these kills recover the seed (a
+  // self-contained image) plus deltas whose cold stubs point into the
+  // crashed incarnation's spill segments. Those frames must survive the
+  // restore of the seed.
+  options_.window = WindowSpec::ByCount(600);
+  options_.max_index_bytes = 20 * 1024;
+  const DistributedJoinResult oracle = RunClean();
+  for (const store::CheckpointMode mode :
+       {store::CheckpointMode::kSync, store::CheckpointMode::kAsync}) {
+    ScopedTempDir tmp;
+    DistributedJoinOptions spill = options_;
+    spill.supervise = true;
+    spill.store_dir = tmp.path();
+    spill.checkpoint_mode = mode;
+    spill.spill_watermark = 0.5;
+    spill.store_segment_bytes = 16 * 1024;
+    spill.fault_script = "kill:joiner:0@152; kill:joiner:0@398";
+    SCOPED_TRACE(mode == store::CheckpointMode::kSync ? "sync" : "async");
+    const DistributedJoinResult got = RunDistributedJoin(stream_, spill);
+    ASSERT_TRUE(got.ok) << got.failure_message;
+    EXPECT_EQ(got.restarts, 2u);
+    EXPECT_GT(got.spilled_bytes, 0u);
+    EXPECT_EQ(got.result_count, oracle.result_count);
+    EXPECT_EQ(Canonical(got.pairs), Canonical(oracle.pairs));
+  }
 }
 
 // Bundle joiner keeps PR 3 eviction (no per-record cold granularity): a

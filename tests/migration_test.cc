@@ -7,6 +7,8 @@
 // against the clean run.
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +20,8 @@
 #include "core/join_topology.h"
 #include "core/repartition.h"
 #include "net/transport.h"
+#include "store/format.h"
+#include "store/state_store.h"
 #include "stream/fault.h"
 #include "stream/migration.h"
 #include "stream/topology.h"
@@ -436,6 +440,67 @@ TEST(TcpMigrationTest, ElasticClusterMatchesInproc) {
   ASSERT_TRUE(worker.ok) << worker.failure_message;
   EXPECT_EQ(got.result_count, inproc.result_count);
   EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs));
+}
+
+// A joiner that rank 1 adopts mid-run must checkpoint into a chain of its
+// own under rank 1's store directory, like any task hosted from the start.
+TEST(TcpMigrationTest, AdoptedTaskCheckpointsIntoItsOwnChain) {
+  const std::vector<uint16_t> ports = net::PickFreePorts(2);
+  if (ports.empty()) GTEST_SKIP() << "no localhost sockets available";
+  const auto stream = MakeStream(907, 700);
+  std::string tmpl = ::testing::TempDir() + "dssj_adopt_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl.data()), nullptr);
+  const std::string root = tmpl;
+
+  DistributedJoinOptions base;
+  base.sim = SimilaritySpec(SimilarityFunction::kJaccard, 750);
+  base.num_joiners = 2;
+  base.collect_results = true;
+  base.length_partition =
+      PlanLengthPartition(stream, base.sim, base.num_joiners, PartitionMethod::kLoadAwareGreedy);
+  const DistributedJoinResult inproc = RunDistributedJoin(stream, base);
+  ASSERT_TRUE(inproc.ok);
+
+  DistributedJoinOptions elastic = base;
+  elastic.transport = JoinTransport::kTcp;
+  elastic.cluster = LocalhostCluster(ports);
+  elastic.elastic = true;
+  elastic.elastic_initial_workers = 1;  // rank 1 hosts nothing at start
+  elastic.elastic_interval_micros = 3'000;
+  elastic.migrate_threshold = 0.2;
+  elastic.arrival_rate_per_sec = 25'000;
+  elastic.supervision.checkpoint_interval = 32;
+
+  DistributedJoinResult worker;
+  std::thread worker_thread([&] {
+    DistributedJoinOptions options = elastic;
+    options.rank = 1;
+    options.store_dir = root + "/rank1";
+    worker = RunDistributedJoin({}, options);
+  });
+  DistributedJoinOptions coord = elastic;
+  coord.rank = 0;
+  coord.store_dir = root + "/rank0";
+  const DistributedJoinResult got = RunDistributedJoin(stream, coord);
+  worker_thread.join();
+
+  ASSERT_TRUE(got.ok) << got.failure_message;
+  ASSERT_TRUE(worker.ok) << worker.failure_message;
+  EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs));
+  if (got.migrations > 0) {
+    EXPECT_GT(worker.base_checkpoints, 0u) << "adopted joiners wrote no chain on rank 1";
+    size_t chains = 0;
+    std::error_code ec;
+    for (const auto& e : std::filesystem::directory_iterator(root + "/rank1", ec)) {
+      if (e.path().filename().string().rfind("task_", 0) != 0) continue;
+      store::RecoveredChain chain;
+      ASSERT_TRUE(store::StateStore(e.path().string()).Recover(&chain).ok());
+      EXPECT_TRUE(chain.valid) << "no intact chain in " << e.path();
+      ++chains;
+    }
+    EXPECT_GT(chains, 0u) << "rank 1's store holds no task chain";
+  }
+  store::RemoveTree(root);
 }
 
 }  // namespace

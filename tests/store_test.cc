@@ -1,6 +1,6 @@
 // Unit coverage of the tiered state store (docs/INTERNALS.md §13): file
-// framing, the base+delta checkpoint chain, the spill segment tier, and
-// the checkpoint service thread. The torn-write suites truncate and
+// framing, the base+delta checkpoint chain (on disk and in memory), the
+// spill segment tier, and the checkpoint service thread. The torn-write suites truncate and
 // bit-flip files at fuzzed offsets and assert recovery always degrades to
 // an older consistent chain with a clean Status — never a crash, never a
 // silently corrupt payload.
@@ -154,9 +154,25 @@ TEST(StoreFileNames, ParseRoundTrip) {
 
 // --- StateStore chain composition ---------------------------------------
 
-TEST(StateStoreTest, ComposesNewestBasePlusContiguousDeltas) {
-  ScopedTempDir tmp;
-  StateStore store(tmp.Sub("task"));
+/// Chain composition on both kinds of chain: a directory (true) and an
+/// in-memory chain (false, built with an empty directory). Cases that
+/// damage or list files are directory-only and follow below.
+class StateStoreChainTest : public ::testing::TestWithParam<bool> {
+ protected:
+  bool on_disk() const { return GetParam(); }
+  std::string StoreDir() const { return on_disk() ? tmp_.Sub("task") : std::string(); }
+
+ private:
+  ScopedTempDir tmp_;
+};
+
+INSTANTIATE_TEST_SUITE_P(DiskAndMemory, StateStoreChainTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "Disk" : "Memory");
+                         });
+
+TEST_P(StateStoreChainTest, ComposesNewestBasePlusContiguousDeltas) {
+  StateStore store(StoreDir());
   ASSERT_TRUE(store.WriteBase(0, "B0").ok());
   ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
   ASSERT_TRUE(store.WriteDelta(2, "D2").ok());
@@ -169,10 +185,91 @@ TEST(StateStoreTest, ComposesNewestBasePlusContiguousDeltas) {
   EXPECT_EQ(chain.base, "B3");
   EXPECT_EQ(chain.epoch, 5u);
   EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D4", "D5"}));
+  if (!on_disk()) return;
   // WriteBase(3) must have reclaimed the epoch<3 files.
   const std::vector<std::string> names = List(store.dir());
   EXPECT_EQ(names, (std::vector<std::string>{BaseFileName(3), DeltaFileName(4),
                                              DeltaFileName(5)}));
+}
+
+TEST_P(StateStoreChainTest, GapInTheDeltasEndsTheChain) {
+  StateStore store(StoreDir());
+  ASSERT_TRUE(store.WriteBase(0, "B0").ok());
+  ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
+  ASSERT_TRUE(store.WriteDelta(3, "D3").ok());  // epoch 2 never landed
+  RecoveredChain chain;
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  ASSERT_TRUE(chain.valid);
+  EXPECT_EQ(chain.base, "B0");
+  EXPECT_EQ(chain.epoch, 1u);
+  EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D1"}));
+}
+
+TEST_P(StateStoreChainTest, RewrittenEpochReplacesTheOldCheckpoint) {
+  StateStore store(StoreDir());
+  ASSERT_TRUE(store.WriteBase(0, "B0").ok());
+  ASSERT_TRUE(store.WriteDelta(1, "stale").ok());
+  ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
+  RecoveredChain chain;
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  ASSERT_TRUE(chain.valid);
+  EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D1"}));
+}
+
+TEST_P(StateStoreChainTest, EmptyChainIsNotValid) {
+  StateStore store(StoreDir());
+  RecoveredChain chain;
+  ASSERT_TRUE(store.Recover(&chain).ok());  // on disk: missing dir
+  EXPECT_FALSE(chain.valid);
+  ASSERT_TRUE(store.WriteDelta(1, "D1").ok());  // deltas without a base
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  EXPECT_FALSE(chain.valid);
+}
+
+TEST_P(StateStoreChainTest, TruncateDropsTheWholeChain) {
+  StateStore store(StoreDir());
+  ASSERT_TRUE(store.WriteBase(0, "B0").ok());
+  ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
+  ASSERT_TRUE(store.Truncate().ok());
+  RecoveredChain chain;
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  EXPECT_FALSE(chain.valid);
+  if (on_disk()) {
+    EXPECT_TRUE(List(store.dir()).empty());
+  }
+  // A new incarnation reseeds the truncated chain from epoch 0.
+  ASSERT_TRUE(store.WriteBase(0, "B0'").ok());
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  ASSERT_TRUE(chain.valid);
+  EXPECT_EQ(chain.base, "B0'");
+  EXPECT_TRUE(chain.deltas.empty());
+}
+
+TEST_P(StateStoreChainTest, ServiceDurableEpochAdvancesInOrder) {
+  StateStore store(StoreDir());
+  CheckpointService service;
+  EXPECT_FALSE(service.DurableSet(0));
+  for (uint64_t e = 0; e < 5; ++e) {
+    CheckpointJob job;
+    job.task_id = 0;
+    job.epoch = e;
+    job.is_base = e % 3 == 0;
+    const std::string payload = "epoch-" + std::to_string(e);
+    job.blob.is_delta = !job.is_base;
+    job.blob.encode = [payload](std::string* out) { *out = payload; };
+    job.store = &store;
+    service.Submit(std::move(job));
+  }
+  service.Barrier(0);
+  EXPECT_TRUE(service.DurableSet(0));
+  EXPECT_EQ(service.DurableEpoch(0), 4u);
+  EXPECT_FALSE(service.Wedged(0));
+  RecoveredChain chain;
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  ASSERT_TRUE(chain.valid);
+  EXPECT_EQ(chain.base, "epoch-3");
+  EXPECT_EQ(chain.deltas, (std::vector<std::string>{"epoch-4"}));
+  service.Stop();
 }
 
 TEST(StateStoreTest, CorruptNewestDeltaTruncatesChain) {
@@ -231,25 +328,14 @@ TEST(StateStoreTest, CorruptBaseFallsBackToOlderBase) {
   EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D1"}));
 }
 
-TEST(StateStoreTest, NothingValidIsCleanNotFatal) {
+TEST(StateStoreTest, CorruptOnlyBaseIsCleanNotFatal) {
   ScopedTempDir tmp;
   StateStore store(tmp.Sub("task"));
-  RecoveredChain chain;
-  ASSERT_TRUE(store.Recover(&chain).ok());  // missing dir
-  EXPECT_FALSE(chain.valid);
   ASSERT_TRUE(store.WriteBase(0, "B0").ok());
   WriteAll(store.dir() + "/" + BaseFileName(0), "garbage");
+  RecoveredChain chain;
   ASSERT_TRUE(store.Recover(&chain).ok());
   EXPECT_FALSE(chain.valid);
-}
-
-TEST(StateStoreTest, TruncateLeavesDirEmpty) {
-  ScopedTempDir tmp;
-  StateStore store(tmp.Sub("task"));
-  ASSERT_TRUE(store.WriteBase(0, "B0").ok());
-  ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
-  ASSERT_TRUE(store.Truncate().ok());
-  EXPECT_TRUE(List(store.dir()).empty());
 }
 
 /// Fuzz: a chain of several epochs, then truncate or bit-flip one file at
@@ -447,34 +533,6 @@ TEST(SpillStoreTest, TornSegmentFuzzNeverCrashes) {
 
 // --- CheckpointService --------------------------------------------------
 
-TEST(CheckpointServiceTest, DurableEpochAdvancesInOrder) {
-  ScopedTempDir tmp;
-  StateStore store(tmp.Sub("task"));
-  CheckpointService service;
-  EXPECT_FALSE(service.DurableSet(0));
-  for (uint64_t e = 0; e < 5; ++e) {
-    CheckpointJob job;
-    job.task_id = 0;
-    job.epoch = e;
-    job.is_base = e == 0;
-    const std::string payload = "epoch-" + std::to_string(e);
-    job.blob.is_delta = e != 0;
-    job.blob.encode = [payload](std::string* out) { *out = payload; };
-    job.store = &store;
-    service.Submit(std::move(job));
-  }
-  service.Barrier(0);
-  EXPECT_TRUE(service.DurableSet(0));
-  EXPECT_EQ(service.DurableEpoch(0), 4u);
-  EXPECT_FALSE(service.Wedged(0));
-  RecoveredChain chain;
-  ASSERT_TRUE(store.Recover(&chain).ok());
-  ASSERT_TRUE(chain.valid);
-  EXPECT_EQ(chain.base, "epoch-0");
-  EXPECT_EQ(chain.deltas.size(), 4u);
-  service.Stop();
-}
-
 TEST(CheckpointServiceTest, FailedWriteWedgesAndSkipsLaterJobs) {
   ScopedTempDir tmp;
   // A StateStore rooted at a path occupied by a *file* cannot write.
@@ -533,6 +591,35 @@ TEST(CheckpointServiceTest, TasksAreIndependent) {
   EXPECT_FALSE(service.Wedged(2));
   EXPECT_TRUE(service.DurableSet(2));
   service.Stop();
+}
+
+// An executor adopted by a migration that races the end of a failed run
+// can still submit after teardown stopped the service: the job is skipped
+// like a wedge-skip, never written, never durable.
+TEST(CheckpointServiceTest, SubmitAfterStopIsSkipped) {
+  StateStore store("");
+  CheckpointService service;
+  service.Stop();
+  bool reported = false;
+  bool ok = true;
+  CheckpointJob job;
+  job.task_id = 3;
+  job.epoch = 0;
+  job.is_base = true;
+  job.blob.encode = [](std::string* out) { *out = "x"; };
+  job.store = &store;
+  job.on_complete = [&](bool success, uint64_t, uint64_t) {
+    reported = true;
+    ok = success;
+  };
+  service.Submit(std::move(job));
+  service.Barrier(3);
+  EXPECT_TRUE(reported);
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(service.DurableSet(3));
+  RecoveredChain chain;
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  EXPECT_FALSE(chain.valid);
 }
 
 // --- DetachRecord no-copy regression ------------------------------------

@@ -81,7 +81,8 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
                      topology_test topology_stress_test
                      stream_substrate_misc_test fault_recovery_test
                      distributed_join_test adaptive_router_test
-                     ingest_lanes_test)
+                     ingest_lanes_test checkpoint_equivalence_test
+                     migration_test)
 
   echo "== thread sanitizer =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -126,7 +127,7 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
   ASAN_TARGETS=("${TSAN_SAFE_TARGETS[@]}"
                 net_wire_test net_transport_test net_smoke_test
                 wire_codec_equivalence_test wire_borrow_test
-                migration_test store_test checkpoint_equivalence_test
+                store_test
                 dssj_cli dssj_worker)
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
