@@ -1,6 +1,7 @@
 // Experiment E10 — design-choice ablations called out in DESIGN.md:
-//   (a) dispatcher parallelism: with d > 1 the exactly-once rule degrades
-//       to at-most-once (cross-dispatcher races); measure recall.
+//   (a) dispatcher parallelism through ingest lanes: d lanes shard the
+//       dispatcher tier and the joiners merge the lanes back into seq
+//       order, so recall must stay 1.000 at every d.
 //   (b) planner sample size: how much history the load-aware partitioner
 //       needs before the measured imbalance converges.
 //   (c) positional filter on/off inside the record joiner.
@@ -17,13 +18,13 @@
 namespace dssj::bench {
 namespace {
 
-// (a) dispatcher parallelism → result recall + throughput.
-void BM_DispatcherParallelism(benchmark::State& state) {
-  const int dispatchers = static_cast<int>(state.range(0));
+// (a) dispatcher parallelism (ingest lanes) → result recall + throughput.
+void BM_IngestLanes(benchmark::State& state) {
+  const int lanes = static_cast<int>(state.range(0));
   const auto& stream = CachedDupStream(0.4, 20000);
   DistributedJoinOptions options = BaseJoinOptions(800, 4);
   options.strategy = DistributionStrategy::kLengthBased;
-  options.num_dispatchers = dispatchers;
+  options.ingest_lanes = lanes;
   options.length_partition =
       PlanLengthPartition(stream, options.sim, 4, PartitionMethod::kLoadAwareGreedy);
   options.collect_results = false;
@@ -41,7 +42,7 @@ void BM_DispatcherParallelism(benchmark::State& state) {
       truth > 0 ? static_cast<double>(result.result_count) / static_cast<double>(truth) : 1.0;
 }
 
-BENCHMARK(BM_DispatcherParallelism)
+BENCHMARK(BM_IngestLanes)
     ->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 

@@ -27,10 +27,13 @@ void RunScaling(benchmark::State& state, DistributionStrategy strategy) {
   options.strategy = strategy;
   options.window = WindowSpec::ByCount(15000);
   // Scale the dispatcher tier with the cluster (as a Storm deployment
-  // would); otherwise one dispatcher's serialization work caps every
-  // strategy at high k. The multi-dispatcher at-most-once caveat is
-  // quantified in E10.
-  options.num_dispatchers = std::max(1, joiners / 8);
+  // would) through ingest lanes, which keep results exact; otherwise one
+  // dispatcher's serialization work caps every strategy at high k. Lanes
+  // need a stateless router, so broadcast keeps one dispatcher.
+  if (strategy == DistributionStrategy::kLengthBased ||
+      strategy == DistributionStrategy::kPrefixBased) {
+    options.ingest_lanes = std::max(1, joiners / 8);
+  }
   if (strategy == DistributionStrategy::kLengthBased) {
     options.length_partition =
         PlanLengthPartition(stream, options.sim, joiners, PartitionMethod::kLoadAwareGreedy);

@@ -203,97 +203,6 @@ BENCHMARK(BM_Length_Tweet_AsyncDeltaCheckpoint)
     ->Arg(64)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 
-// Core-count scaling of the link fabric, in two views. Both run executor
-// threads pinned round-robin across cores with strict per-tuple transport
-// (batch_size=1) so every tuple pays one queue operation and the fabric —
-// mutex+condvar vs lock-free ring — is the variable under test, not
-// amortized away by batching (that amortization is the batch-size axis
-// above). rec_per_s_scaled (records / busiest-task busy time) is the
-// cluster-model metric; on a single-core host wall clock only serializes
-// the tasks.
-//
-//  * BM_Cores_* — the scaling sweep: 1/2/4/8 joiners with dispatchers
-//    sharded alongside (otherwise the single routing task becomes the
-//    serial Amdahl stage past 4 joiners and the sweep measures the
-//    dispatcher, not the joiners). Prefix-based distribution at t=0.9:
-//    token-hash routing spreads load far more evenly across 2..8 joiners
-//    than a coarse length partition, so the bottleneck joiner actually
-//    shrinks with every doubling and the sweep isolates scaling from
-//    partition skew. Sharded dispatch makes every dispatcher→joiner link a
-//    fan-in MPMC ring, and trades exactly-once for best-effort emission (a
-//    few pairs can drop across dispatchers — E10), so result counts here
-//    are approximate by design.
-//  * BM_CoresSerialDispatch_* — the fabric-stress cell: 8 joiners behind
-//    ONE dispatcher (length-based, t=0.8), the regime where the fabric's
-//    wake discipline decides the bottleneck. Every push lands on a starved,
-//    parked joiner, so the mutex queue's level-triggered notify costs the
-//    dispatcher a wake syscall per tuple, while the ring's edge-triggered
-//    wakes plus the TrickleGate nap protocol (ring_queue.h) let it skip
-//    them almost entirely.
-void RunCores(benchmark::State& state, stream::QueueImpl impl) {
-  const int joiners = static_cast<int>(state.range(0));
-  const size_t n = RecordsFor(DatasetPreset::kTweet);
-  const auto& stream = CachedStream(DatasetPreset::kTweet, n);
-  DistributedJoinOptions options = BaseJoinOptions(900, joiners);
-  options.strategy = DistributionStrategy::kPrefixBased;
-  options.window = WindowSpec::ByCount(n / 2);
-  options.batch_size = 1;
-  options.queue_impl = impl;
-  options.pin_threads = true;
-  options.num_dispatchers = joiners;
-  options.collect_results = false;
-  DistributedJoinResult result;
-  for (auto _ : state) {
-    result = RunDistributedJoin(stream, options);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) *
-                          static_cast<int64_t>(state.iterations()));
-  ReportJoinResult(state, result);
-}
-
-void RunCoresSerialDispatch(benchmark::State& state, stream::QueueImpl impl) {
-  const size_t n = RecordsFor(DatasetPreset::kTweet);
-  const auto& stream = CachedStream(DatasetPreset::kTweet, n);
-  DistributedJoinOptions options = BaseJoinOptions(800, kJoiners);
-  options.strategy = DistributionStrategy::kLengthBased;
-  options.window = WindowSpec::ByCount(n / 2);
-  options.batch_size = 1;
-  options.queue_impl = impl;
-  options.pin_threads = true;
-  options.collect_results = false;
-  options.length_partition = PlanLengthPartition(
-      stream, options.sim, kJoiners, PartitionMethod::kLoadAwareGreedy);
-  DistributedJoinResult result;
-  for (auto _ : state) {
-    result = RunDistributedJoin(stream, options);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(n) *
-                          static_cast<int64_t>(state.iterations()));
-  ReportJoinResult(state, result);
-}
-
-void BM_Cores_Mutex(benchmark::State& state) {
-  RunCores(state, stream::QueueImpl::kMutex);
-}
-void BM_Cores_Ring(benchmark::State& state) {
-  RunCores(state, stream::QueueImpl::kRing);
-}
-void BM_CoresSerialDispatch_Mutex(benchmark::State& state) {
-  RunCoresSerialDispatch(state, stream::QueueImpl::kMutex);
-}
-void BM_CoresSerialDispatch_Ring(benchmark::State& state) {
-  RunCoresSerialDispatch(state, stream::QueueImpl::kRing);
-}
-
-BENCHMARK(BM_Cores_Mutex)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
-BENCHMARK(BM_Cores_Ring)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
-BENCHMARK(BM_CoresSerialDispatch_Mutex)
-    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
-BENCHMARK(BM_CoresSerialDispatch_Ring)
-    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
-
 // ---------------------------------------------------------------------------
 // --emit_json mode: before/after measurement of the hot-path optimizations.
 // ---------------------------------------------------------------------------
@@ -320,38 +229,83 @@ DistMeasurement MeasureDistributedOnce(DatasetPreset preset, size_t batch_size,
   return {r.throughput_rps, r.scaled_throughput_rps, r.result_count};
 }
 
-/// One pinned strict-per-tuple scaling-sweep run (see BM_Cores_*).
-DistMeasurement MeasureCoresOnce(int joiners, stream::QueueImpl impl) {
+// Core-count scaling of the link fabric, in two views. Both run executor
+// threads pinned round-robin across cores with strict per-tuple transport
+// (batch_size=1) so every tuple pays one ring operation and the fabric is
+// the variable under test, not amortized away by batching (that
+// amortization is the batch-size axis above). rec_per_s_scaled (records /
+// busiest-task busy time) is the cluster-model metric.
+//
+//  * BM_Cores — the scaling sweep: 1/2/4/8 joiners with as many ingest
+//    lanes (otherwise the single routing task becomes the serial Amdahl
+//    stage past 4 joiners and the sweep measures the dispatcher, not the
+//    joiners). Prefix-based distribution at t=0.9: token-hash routing
+//    spreads load far more evenly across 2..8 joiners than a coarse length
+//    partition, so the bottleneck joiner actually shrinks with every
+//    doubling and the sweep isolates scaling from partition skew. Lanes
+//    make every dispatcher→joiner link a fan-in MPMC ring, and the joiners'
+//    lane merge keeps the result set exact, so every cell reports the
+//    single-lane result count.
+//  * BM_CoresSerialDispatch — the fabric-stress cell: 8 joiners behind ONE
+//    dispatcher (length-based, t=0.8), the regime where the fabric's wake
+//    discipline decides the bottleneck. Every push lands on a starved,
+//    parked joiner; the ring's edge-triggered wakes plus the TrickleGate
+//    nap protocol (ring_queue.h) let the dispatcher skip the per-tuple wake
+//    syscall almost entirely.
+
+/// One pinned strict-per-tuple scaling-sweep run (see BM_Cores).
+DistMeasurement MeasureCoresOnce(int joiners) {
   const size_t n = RecordsFor(DatasetPreset::kTweet);
   const auto& stream = CachedStream(DatasetPreset::kTweet, n);
   DistributedJoinOptions options = BaseJoinOptions(900, joiners);
   options.strategy = DistributionStrategy::kPrefixBased;
   options.window = WindowSpec::ByCount(n / 2);
   options.batch_size = 1;
-  options.queue_impl = impl;
   options.pin_threads = true;
-  options.num_dispatchers = joiners;
-  options.collect_results = false;
+  options.ingest_lanes = joiners;
   const DistributedJoinResult r = RunDistributedJoin(stream, options);
   return {r.throughput_rps, r.scaled_throughput_rps, r.result_count};
 }
 
-/// One serial-dispatch fabric-stress run (see BM_CoresSerialDispatch_*).
-DistMeasurement MeasureSerialDispatchOnce(stream::QueueImpl impl) {
+/// One serial-dispatch fabric-stress run (see BM_CoresSerialDispatch).
+DistMeasurement MeasureSerialDispatchOnce() {
   const size_t n = RecordsFor(DatasetPreset::kTweet);
   const auto& stream = CachedStream(DatasetPreset::kTweet, n);
   DistributedJoinOptions options = BaseJoinOptions(800, kJoiners);
   options.strategy = DistributionStrategy::kLengthBased;
   options.window = WindowSpec::ByCount(n / 2);
   options.batch_size = 1;
-  options.queue_impl = impl;
   options.pin_threads = true;
-  options.collect_results = false;
   options.length_partition = PlanLengthPartition(
       stream, options.sim, kJoiners, PartitionMethod::kLoadAwareGreedy);
   const DistributedJoinResult r = RunDistributedJoin(stream, options);
   return {r.throughput_rps, r.scaled_throughput_rps, r.result_count};
 }
+
+void ReportMeasurement(benchmark::State& state, const DistMeasurement& m) {
+  state.SetItemsProcessed(static_cast<int64_t>(RecordsFor(DatasetPreset::kTweet)) *
+                          static_cast<int64_t>(state.iterations()));
+  state.counters["rec_per_s_wall"] = m.wall_rps;
+  state.counters["rec_per_s_scaled"] = m.scaled_rps;
+  state.counters["results"] = static_cast<double>(m.results);
+}
+
+void BM_Cores(benchmark::State& state) {
+  const int joiners = static_cast<int>(state.range(0));
+  DistMeasurement m;
+  for (auto _ : state) m = MeasureCoresOnce(joiners);
+  ReportMeasurement(state, m);
+}
+void BM_CoresSerialDispatch(benchmark::State& state) {
+  DistMeasurement m;
+  for (auto _ : state) m = MeasureSerialDispatchOnce();
+  ReportMeasurement(state, m);
+}
+
+BENCHMARK(BM_Cores)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
+BENCHMARK(BM_CoresSerialDispatch)
+    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 
 struct FrontEndMeasurement {
   double wall_rps = 0.0;
@@ -889,95 +843,66 @@ int EmitJson(const std::string& path, int runs) {
   }
   std::fprintf(f, "  },\n");
 
-  // Core-count axis of the link fabric, two views (see the BM_Cores_*
-  // comment block): "scaling" sweeps 1/2/4/8 joiners with sharded
-  // dispatchers (prefix-based t=0.9 — balanced partitions, so the curve
-  // measures scaling rather than skew), and "serial_dispatch" stresses the
-  // per-tuple wake discipline with 8 joiners behind one dispatcher
-  // (length-based t=0.8). Mutex and ring runs interleave within each
-  // repetition so host CPU-frequency drift hits both sides equally;
-  // medians per config.
+  // Core-count axis of the link fabric, two views (see the BM_Cores
+  // comment block): "scaling" sweeps 1/2/4/8 joiners with as many ingest
+  // lanes (prefix-based t=0.9 — balanced partitions, so the curve measures
+  // scaling rather than skew), and "serial_dispatch" stresses the per-tuple
+  // wake discipline with 8 joiners behind one dispatcher (length-based
+  // t=0.8). Medians per config.
   std::fprintf(f, "  \"cores\": {\n");
   std::fprintf(f,
                "    \"preset\": \"tweet\", \"records\": %zu, \"batch_size\": 1,\n"
                "    \"pinned\": true,\n"
                "    \"scaling\": {\n"
                "      \"strategy\": \"prefix\", \"threshold_permille\": 900,\n"
-               "      \"dispatchers\": \"sharded_with_joiners\",\n"
+               "      \"ingest_lanes\": \"equal_to_joiners\",\n"
                "      \"sweep\": [\n",
                RecordsFor(DatasetPreset::kTweet));
   const int joiner_counts[] = {1, 2, 4, 8};
   const size_t num_counts = sizeof(joiner_counts) / sizeof(joiner_counts[0]);
-  double ring_scaled_1 = 0.0;
+  double scaled_1 = 0.0;
   for (size_t k = 0; k < num_counts; ++k) {
-    std::vector<double> mutex_wall, mutex_scaled, ring_wall, ring_scaled;
-    uint64_t mutex_results = 0, ring_results = 0;
+    const int joiners = joiner_counts[k];
+    std::vector<double> wall, scaled;
+    uint64_t results = 0;
     for (int i = 0; i < runs; ++i) {
-      const DistMeasurement m =
-          MeasureCoresOnce(joiner_counts[k], stream::QueueImpl::kMutex);
-      mutex_wall.push_back(m.wall_rps);
-      mutex_scaled.push_back(m.scaled_rps);
-      mutex_results = m.results;
-      const DistMeasurement r =
-          MeasureCoresOnce(joiner_counts[k], stream::QueueImpl::kRing);
-      ring_wall.push_back(r.wall_rps);
-      ring_scaled.push_back(r.scaled_rps);
-      ring_results = r.results;
+      const DistMeasurement r = MeasureCoresOnce(joiners);
+      wall.push_back(r.wall_rps);
+      scaled.push_back(r.scaled_rps);
+      results = r.results;
     }
-    const double ms = Median(mutex_scaled), rs = Median(ring_scaled);
-    if (joiner_counts[k] == 1) ring_scaled_1 = rs;
+    const double rs = Median(scaled);
+    if (joiners == 1) scaled_1 = rs;
     std::fprintf(f,
-                 "        {\"joiners\": %d,\n"
-                 "         \"mutex\": {\"rec_per_s_wall\": %.1f, \"rec_per_s_scaled\": %.1f, "
-                 "\"results\": %llu},\n"
-                 "         \"ring\": {\"rec_per_s_wall\": %.1f, \"rec_per_s_scaled\": %.1f, "
-                 "\"results\": %llu},\n"
-                 "         \"ring_over_mutex_scaled\": %.3f, "
-                 "\"ring_speedup_vs_1_joiner\": %.3f}%s\n",
-                 joiner_counts[k], Median(mutex_wall), ms,
-                 static_cast<unsigned long long>(mutex_results), Median(ring_wall), rs,
-                 static_cast<unsigned long long>(ring_results), ms > 0.0 ? rs / ms : 0.0,
-                 ring_scaled_1 > 0.0 ? rs / ring_scaled_1 : 0.0,
-                 k + 1 < num_counts ? "," : "");
-    std::fprintf(stderr,
-                 "[cores scaling joiners=%d] mutex %.0f rec/s scaled, ring %.0f rec/s "
-                 "scaled (%.2fx); results %llu vs %llu\n",
-                 joiner_counts[k], ms, rs, ms > 0.0 ? rs / ms : 0.0,
-                 static_cast<unsigned long long>(mutex_results),
-                 static_cast<unsigned long long>(ring_results));
+                 "        {\"joiners\": %d, \"rec_per_s_wall\": %.1f, "
+                 "\"rec_per_s_scaled\": %.1f,\n"
+                 "         \"results\": %llu, \"speedup_vs_1_joiner\": %.3f}%s\n",
+                 joiners, Median(wall), rs, static_cast<unsigned long long>(results),
+                 scaled_1 > 0.0 ? rs / scaled_1 : 0.0, k + 1 < num_counts ? "," : "");
+    std::fprintf(stderr, "[cores scaling joiners=%d] %.0f rec/s scaled; results %llu\n",
+                 joiners, rs, static_cast<unsigned long long>(results));
   }
   std::fprintf(f, "      ]\n    },\n");
   {
-    std::vector<double> mutex_wall, mutex_scaled, ring_wall, ring_scaled;
-    uint64_t mutex_results = 0, ring_results = 0;
+    std::vector<double> wall, scaled;
+    uint64_t results = 0;
     for (int i = 0; i < runs; ++i) {
-      const DistMeasurement m = MeasureSerialDispatchOnce(stream::QueueImpl::kMutex);
-      mutex_wall.push_back(m.wall_rps);
-      mutex_scaled.push_back(m.scaled_rps);
-      mutex_results = m.results;
-      const DistMeasurement r = MeasureSerialDispatchOnce(stream::QueueImpl::kRing);
-      ring_wall.push_back(r.wall_rps);
-      ring_scaled.push_back(r.scaled_rps);
-      ring_results = r.results;
+      const DistMeasurement r = MeasureSerialDispatchOnce();
+      wall.push_back(r.wall_rps);
+      scaled.push_back(r.scaled_rps);
+      results = r.results;
     }
-    const double ms = Median(mutex_scaled), rs = Median(ring_scaled);
     std::fprintf(f,
                  "    \"serial_dispatch\": {\n"
                  "      \"strategy\": \"length\", \"threshold_permille\": 800, "
                  "\"joiners\": %d, \"dispatchers\": 1,\n"
-                 "      \"mutex\": {\"rec_per_s_wall\": %.1f, \"rec_per_s_scaled\": %.1f, "
-                 "\"results\": %llu},\n"
-                 "      \"ring\": {\"rec_per_s_wall\": %.1f, \"rec_per_s_scaled\": %.1f, "
-                 "\"results\": %llu},\n"
-                 "      \"ring_over_mutex_scaled\": %.3f\n"
+                 "      \"rec_per_s_wall\": %.1f, \"rec_per_s_scaled\": %.1f, "
+                 "\"results\": %llu\n"
                  "    }\n",
-                 kJoiners, Median(mutex_wall), ms,
-                 static_cast<unsigned long long>(mutex_results), Median(ring_wall), rs,
-                 static_cast<unsigned long long>(ring_results), ms > 0.0 ? rs / ms : 0.0);
-    std::fprintf(stderr,
-                 "[cores serial_dispatch joiners=%d] mutex %.0f rec/s scaled, ring "
-                 "%.0f rec/s scaled (%.2fx)\n",
-                 kJoiners, ms, rs, ms > 0.0 ? rs / ms : 0.0);
+                 kJoiners, Median(wall), Median(scaled),
+                 static_cast<unsigned long long>(results));
+    std::fprintf(stderr, "[cores serial_dispatch joiners=%d] %.0f rec/s scaled\n", kJoiners,
+                 Median(scaled));
   }
   std::fprintf(f, "  },\n");
 

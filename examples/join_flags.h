@@ -29,7 +29,7 @@ inline const char* JoinFlagsUsage() {
   return "          [--function=jaccard|cosine|dice] [--threshold=permille]\n"
          "          [--joiners=N] [--strategy=length|prefix|broadcast]\n"
          "          [--local=record|bundle] [--window=N] [--qgram=Q]\n"
-         "          [--batch_size=N] [--queue=mutex|ring] [--ingest_lanes=N]\n"
+         "          [--batch_size=N] [--ingest_lanes=N]\n"
          "          [--transport=inproc|loopback|tcp] [--workers=N]\n"
          "          [--wire_codec=raw|delta|delta+lz]\n"
          "          [--connect=host:port,host:port,...] [--listen=host:port]\n"
@@ -74,12 +74,6 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
   }
   if (ingest_lanes > 1 && cfg->strategy == "broadcast") {
     std::fprintf(stderr, "--ingest_lanes needs a stateless strategy (length|prefix)\n");
-    return false;
-  }
-
-  const std::string queue = flags.GetString("queue", "ring");
-  if (!dssj::stream::ParseQueueImpl(queue, &options.queue_impl)) {
-    std::fprintf(stderr, "unknown queue implementation '%s' (mutex|ring)\n", queue.c_str());
     return false;
   }
 

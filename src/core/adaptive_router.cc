@@ -12,13 +12,12 @@ AdaptiveRouterState::AdaptiveRouterState(const SimilaritySpec& sim, LengthPartit
     : sim_(sim),
       num_partitions_(initial.num_partitions()),
       options_(options),
-      advisor_(sim, initial.num_partitions(), options.policy, options.half_life_records) {
+      advisor_(sim, initial.num_partitions(), options.policy, options.half_life_records),
+      snapshot_(std::make_shared<const Snapshot>(
+          Snapshot{PartitionEpoch{std::move(initial), 0}})) {
   CHECK_GE(num_partitions_, 1);
   CHECK_GE(options_.max_epochs, 1u);
   CHECK_GE(options_.replan_interval, 1u);
-  snapshot_.store(std::make_shared<const Snapshot>(
-                      Snapshot{PartitionEpoch{std::move(initial), 0}}),
-                  std::memory_order_release);
 }
 
 bool AdaptiveRouterState::TryObserve(std::vector<size_t>* pending, size_t length,
@@ -76,14 +75,13 @@ void AdaptiveRouterState::MaybeReplanLocked(int64_t now) {
 }
 
 void AdaptiveRouterState::PublishLocked(Snapshot next) {
-  // mu_ serializes writers, so the exchange succeeds first try; the CAS
-  // loop keeps the publish correct even if a future writer path skips the
-  // lock.
-  auto fresh = std::make_shared<const Snapshot>(std::move(next));
-  std::shared_ptr<const Snapshot> expected = snapshot_.load(std::memory_order_acquire);
-  while (!snapshot_.compare_exchange_weak(expected, fresh, std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
+  std::shared_ptr<const Snapshot> fresh = std::make_shared<const Snapshot>(std::move(next));
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    snapshot_.swap(fresh);
   }
+  // `fresh` now holds the old list: it is freed here, after the lock drops,
+  // or later by the last reader still sharing it.
 }
 
 AdaptiveLengthRouter::AdaptiveLengthRouter(const SimilaritySpec& sim,

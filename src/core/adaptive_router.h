@@ -38,12 +38,13 @@ struct PartitionEpoch {
 };
 
 /// Shared, lane-shardable core of the adaptive router. The live epoch list
-/// is an *immutable snapshot* published through an atomic shared_ptr:
-/// Route() readers (one per ingestion lane) load it without taking a lock,
-/// while replans and retirements build a fresh epoch vector and publish it
-/// with a compare-exchange. Observation statistics fold into the advisor
-/// under a mutex; lanes that lose the race buffer their lengths locally
-/// (see AdaptiveLengthRouter) so the hot path never blocks on it.
+/// is an *immutable snapshot* held by a shared_ptr: Route() readers (one
+/// per ingestion lane) copy the pointer under a small mutex that guards
+/// nothing else, while replans and retirements build a fresh epoch vector
+/// off to the side and swap it in under the same mutex. Observation
+/// statistics fold into the advisor under a separate mutex; lanes that lose
+/// that race buffer their lengths locally (see AdaptiveLengthRouter) so the
+/// hot path never blocks on it.
 class AdaptiveRouterState {
  public:
   using Snapshot = std::vector<PartitionEpoch>;
@@ -51,9 +52,10 @@ class AdaptiveRouterState {
   AdaptiveRouterState(const SimilaritySpec& sim, LengthPartition initial,
                       AdaptiveRouterOptions options = {});
 
-  /// The current epoch list (lock-free acquire load).
+  /// The current epoch list (a pointer copy under snapshot_mu_).
   std::shared_ptr<const Snapshot> Load() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    return snapshot_;
   }
 
   /// Folds the caller's backlog (`pending`, drained in order on success)
@@ -84,7 +86,10 @@ class AdaptiveRouterState {
   RepartitionAdvisor advisor_;  ///< guarded by mu_
   uint64_t since_replan_ = 0;   ///< guarded by mu_
   std::atomic<uint64_t> replans_{0};
-  std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
+  /// Guards only the snapshot_ pointer; writers also hold mu_, so at most
+  /// one publish is ever in flight.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const Snapshot> snapshot_;
 };
 
 /// Length-based router that *adapts to drift without state migration*.

@@ -148,9 +148,6 @@ class DispatcherBolt : public stream::Bolt {
 
   void Prepare(const stream::TaskContext& ctx) override {
     lane_ = ctx.task_index;
-    // Not ctx.parallelism: multi-dispatcher runs (num_dispatchers > 1,
-    // lanes == 1) must not emit watermarks — joiners only merge when the
-    // run was configured with ingest lanes.
     lanes_ = std::max(1, options_->ingest_lanes);
     router_ = MakeRouter(*options_, adaptive_state_);
   }
@@ -294,15 +291,15 @@ class JoinerBolt : public stream::Bolt {
   }
 
   void Execute(stream::Tuple tuple, stream::OutputCollector& out) override {
-    SampleHealth();
+    SampleHealth(1);
     Process(tuple, out);
   }
 
   void ExecuteBatch(stream::TupleBatch batch, stream::OutputCollector& out) override {
     // One health read per batch: the queue cannot refill mid-batch beyond
     // what the sample saw by more than the in-flight producers, and the
-    // sample itself takes the queue lock.
-    SampleHealth();
+    // sample itself takes the health tracker's lock.
+    SampleHealth(batch.size());
     for (stream::Tuple& tuple : batch) Process(tuple, out);
   }
 
@@ -438,19 +435,24 @@ class JoinerBolt : public stream::Bolt {
 
  private:
   /// Reads the inbound queue's health and updates the shed state machine.
+  /// The backlog is the queued depth plus the `in_hand` tuples the executor
+  /// has already popped for this call: the sample runs after the pop, so
+  /// without them a batch of at least (1 - watermark) x capacity could
+  /// never see the watermark unless a producer refilled the queue first.
   /// kProbe/kBundle are level-triggered (shed while over the watermark);
   /// kOldest latches the backlog size on the upward crossing and sheds
   /// exactly that many probes. kBundle additionally shrinks the stored
   /// window by 1/8 on each crossing, trading recall for service rate.
-  void SampleHealth() {
+  void SampleHealth(size_t in_hand) {
     if (options_->shed_policy == stream::ShedPolicy::kNone || !queue_health_) return;
     const stream::QueueHealth h = queue_health_();
-    const bool over = h.force_shed || h.depth >= shed_threshold_;
+    const size_t backlog = h.depth + in_hand;
+    const bool over = h.force_shed || backlog >= shed_threshold_;
     const bool was_over = shed_active_;
     shed_active_ = over;
     if (over && !was_over) {
       if (options_->shed_policy == stream::ShedPolicy::kOldest) {
-        shed_pending_ += h.depth;
+        shed_pending_ += backlog;
       } else if (options_->shed_policy == stream::ShedPolicy::kBundle) {
         joiner_->EvictOldest(std::max<size_t>(1, joiner_->StoredCount() / 8));
       }
@@ -904,8 +906,6 @@ std::unique_ptr<Router> MakeRouter(const DistributedJoinOptions& options,
       CHECK_EQ(partition.num_partitions(), options.num_joiners)
           << "length partition size must match num_joiners";
       if (options.adaptive) {
-        CHECK_EQ(options.num_dispatchers, 1)
-            << "adaptive routing keeps epoch state per dispatcher; use one dispatcher";
         AdaptiveRouterOptions adaptive = options.adaptive_options;
         if (options.window.kind == WindowSpec::Kind::kTime) {
           adaptive.window_span_micros = options.window.span_micros;
@@ -966,13 +966,9 @@ std::unique_ptr<LocalJoiner> MakeLocalJoiner(const DistributedJoinOptions& optio
 DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
                                          const DistributedJoinOptions& options) {
   CHECK_GE(options.num_joiners, 1);
-  CHECK_GE(options.num_dispatchers, 1);
   const int lanes = std::max(1, options.ingest_lanes);
   std::shared_ptr<AdaptiveRouterState> adaptive_state;
   if (lanes > 1) {
-    CHECK_EQ(options.num_dispatchers, 1)
-        << "--ingest_lanes shards the single logical dispatcher; "
-           "num_dispatchers must stay 1";
     CHECK(options.strategy == DistributionStrategy::kLengthBased ||
           options.strategy == DistributionStrategy::kPrefixBased)
         << "--ingest_lanes requires a stateless routing strategy "
@@ -1032,7 +1028,6 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   stream::TopologyBuilder builder;
   builder.SetNumWorkers(workers)
       .SetQueueCapacity(options.queue_capacity)
-      .SetQueueImpl(options.queue_impl)
       .SetPinThreads(options.pin_threads)
       .SetBatchSize(options.batch_size)
       .SetRemoteByteCostNanos(options.remote_byte_cost_ns);
@@ -1070,19 +1065,18 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
       },
       lanes);
   if (pin) source.SetPlacement(std::vector<int>(lanes, 0));
-  const int dispatcher_tasks = lanes > 1 ? lanes : options.num_dispatchers;
   stream::BoltDeclarer dispatcher = builder.SetBolt(
       kDispatcherName,
       [&options, shared, adaptive_state] {
         return std::make_unique<DispatcherBolt>(&options, shared, adaptive_state);
       },
-      dispatcher_tasks);
+      lanes);
   if (lanes > 1) {
     dispatcher.PartnerGrouping(kSourceName);
   } else {
     dispatcher.ShuffleGrouping(kSourceName);
   }
-  if (pin) dispatcher.SetPlacement(std::vector<int>(dispatcher_tasks, 0));
+  if (pin) dispatcher.SetPlacement(std::vector<int>(lanes, 0));
   stream::BoltDeclarer joiner =
       builder
           .SetBolt(

@@ -18,7 +18,6 @@
 #include "store/options.h"
 #include "stream/fault.h"
 #include "stream/overload.h"
-#include "stream/queue.h"
 #include "text/record.h"
 
 namespace dssj {
@@ -78,22 +77,19 @@ struct DistributedJoinOptions {
   LocalAlgorithm local = LocalAlgorithm::kRecord;
 
   int num_joiners = 4;
-  /// Dispatcher parallelism. With 1 dispatcher the emission rule yields
-  /// exactly-once results; with more, cross-dispatcher races can drop (but
-  /// never duplicate) pairs — measured in experiment E10.
-  int num_dispatchers = 1;
 
-  /// Sharded ingestion front end (docs/INTERNALS.md §14). With N > 1 the
-  /// source and dispatcher tiers each run N partner lanes: source lane i
-  /// replays the records at input indices ≡ i (mod N) and feeds its own
-  /// dispatcher instance one-to-one. Joiners merge the lane streams back
-  /// into global sequence order before processing, so — unlike
-  /// num_dispatchers > 1 — results stay byte-identical to ingest_lanes=1.
-  /// Requires num_dispatchers == 1, a stateless routing strategy
-  /// (length/prefix), and strictly increasing record seqs in the input.
-  /// Adaptive routing works (lanes share one CAS-published epoch list) but
-  /// replan timing becomes interleaving-dependent, so adaptive runs are
-  /// excluded from the byte-identical guarantee.
+  /// Sharded ingestion front end (docs/INTERNALS.md §14) — the only way to
+  /// run more than one dispatcher. With N > 1 the source and dispatcher
+  /// tiers each run N partner lanes: source lane i replays the records at
+  /// input indices ≡ i (mod N) and feeds its own dispatcher instance
+  /// one-to-one. Joiners merge the lane streams back into global sequence
+  /// order before processing, so the emission rule still sees one logical
+  /// dispatcher and results stay byte-identical to ingest_lanes=1.
+  /// Requires a stateless routing strategy (length/prefix) and strictly
+  /// increasing record seqs in the input. Adaptive routing works (lanes
+  /// share one published epoch list) but replan timing becomes
+  /// interleaving-dependent, so adaptive runs are excluded from the
+  /// byte-identical guarantee.
   int ingest_lanes = 1;
 
   /// Length partition for kLengthBased (from PlanLengthPartition). Ignored
@@ -102,8 +98,8 @@ struct DistributedJoinOptions {
 
   /// Epoch-based adaptive routing for kLengthBased (see
   /// AdaptiveLengthRouter): the dispatcher monitors drift and replans
-  /// without state migration. Requires num_dispatchers == 1. The router's
-  /// window span is taken from `window` when it is a time window.
+  /// without state migration. The router's window span is taken from
+  /// `window` when it is a time window.
   bool adaptive = false;
   AdaptiveRouterOptions adaptive_options;
 
@@ -117,12 +113,6 @@ struct DistributedJoinOptions {
 
   /// Per-task inbound queue capacity (backpressure bound).
   size_t queue_capacity = 4096;
-
-  /// Inbound-queue implementation for co-located links (--queue): lock-free
-  /// rings (default) or the mutex+condvar BoundedQueue. Results are
-  /// byte-identical either way; the ring keeps per-tuple dispatch cost off
-  /// the verification path (see TopologyBuilder::SetQueueImpl).
-  stream::QueueImpl queue_impl = stream::QueueImpl::kRing;
 
   /// Pins executor threads round-robin across cores (see
   /// TopologyBuilder::SetPinThreads). Benchmarks only.
@@ -384,8 +374,7 @@ std::unique_ptr<LocalJoiner> MakeLocalJoiner(const DistributedJoinOptions& optio
 /// Constructs the configured router (one per dispatcher task). For
 /// adaptive routing across sharded dispatcher lanes, pass the run's shared
 /// AdaptiveRouterState so every lane routes against one coherent epoch
-/// list; with the default null state, adaptive routing requires a single
-/// dispatcher.
+/// list; with the default null state the router builds its own (one lane).
 std::unique_ptr<Router> MakeRouter(const DistributedJoinOptions& options,
                                    std::shared_ptr<AdaptiveRouterState> adaptive_state = nullptr);
 

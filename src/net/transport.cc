@@ -369,7 +369,7 @@ TcpTransport::SenderConn* TcpTransport::GetSender(int peer_rank) {
   if (slot == nullptr) {
     slot = std::make_unique<SenderConn>();
     slot->peer_rank = peer_rank;
-    slot->queue = std::make_unique<stream::BoundedQueue<OutFrame>>(options_.send_queue_capacity);
+    slot->queue = std::make_unique<stream::RingQueue<OutFrame>>(options_.send_queue_capacity);
     slot->thread = std::thread(&TcpTransport::SenderLoop, this, slot.get());
   }
   return slot.get();

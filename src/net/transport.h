@@ -16,7 +16,7 @@
 #include "net/frame_arena.h"
 #include "net/wire.h"
 #include "stream/channel.h"
-#include "stream/queue.h"
+#include "stream/ring_queue.h"
 
 namespace dssj::net {
 
@@ -152,12 +152,12 @@ class TcpTransport final : public stream::Transport {
     int64_t disconnect_delay_micros = -1;
   };
 
-  /// Sender half of one directed rank pair: a bounded frame queue drained
-  /// by a thread that owns the socket (dial, retry, write, scripted
-  /// disconnect).
+  /// Sender half of one directed rank pair: a bounded MPMC frame ring (every
+  /// local task sending to the peer is a producer) drained by a thread that
+  /// owns the socket (dial, retry, write, scripted disconnect).
   struct SenderConn {
     int peer_rank = -1;
-    std::unique_ptr<stream::BoundedQueue<OutFrame>> queue;
+    std::unique_ptr<stream::RingQueue<OutFrame>> queue;
     std::thread thread;
   };
 

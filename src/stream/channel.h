@@ -16,8 +16,8 @@ namespace dssj::stream {
 
 /// A unit travelling over one producer-task → consumer-task link: either a
 /// data tuple or an end-of-stream marker from one upstream task. Within a
-/// process envelopes move through a Queue<Envelope> (the mutex BoundedQueue
-/// or a lock-free ring, per QueueImpl); across processes
+/// process envelopes move through a Queue<Envelope> (a lock-free ring, see
+/// stream/ring_queue.h); across processes
 /// they are framed by the wire format (src/net/wire.h) with every field
 /// except extra_busy_ns preserved end-to-end.
 ///

@@ -46,8 +46,8 @@ struct OverloadOptions {
 };
 
 /// Point-in-time health snapshot of one task's inbound queue, taken under
-/// the queue lock (BoundedQueue::Health). Tracking is off (and the numbers
-/// stay zero) unless EnableHealthTracking() was called before Submit.
+/// the ring's health-tracker lock (Queue::Health). Tracking is off (and the
+/// numbers stay zero) unless EnableHealthTracking() was called before Submit.
 struct QueueHealth {
   size_t depth = 0;
   size_t capacity = 0;

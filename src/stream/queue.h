@@ -1,61 +1,44 @@
 #ifndef DSSJ_STREAM_QUEUE_H_
 #define DSSJ_STREAM_QUEUE_H_
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
-#include <string>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
-#include "common/logging.h"
-#include "common/stats.h"
 #include "stream/overload.h"
 
 namespace dssj::stream {
 
-/// Which inbound-queue implementation a topology's co-located links use.
-/// kMutex is the seed BoundedQueue (mutex + condvar); kRing is the lock-free
-/// ring fabric (SpscRingQueue for 1:1 links, RingQueue for fan-in links —
-/// see stream/ring_queue.h). Both implement the same Queue<T> contract and
-/// produce byte-identical results; the ring keeps the per-tuple cost off the
-/// kernel-arbitration path and is the default.
-enum class QueueImpl { kMutex, kRing };
+/// MakeQueue's implementation selector (stream/ring_queue.h). The lock-free
+/// rings are the only implementation — SpscRingQueue for 1:1 links,
+/// RingQueue for fan-in links — so kRing is the only value.
+enum class QueueImpl { kRing };
 
-inline const char* QueueImplName(QueueImpl impl) {
-  switch (impl) {
-    case QueueImpl::kMutex: return "mutex";
-    case QueueImpl::kRing: return "ring";
-  }
-  return "unknown";
-}
-
-/// Parses "mutex" / "ring". Returns false (and leaves *out untouched) on
-/// anything else.
-inline bool ParseQueueImpl(const std::string& name, QueueImpl* out) {
-  if (name == "mutex") {
-    *out = QueueImpl::kMutex;
-  } else if (name == "ring") {
-    *out = QueueImpl::kRing;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// The contract every co-located link implementation satisfies — the channel
-/// concept InprocChannel and the executors program against. Semantics are
-/// those documented on BoundedQueue (the reference implementation): bounded
-/// blocking FIFO with per-producer ordering, batch transfers, and Close()
-/// that unblocks both sides while keeping accepted items poppable.
+/// Bounded blocking FIFO — the channel concept InprocChannel, the executors
+/// and the TCP transport's per-peer send queues program against, and the
+/// contract both rings in stream/ring_queue.h implement.
+///
+/// Push blocks when full (this is the topology's backpressure mechanism)
+/// and Pop blocks when empty. Items are delivered in claim order, which
+/// implies per-producer FIFO — the property the distributed join's
+/// exactly-once rule relies on. A batch larger than the remaining capacity
+/// is delivered in contiguous chunks as space frees up; batch boundaries
+/// are NOT atomic (other producers may interleave between chunks), which
+/// still preserves per-producer FIFO.
+///
+/// Close() (used when a supervised task exhausts its restart budget, and
+/// at transport shutdown) unblocks every waiter on both sides: producers
+/// stop accepting — a blocked Push returns 0 and a blocked PushBatch leaves
+/// the unaccepted remainder in its input vector — while items accepted
+/// before the close stay poppable until the queue drains, after which
+/// PopBatch returns 0.
 template <typename T>
 class Queue {
  public:
   virtual ~Queue() = default;
 
   /// Blocks until there is room, then enqueues. Returns the queue depth
-  /// right after the push (>= 1), or 0 when the queue was closed and the
-  /// item rejected.
+  /// right after the push (>= 1, for high-watermark accounting), or 0 when
+  /// the queue was closed and the item rejected.
   virtual size_t Push(T item) = 0;
 
   /// Enqueues every element of `*items` in order, draining the vector;
@@ -65,7 +48,8 @@ class Queue {
   virtual size_t PushBatch(std::vector<T>* items) = 0;
 
   /// Blocks until an item is available, then dequeues it. Must not be
-  /// called on a closed-and-drained queue.
+  /// called on a closed-and-drained queue (use PopBatch/TryPop when the
+  /// queue may close).
   virtual T Pop() = 0;
 
   /// Blocks until at least one item is available, then appends up to
@@ -73,327 +57,32 @@ class Queue {
   /// queue is closed and drained.
   virtual size_t PopBatch(std::vector<T>* out, size_t max_items) = 0;
 
-  /// Non-blocking: appends everything currently queued to `*out`.
+  /// Non-blocking: appends everything currently queued to `*out`. Returns
+  /// the number drained (possibly zero).
   virtual size_t Drain(std::vector<T>* out) = 0;
 
   /// Non-blocking pop; returns false if the queue is empty.
   virtual bool TryPop(T* out) = 0;
 
   /// Stops accepting new items and wakes every blocked producer and
-  /// consumer. Idempotent; thread-safe against concurrent Push/Pop.
+  /// consumer. Items already accepted remain poppable. Idempotent;
+  /// thread-safe against concurrent Push/Pop from any thread.
   virtual void Close() = 0;
 
   virtual bool closed() const = 0;
   virtual size_t size() const = 0;
   virtual size_t capacity() const = 0;
 
-  /// Turns on queue-health tracking; must be called before concurrent use.
+  /// Turns on queue-health tracking (depth EWMA, time at capacity, oldest
+  /// item age). Must be called before any concurrent use (the topology does
+  /// it at Build time); queues without it pay only a dead branch per
+  /// operation.
   virtual void EnableHealthTracking() = 0;
 
   /// Point-in-time health snapshot (zeros unless tracking is enabled).
+  /// QueueHealth::force_shed is not set here — the topology wrapper owns
+  /// that bit.
   virtual QueueHealth Health() const = 0;
-};
-
-/// Bounded blocking multi-producer multi-consumer FIFO queue. Push blocks
-/// when full (this is the topology's backpressure mechanism) and Pop blocks
-/// when empty. FIFO over all producers, which implies per-producer FIFO —
-/// the property the distributed join's exactly-once rule relies on.
-///
-/// Batch transfers (PushBatch/PopBatch/Drain) move many items under a
-/// single lock acquisition and at most one wakeup, which is what makes the
-/// tuple hot path cheap: the per-item cost of the queue drops from one
-/// mutex round-trip + condvar syscall to a deque append.
-///
-/// Wakeups are suppressed unless a thread is actually waiting on the
-/// relevant edge (empty→non-empty for consumers, full→non-full for
-/// producers). Waiter counts are maintained under the mutex, so a waiter
-/// is always visible to the thread that makes its predicate true.
-///
-/// Close() (used when a supervised task exhausts its restart budget)
-/// unblocks every waiter on both sides: producers stop accepting — a
-/// blocked Push returns 0 and a blocked PushBatch leaves the unaccepted
-/// remainder in its input vector — while items accepted before the close
-/// stay poppable until the queue drains, after which PopBatch returns 0.
-template <typename T>
-class BoundedQueue final : public Queue<T> {
- public:
-  /// Requires capacity >= 1.
-  explicit BoundedQueue(size_t capacity) : capacity_(capacity) { CHECK_GE(capacity, 1u); }
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Blocks until there is room, then enqueues. Returns the queue depth
-  /// right after the push (for high-watermark accounting), or 0 when the
-  /// queue was closed and the item rejected (a successful push always
-  /// reports depth >= 1).
-  size_t Push(T item) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!WaitForRoom(lock)) return 0;
-    items_.push_back(std::move(item));
-    NoteEnqueued(1);
-    const size_t depth = items_.size();
-    const bool wake = waiting_consumers_ > 0;
-    lock.unlock();
-    if (wake) not_empty_.notify_one();
-    return depth;
-  }
-
-  /// Enqueues every element of `*items` in order, draining the vector.
-  /// Blocks while the queue is full; a batch larger than the remaining
-  /// capacity is delivered in contiguous chunks as space frees up (batch
-  /// boundaries are NOT atomic — other producers may interleave between
-  /// chunks, which preserves per-producer FIFO, the only ordering the
-  /// topology relies on). Returns the queue depth right after the last
-  /// element lands. If the queue closes mid-batch, elements not yet
-  /// accepted are left in `*items` (in order) and the depth so far is
-  /// returned.
-  size_t PushBatch(std::vector<T>* items) override {
-    if (items->empty()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      return items_.size();
-    }
-    const size_t n = items->size();
-    size_t i = 0;
-    size_t depth = 0;
-    std::unique_lock<std::mutex> lock(mu_);
-    while (i < n) {
-      if (closed_) break;
-      if (items_.size() >= capacity_) {
-        // Hand the partial chunk to any waiting consumer before sleeping,
-        // or the two sides could wait on each other's wakeup.
-        if (waiting_consumers_ > 0 && !items_.empty()) not_empty_.notify_one();
-        if (!WaitForRoom(lock)) break;
-      }
-      const size_t before = items_.size();
-      while (i < n && items_.size() < capacity_) items_.push_back(std::move((*items)[i++]));
-      NoteEnqueued(items_.size() - before);
-      depth = items_.size();
-    }
-    // Exit-notify is derived from actual occupancy rather than this call's
-    // accepted count: when the queue closes mid-batch a producer may exit
-    // having accepted nothing this round while items from an earlier chunk
-    // (or another producer) still sit queued, and a consumer that began
-    // waiting after Close()'s notify_all must still be woken to drain them.
-    const int waiters = waiting_consumers_;
-    const bool occupied = !items_.empty();
-    lock.unlock();
-    if (waiters > 0 && occupied) {
-      // A batch can satisfy several blocked consumers.
-      if (waiters > 1) {
-        not_empty_.notify_all();
-      } else {
-        not_empty_.notify_one();
-      }
-    }
-    items->erase(items->begin(), items->begin() + static_cast<ptrdiff_t>(i));
-    return depth;
-  }
-
-  /// Blocks until an item is available, then dequeues it. Must not be
-  /// called on a closed-and-drained queue (use PopBatch/TryPop when the
-  /// queue may close).
-  T Pop() override {
-    std::unique_lock<std::mutex> lock(mu_);
-    CHECK(WaitForItem(lock)) << "Pop on a closed, drained queue";
-    T item = std::move(items_.front());
-    items_.pop_front();
-    NoteDequeued(1);
-    const bool wake = waiting_producers_ > 0;
-    lock.unlock();
-    if (wake) not_full_.notify_one();
-    return item;
-  }
-
-  /// Blocks until at least one item is available, then appends up to
-  /// `max_items` to `*out` under one lock. Returns the number popped —
-  /// 0 only when the queue is closed and drained.
-  size_t PopBatch(std::vector<T>* out, size_t max_items) override {
-    CHECK_GE(max_items, 1u);
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!WaitForItem(lock)) return 0;
-    const size_t n = std::min(max_items, items_.size());
-    MoveOut(out, n);
-    NoteDequeued(n);
-    const int waiters = waiting_producers_;
-    lock.unlock();
-    NotifyProducers(waiters, n);
-    return n;
-  }
-
-  /// Non-blocking: appends everything currently queued to `*out`. Returns
-  /// the number drained (possibly zero).
-  size_t Drain(std::vector<T>* out) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    const size_t n = items_.size();
-    MoveOut(out, n);
-    NoteDequeued(n);
-    const int waiters = waiting_producers_;
-    lock.unlock();
-    NotifyProducers(waiters, n);
-    return n;
-  }
-
-  /// Non-blocking pop; returns false if the queue is empty.
-  bool TryPop(T* out) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
-    NoteDequeued(1);
-    const bool wake = waiting_producers_ > 0;
-    lock.unlock();
-    if (wake) not_full_.notify_one();
-    return true;
-  }
-
-  /// Stops accepting new items and wakes every blocked producer and
-  /// consumer. Items already accepted remain poppable. Idempotent;
-  /// thread-safe against concurrent Push/Pop from any thread.
-  void Close() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  bool closed() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
-  size_t size() const override {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
-  size_t capacity() const override { return capacity_; }
-
-  /// Turns on queue-health tracking (depth EWMA, time at capacity, oldest
-  /// item age) at the cost of one clock read per queue operation. Must be
-  /// called before any concurrent use (the topology does it at Build time);
-  /// queues without it pay only a dead branch per operation.
-  void EnableHealthTracking() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    health_ = true;
-  }
-
-  /// Point-in-time health snapshot (all zeros unless EnableHealthTracking
-  /// was called). QueueHealth::force_shed is not set here — the topology
-  /// wrapper owns that bit.
-  QueueHealth Health() const override {
-    QueueHealth h;
-    std::lock_guard<std::mutex> lock(mu_);
-    h.depth = items_.size();
-    h.capacity = capacity_;
-    h.depth_ewma = depth_ewma_;
-    h.time_at_capacity_micros = time_at_capacity_us_;
-    if (health_) {
-      const int64_t now = NowMicros();
-      if (!marks_.empty()) h.oldest_age_micros = now - marks_.front().enqueued_us;
-      if (full_since_us_ != 0) {
-        h.at_capacity_stretch_micros = now - full_since_us_;
-        h.time_at_capacity_micros += h.at_capacity_stretch_micros;
-      }
-    }
-    return h;
-  }
-
- private:
-  /// Returns false when the queue closed (no room will be granted).
-  bool WaitForRoom(std::unique_lock<std::mutex>& lock) {
-    while (!closed_ && items_.size() >= capacity_) {
-      ++waiting_producers_;
-      not_full_.wait(lock);
-      --waiting_producers_;
-    }
-    return !closed_;
-  }
-
-  /// Returns false when the queue is closed and drained.
-  bool WaitForItem(std::unique_lock<std::mutex>& lock) {
-    while (items_.empty() && !closed_) {
-      ++waiting_consumers_;
-      not_empty_.wait(lock);
-      --waiting_consumers_;
-    }
-    return !items_.empty();
-  }
-
-  // Caller holds mu_ and guarantees n <= items_.size().
-  void MoveOut(std::vector<T>* out, size_t n) {
-    for (size_t k = 0; k < n; ++k) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-  }
-
-  // Health bookkeeping. All helpers run with mu_ held and are no-ops until
-  // EnableHealthTracking(). Enqueue timestamps are kept as (count, stamp)
-  // runs — one entry per push call, not per item — so the oldest-age probe
-  // stays O(1) amortized.
-  void NoteEnqueued(size_t added) {
-    if (!health_ || added == 0) return;
-    marks_.push_back(Mark{added, NowMicros()});
-    UpdateHealthClock();
-  }
-
-  void NoteDequeued(size_t removed) {
-    if (!health_ || removed == 0) return;
-    while (removed > 0) {
-      Mark& front = marks_.front();
-      if (front.count <= removed) {
-        removed -= front.count;
-        marks_.pop_front();
-      } else {
-        front.count -= removed;
-        removed = 0;
-      }
-    }
-    UpdateHealthClock();
-  }
-
-  void UpdateHealthClock() {
-    constexpr double kAlpha = 0.05;
-    depth_ewma_ += kAlpha * (static_cast<double>(items_.size()) - depth_ewma_);
-    if (items_.size() >= capacity_) {
-      if (full_since_us_ == 0) full_since_us_ = NowMicros();
-    } else if (full_since_us_ != 0) {
-      time_at_capacity_us_ += NowMicros() - full_since_us_;
-      full_since_us_ = 0;
-    }
-  }
-
-  void NotifyProducers(int waiters, size_t freed) {
-    if (waiters <= 0 || freed == 0) return;
-    if (freed > 1 && waiters > 1) {
-      not_full_.notify_all();
-    } else {
-      not_full_.notify_one();
-    }
-  }
-
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  int waiting_producers_ = 0;
-  int waiting_consumers_ = 0;
-  bool closed_ = false;
-
-  // Health tracking (guarded by mu_, inert until EnableHealthTracking).
-  struct Mark {
-    size_t count;  ///< queued items sharing this enqueue stamp
-    int64_t enqueued_us;
-  };
-  bool health_ = false;
-  double depth_ewma_ = 0.0;
-  int64_t full_since_us_ = 0;  ///< 0 when not at capacity
-  int64_t time_at_capacity_us_ = 0;
-  std::deque<Mark> marks_;
 };
 
 }  // namespace dssj::stream

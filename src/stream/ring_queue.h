@@ -20,9 +20,9 @@
 
 namespace dssj::stream {
 
-/// Lock-free ring implementations of the Queue<T> contract (queue.h) for
-/// co-located links — selected per link by the topology when it runs with
-/// QueueImpl::kRing (the default):
+/// Lock-free ring implementations of the Queue<T> contract (queue.h) — the
+/// only link implementations; MakeQueue picks one per link from its
+/// producer count:
 ///
 ///   SpscRingQueue  1:1 links (single upstream task, no transport threads):
 ///                  a classic single-producer single-consumer ring with
@@ -98,8 +98,8 @@ inline int SpinIters() {
 /// a parked (sleeping) thread does — the waiter would consistently lose
 /// the race to observe the state its peer just produced (e.g. a consumer
 /// sampling queue depth before the producer refills). Parking promptly
-/// restores the sleeper-wakeup scheduling boost the mutex queue gets for
-/// free from its condvar.
+/// restores the sleeper-wakeup scheduling boost a condvar waiter gets for
+/// free.
 inline int YieldIters() {
   static const int iters = std::thread::hardware_concurrency() > 1 ? 64 : 0;
   return iters;
@@ -245,13 +245,13 @@ class TrickleGate {
   std::atomic<bool> nap_mode_{false};
 };
 
-/// Queue-health bookkeeping shared by both rings, replicating the
-/// BoundedQueue gauges (depth EWMA, time at capacity, oldest-tuple age via
-/// (count, stamp) runs). Inert — one dead atomic branch per operation —
-/// until Enable(); when enabled it serializes on its own small mutex, which
-/// only overload-control runs ever turn on (the mutex queue held a lock for
-/// the same bookkeeping). Depths are the caller's racy post-op estimates:
-/// the gauges steer shedding and the watchdog, not correctness.
+/// Queue-health bookkeeping shared by both rings: depth EWMA, time at
+/// capacity, and oldest-tuple age via (count, stamp) runs — one run per
+/// push call, not per item, so the oldest-age probe stays O(1) amortized.
+/// Inert — one dead atomic branch per operation — until Enable(); when
+/// enabled it serializes on its own small mutex, which only overload-
+/// control runs ever turn on. Depths are the caller's racy post-op
+/// estimates: the gauges steer shedding and the watchdog, not correctness.
 class RingHealthTracker {
  public:
   void Enable() { enabled_.store(true, std::memory_order_release); }
@@ -843,12 +843,11 @@ class RingQueue final : public Queue<T> {
   ring_detail::RingHealthTracker health_;
 };
 
-/// Builds the implementation `impl` selects for a link with the given
-/// number of producer threads (`spsc_safe` = exactly one producer task and
-/// no transport threads can ever push).
+/// Builds the ring for a link with the given number of producer threads
+/// (`spsc_safe` = exactly one producer task and no transport threads can
+/// ever push). kRing is the only QueueImpl.
 template <typename T>
-std::unique_ptr<Queue<T>> MakeQueue(QueueImpl impl, size_t capacity, bool spsc_safe) {
-  if (impl == QueueImpl::kMutex) return std::make_unique<BoundedQueue<T>>(capacity);
+std::unique_ptr<Queue<T>> MakeQueue(QueueImpl /*impl*/, size_t capacity, bool spsc_safe) {
   if (spsc_safe) return std::make_unique<SpscRingQueue<T>>(capacity);
   return std::make_unique<RingQueue<T>>(capacity);
 }

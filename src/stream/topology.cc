@@ -107,7 +107,6 @@ struct TopologyImpl {
   std::vector<Task> tasks;
   int num_workers = 1;
   size_t queue_capacity = 1024;
-  QueueImpl queue_impl = QueueImpl::kRing;
   bool pin_threads = false;
   size_t batch_size = 32;
   double remote_byte_cost_ns = 0.0;
@@ -2231,11 +2230,6 @@ TopologyBuilder& TopologyBuilder::SetQueueCapacity(size_t capacity) {
   return *this;
 }
 
-TopologyBuilder& TopologyBuilder::SetQueueImpl(QueueImpl impl) {
-  impl_->queue_impl = impl;
-  return *this;
-}
-
 TopologyBuilder& TopologyBuilder::SetPinThreads(bool pin) {
   impl_->pin_threads = pin;
   return *this;
@@ -2397,7 +2391,7 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
         // Elastic topologies add the migration driver as a second pusher.
         const bool spsc_safe =
             comp.upstream_tasks == 1 && t.transport == nullptr && !t.elastic;
-        task.queue = MakeQueue<Envelope>(t.queue_impl, t.queue_capacity, spsc_safe);
+        task.queue = MakeQueue<Envelope>(QueueImpl::kRing, t.queue_capacity, spsc_safe);
       }
       t.tasks.push_back(std::move(task));
     }

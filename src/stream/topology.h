@@ -171,20 +171,11 @@ class TopologyBuilder {
   /// bound.
   TopologyBuilder& SetQueueCapacity(size_t capacity);
 
-  /// Inbound-queue implementation for co-located links (default
-  /// QueueImpl::kRing): lock-free rings — SpscRingQueue for tasks with a
-  /// single upstream task and no transport, RingQueue (MPMC) for fan-in —
-  /// or the mutex+condvar BoundedQueue with kMutex. Purely a performance
-  /// lever: both implementations preserve per-link FIFO, Close semantics,
-  /// fault hooks, shed accounting, and queue-health gauges, and produce
-  /// byte-identical results (tests/queue_equivalence_test.cc).
-  TopologyBuilder& SetQueueImpl(QueueImpl impl);
-
   /// Pins executor threads round-robin across the machine's cores at
   /// Submit (Linux; best-effort, no-op elsewhere). Off by default — the OS
   /// scheduler usually does fine — but benchmarks that sweep task counts
   /// (bench_throughput_threshold's cores axis) pin so run-to-run placement
-  /// noise does not drown the queue-implementation signal.
+  /// noise does not drown the scaling signal.
   TopologyBuilder& SetPinThreads(bool pin);
 
   /// Tuple-transport batch size (default 32). Producers buffer up to this

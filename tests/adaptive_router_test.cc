@@ -232,16 +232,5 @@ TEST(AdaptiveDistributedJoinTest, MatchesBruteForceUnderDrift) {
   EXPECT_LE(result.replication_factor, 1.0);
 }
 
-TEST(AdaptiveDistributedJoinTest, RejectsMultipleDispatchers) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  DistributedJoinOptions options;
-  options.strategy = DistributionStrategy::kLengthBased;
-  options.adaptive = true;
-  options.num_dispatchers = 2;
-  options.num_joiners = 2;
-  options.length_partition = LengthPartition({0, 8, 64});
-  EXPECT_DEATH(MakeRouter(options), "one dispatcher");
-}
-
 }  // namespace
 }  // namespace dssj

@@ -281,16 +281,12 @@ TEST_F(IngestLanesTest, SharedAdaptiveRouterStaysExact) {
   EXPECT_EQ(Canonical(result.pairs), expected);
 }
 
-TEST_F(IngestLanesTest, RejectsStatefulRoutersAndMultipleDispatchers) {
+TEST_F(IngestLanesTest, RejectsStatefulRouters) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   DistributedJoinOptions broadcast = options_;
   broadcast.ingest_lanes = 2;
   broadcast.strategy = DistributionStrategy::kBroadcast;
   EXPECT_DEATH(RunDistributedJoin(stream_, broadcast), "stateless routing strategy");
-  DistributedJoinOptions multi = options_;
-  multi.ingest_lanes = 2;
-  multi.num_dispatchers = 2;
-  EXPECT_DEATH(RunDistributedJoin(stream_, multi), "num_dispatchers must stay 1");
 }
 
 TEST_F(IngestLanesTest, RejectsNonMonotoneSeqs) {

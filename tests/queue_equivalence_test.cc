@@ -1,8 +1,10 @@
-// The ring queues are a drop-in replacement for the mutex BoundedQueue:
-// whatever configuration a topology runs — dataset shape, batch size, fault
-// script, shed policy — switching QueueImpl must not change a single byte of
-// the result set. Every test here runs the identical workload under
-// --queue=mutex and --queue=ring and compares the canonicalized pairs.
+// Every co-located link runs on a lock-free ring: SpscRingQueue for 1:1
+// links, the MPMC RingQueue for fan-in. Whatever configuration a topology
+// runs — dataset shape, batch size, fault script, armed shed policy,
+// broadcast fan-in — the ring fabric must deliver exactly the brute-force
+// oracle's pair set. Every test here runs one workload through
+// RunDistributedJoin and compares the canonicalized pairs with
+// SingleNodeJoin over a BruteForceJoiner.
 #include <algorithm>
 #include <string>
 #include <tuple>
@@ -10,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/brute_force_joiner.h"
 #include "core/join_topology.h"
 #include "workload/generator.h"
 
@@ -29,25 +32,29 @@ std::vector<RecordPtr> PresetStream(DatasetPreset preset, uint64_t seed, size_t 
   return WorkloadGenerator(options).Generate(n);
 }
 
-DistributedJoinResult RunWith(stream::QueueImpl impl, DistributedJoinOptions options,
+std::vector<ResultPair> Oracle(const DistributedJoinOptions& options,
+                               const std::vector<RecordPtr>& stream) {
+  BruteForceJoiner oracle(options.sim, options.window);
+  return Canonical(SingleNodeJoin(stream, oracle));
+}
+
+DistributedJoinResult RunJoin(const DistributedJoinOptions& options,
                               const std::vector<RecordPtr>& stream) {
-  options.queue_impl = impl;
   DistributedJoinResult result = RunDistributedJoin(stream, options);
   EXPECT_TRUE(result.ok) << result.failure_message;
   return result;
 }
 
-/// The core assertion: mutex and ring runs of `options` produce byte-identical
-/// result sets (and agree on the result count the bolts published).
-void ExpectQueueEquivalence(const DistributedJoinOptions& options,
-                            const std::vector<RecordPtr>& stream, const std::string& what) {
-  const DistributedJoinResult mutex_run = RunWith(stream::QueueImpl::kMutex, options, stream);
-  const DistributedJoinResult ring_run = RunWith(stream::QueueImpl::kRing, options, stream);
-  EXPECT_EQ(mutex_run.result_count, ring_run.result_count) << what;
-  const auto expect = Canonical(mutex_run.pairs);
-  const auto got = Canonical(ring_run.pairs);
+/// The core assertion: a run of `options` produces the oracle's result set
+/// (and publishes the matching result count).
+void ExpectOracleResults(const DistributedJoinOptions& options,
+                         const std::vector<RecordPtr>& stream, const std::string& what) {
+  const DistributedJoinResult run = RunJoin(options, stream);
+  const auto expect = Oracle(options, stream);
+  EXPECT_EQ(run.result_count, expect.size()) << what;
+  const auto got = Canonical(run.pairs);
   ASSERT_EQ(got.size(), expect.size()) << what;
-  EXPECT_EQ(got, expect) << what << ": ring diverged from mutex";
+  EXPECT_EQ(got, expect) << what << ": ring run diverged from the oracle";
   EXPECT_GT(expect.size(), 0u) << what << ": vacuous test stream";
 }
 
@@ -74,37 +81,34 @@ class QueueEquivalenceTest : public ::testing::TestWithParam<EquivParam> {
   std::string what_;
 };
 
-TEST_P(QueueEquivalenceTest, CleanRunIsByteIdentical) {
-  ExpectQueueEquivalence(options_, stream_, what_);
+TEST_P(QueueEquivalenceTest, CleanRunMatchesOracle) {
+  ExpectOracleResults(options_, stream_, what_);
 }
 
-TEST_P(QueueEquivalenceTest, FaultScriptRunIsByteIdentical) {
+TEST_P(QueueEquivalenceTest, FaultScriptRunMatchesOracle) {
   // A joiner kill plus a dropped and a duplicated link envelope: recovery is
-  // exactly-once under either queue, so the runs still agree byte-for-byte.
+  // exactly-once, so the run still yields the oracle's pairs.
   options_.supervise = true;
   options_.fault_script =
       "kill:joiner:1@150; drop:dispatcher:0->joiner:0@40; dup:dispatcher:0->joiner:2@60";
   options_.supervision.checkpoint_interval = 100;
   options_.supervision.initial_backoff_micros = 50;
   options_.supervision.max_backoff_micros = 1000;
-  ExpectQueueEquivalence(options_, stream_, what_ + "/faults");
+  ExpectOracleResults(options_, stream_, what_ + "/faults");
 }
 
-TEST_P(QueueEquivalenceTest, ArmedShedPolicyRunIsByteIdentical) {
-  // Shedding armed but never engaged (ample queue, unhurried stream): both
-  // impls must report zero sheds and the full result set. (When a flood does
-  // engage the policy, which tuples get shed is timing-dependent by design —
-  // the loss-accounting guarantees are covered by overload_test under both
-  // impls' dynamics.)
+TEST_P(QueueEquivalenceTest, ArmedShedPolicyRunMatchesOracle) {
+  // Shedding armed but never engaged (ample queue, unhurried stream): the
+  // run must report zero sheds and the full result set. (When a flood does
+  // engage the policy, which tuples get shed is timing-dependent by design;
+  // overload_test covers the loss accounting.)
   options_.shed_policy = stream::ShedPolicy::kProbe;
   options_.shed_watermark = 0.9;
   options_.queue_capacity = 4096;
-  const DistributedJoinResult mutex_run = RunWith(stream::QueueImpl::kMutex, options_, stream_);
-  const DistributedJoinResult ring_run = RunWith(stream::QueueImpl::kRing, options_, stream_);
-  EXPECT_EQ(mutex_run.shed_probes, 0u) << what_;
-  EXPECT_EQ(ring_run.shed_probes, 0u) << what_;
-  EXPECT_EQ(Canonical(ring_run.pairs), Canonical(mutex_run.pairs)) << what_;
-  EXPECT_GT(ring_run.pairs.size(), 0u);
+  const DistributedJoinResult run = RunJoin(options_, stream_);
+  EXPECT_EQ(run.shed_probes, 0u) << what_;
+  EXPECT_EQ(Canonical(run.pairs), Oracle(options_, stream_)) << what_;
+  EXPECT_GT(run.pairs.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -120,10 +124,10 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// Fan-in through the MPMC ring: broadcast routing with several joiners makes
-// every joiner queue a multi-producer link when dispatcher parallelism > 1;
-// the sink is always a fan-in consumer. Exercised at the batch-size extremes.
-TEST(QueueEquivalenceFanInTest, BroadcastBundleJoinIsByteIdentical) {
+// Fan-in through the MPMC ring: with broadcast routing every one of the
+// four joiners emits results, so the sink's inbound link has four producer
+// tasks. Exercised at the batch-size extremes.
+TEST(QueueEquivalenceFanInTest, BroadcastBundleJoinMatchesOracle) {
   const auto stream = PresetStream(DatasetPreset::kTweet, 7, 500);
   for (size_t batch_size : {1u, 128u}) {
     DistributedJoinOptions options;
@@ -133,7 +137,7 @@ TEST(QueueEquivalenceFanInTest, BroadcastBundleJoinIsByteIdentical) {
     options.num_joiners = 4;
     options.collect_results = true;
     options.batch_size = batch_size;
-    ExpectQueueEquivalence(options, stream, "broadcast/batch=" + std::to_string(batch_size));
+    ExpectOracleResults(options, stream, "broadcast/batch=" + std::to_string(batch_size));
   }
 }
 

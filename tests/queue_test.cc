@@ -1,25 +1,71 @@
-#include "stream/queue.h"
-
+// The Queue<T> contract (stream/queue.h), run against both ring
+// implementations: blocking at capacity, batch transfers, Drain/TryPop, and
+// the Close protocol. Cases that need several producers run on the MPMC
+// RingQueue only; ring-specific stress (wraparound, randomized batching,
+// close-point sweeps) lives in ring_queue_test.
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <mutex>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stream/ring_queue.h"
+
 namespace dssj::stream {
 namespace {
 
-TEST(BoundedQueueTest, FifoSingleThread) {
-  BoundedQueue<int> q(8);
+struct Spsc {
+  template <typename T>
+  using Q = SpscRingQueue<T>;
+  static constexpr int kProducers = 1;
+  static constexpr int kConsumers = 1;
+};
+
+struct Mpmc {
+  template <typename T>
+  using Q = RingQueue<T>;
+  static constexpr int kProducers = 3;
+  static constexpr int kConsumers = 2;
+};
+
+template <typename Ring, typename T>
+using QueueOf = typename Ring::template Q<T>;
+
+class RingName {
+ public:
+  template <typename Ring>
+  static std::string GetName(int /*index*/) {
+    return std::is_same_v<Ring, Spsc> ? "Spsc" : "Mpmc";
+  }
+};
+
+using Rings = ::testing::Types<Spsc, Mpmc>;
+
+template <typename Ring>
+class QueueContractTest : public ::testing::Test {};
+TYPED_TEST_SUITE(QueueContractTest, Rings, RingName);
+
+template <typename Ring>
+class QueueCloseContractTest : public ::testing::Test {};
+TYPED_TEST_SUITE(QueueCloseContractTest, Rings, RingName);
+
+TYPED_TEST(QueueContractTest, FifoSingleThread) {
+  QueueOf<TypeParam, int> q(8);
   for (int i = 0; i < 5; ++i) q.Push(i);
   EXPECT_EQ(q.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(q.Pop(), i);
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BoundedQueueTest, TryPopOnEmpty) {
-  BoundedQueue<int> q(2);
+TYPED_TEST(QueueContractTest, TryPopOnEmpty) {
+  QueueOf<TypeParam, int> q(2);
   int out = -1;
   EXPECT_FALSE(q.TryPop(&out));
   q.Push(7);
@@ -27,8 +73,8 @@ TEST(BoundedQueueTest, TryPopOnEmpty) {
   EXPECT_EQ(out, 7);
 }
 
-TEST(BoundedQueueTest, PushBlocksAtCapacityUntilPop) {
-  BoundedQueue<int> q(1);
+TYPED_TEST(QueueContractTest, PushBlocksAtCapacityUntilPop) {
+  QueueOf<TypeParam, int> q(1);
   q.Push(1);
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
@@ -43,74 +89,16 @@ TEST(BoundedQueueTest, PushBlocksAtCapacityUntilPop) {
   EXPECT_EQ(q.Pop(), 2);
 }
 
-TEST(BoundedQueueTest, MpmcStressDeliversEverythingExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 20000;
-  BoundedQueue<std::pair<int, int>> q(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
-    });
-  }
-  std::mutex mu;
-  std::map<int, std::vector<int>> received;  // producer -> sequence seen
-  std::vector<std::thread> consumers;
-  std::atomic<int> remaining{kProducers * kPerProducer};
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (remaining.fetch_sub(1) > 0) {
-        const auto [p, i] = q.Pop();
-        std::lock_guard<std::mutex> lock(mu);
-        received[p].push_back(i);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  size_t total = 0;
-  for (auto& [p, seqs] : received) {
-    total += seqs.size();
-    std::sort(seqs.begin(), seqs.end());
-    for (int i = 0; i < static_cast<int>(seqs.size()); ++i) {
-      ASSERT_EQ(seqs[i], i) << "producer " << p << " lost or duplicated an item";
-    }
-  }
-  EXPECT_EQ(total, static_cast<size_t>(kProducers) * kPerProducer);
-}
-
-TEST(BoundedQueueTest, PerProducerOrderPreservedWithSingleConsumer) {
-  constexpr int kProducers = 3;
-  constexpr int kPerProducer = 10000;
-  BoundedQueue<std::pair<int, int>> q(32);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
-    });
-  }
-  std::vector<int> next(kProducers, 0);
-  for (int n = 0; n < kProducers * kPerProducer; ++n) {
-    const auto [p, i] = q.Pop();
-    ASSERT_EQ(i, next[p]) << "per-producer FIFO violated";
-    ++next[p];
-  }
-  for (auto& t : producers) t.join();
-}
-
-TEST(BoundedQueueTest, PushBatchDrainsInputAndReportsDepth) {
-  BoundedQueue<int> q(8);
+TYPED_TEST(QueueContractTest, PushBatchDrainsInputAndReportsDepth) {
+  QueueOf<TypeParam, int> q(8);
   std::vector<int> batch{1, 2, 3};
   EXPECT_EQ(q.PushBatch(&batch), 3u);
   EXPECT_TRUE(batch.empty()) << "PushBatch must drain the input vector";
   for (int i = 1; i <= 3; ++i) EXPECT_EQ(q.Pop(), i);
 }
 
-TEST(BoundedQueueTest, PushBatchLargerThanCapacityBackpressures) {
-  BoundedQueue<int> q(4);
+TYPED_TEST(QueueContractTest, PushBatchLargerThanCapacityBackpressures) {
+  QueueOf<TypeParam, int> q(4);
   constexpr int kItems = 100;
   std::thread producer([&q] {
     std::vector<int> batch;
@@ -124,8 +112,8 @@ TEST(BoundedQueueTest, PushBatchLargerThanCapacityBackpressures) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BoundedQueueTest, PopBatchRespectsMaxItemsAndOrder) {
-  BoundedQueue<int> q(16);
+TYPED_TEST(QueueContractTest, PopBatchRespectsMaxItemsAndOrder) {
+  QueueOf<TypeParam, int> q(16);
   for (int i = 0; i < 10; ++i) q.Push(i);
   std::vector<int> out;
   EXPECT_EQ(q.PopBatch(&out, 4), 4u);
@@ -135,8 +123,8 @@ TEST(BoundedQueueTest, PopBatchRespectsMaxItemsAndOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
 }
 
-TEST(BoundedQueueTest, DrainIsNonBlockingAndEmptiesTheQueue) {
-  BoundedQueue<int> q(8);
+TYPED_TEST(QueueContractTest, DrainIsNonBlockingAndEmptiesTheQueue) {
+  QueueOf<TypeParam, int> q(8);
   std::vector<int> out;
   EXPECT_EQ(q.Drain(&out), 0u) << "Drain on empty must not block";
   for (int i = 0; i < 5; ++i) q.Push(i);
@@ -145,43 +133,8 @@ TEST(BoundedQueueTest, DrainIsNonBlockingAndEmptiesTheQueue) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BoundedQueueTest, PushBatchFromManyProducersPreservesPerProducerFifo) {
-  // The invariant the batched transport layer leans on: whatever interleaving
-  // PushBatch chunks produce across producers, each producer's own items
-  // arrive in order. Small capacity forces chunking and backpressure.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 5000;
-  constexpr int kBatch = 7;  // deliberately not a divisor of kPerProducer
-  BoundedQueue<std::pair<int, int>> q(16);
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      std::vector<std::pair<int, int>> batch;
-      for (int i = 0; i < kPerProducer; ++i) {
-        batch.push_back({p, i});
-        if (batch.size() == kBatch) q.PushBatch(&batch);
-      }
-      q.PushBatch(&batch);  // flush the remainder
-    });
-  }
-  std::vector<int> next(kProducers, 0);
-  std::vector<std::pair<int, int>> out;
-  int received = 0;
-  while (received < kProducers * kPerProducer) {
-    out.clear();
-    q.PopBatch(&out, 32);
-    for (const auto& [p, i] : out) {
-      ASSERT_EQ(i, next[p]) << "per-producer FIFO violated under PushBatch";
-      ++next[p];
-      ++received;
-    }
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueueCloseTest, CloseUnblocksBlockedProducer) {
-  BoundedQueue<int> q(1);
+TYPED_TEST(QueueCloseContractTest, CloseUnblocksBlockedProducer) {
+  QueueOf<TypeParam, int> q(1);
   q.Push(1);
   std::atomic<bool> returned{false};
   std::thread producer([&] {
@@ -200,8 +153,8 @@ TEST(BoundedQueueCloseTest, CloseUnblocksBlockedProducer) {
   EXPECT_EQ(q.PopBatch(&out, 8), 0u) << "closed and drained: PopBatch returns 0";
 }
 
-TEST(BoundedQueueCloseTest, CloseUnblocksBlockedConsumer) {
-  BoundedQueue<int> q(4);
+TYPED_TEST(QueueCloseContractTest, CloseUnblocksBlockedConsumer) {
+  QueueOf<TypeParam, int> q(4);
   std::atomic<bool> returned{false};
   std::thread consumer([&] {
     std::vector<int> out;
@@ -215,13 +168,13 @@ TEST(BoundedQueueCloseTest, CloseUnblocksBlockedConsumer) {
   EXPECT_TRUE(returned.load());
 }
 
-TEST(BoundedQueueCloseTest, PushBatchLeavesUnacceptedRemainder) {
-  BoundedQueue<int> q(2);
+TYPED_TEST(QueueCloseContractTest, PushBatchLeavesUnacceptedRemainder) {
+  QueueOf<TypeParam, int> q(2);
   q.Close();
   std::vector<int> batch{1, 2, 3};
   q.PushBatch(&batch);
   EXPECT_EQ(batch.size(), 3u) << "nothing accepted into a closed queue";
-  BoundedQueue<int> q2(2);
+  QueueOf<TypeParam, int> q2(2);
   std::vector<int> batch2{1, 2, 3, 4, 5};
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -236,16 +189,16 @@ TEST(BoundedQueueCloseTest, PushBatchLeavesUnacceptedRemainder) {
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
 }
 
-TEST(BoundedQueueCloseTest, ShutdownRaceLosesNoAcceptedItems) {
+TYPED_TEST(QueueCloseContractTest, ShutdownRaceLosesNoAcceptedItems) {
   // The failed-task scenario: producers blocked in PushBatch and consumers
   // blocked in PopBatch while the queue is closed mid-flight. Every item a
   // producer reports as accepted must be popped by exactly one consumer;
-  // both sides must unblock.
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 2;
+  // both sides must unblock. The SPSC ring runs it with one of each.
+  constexpr int kProducers = TypeParam::kProducers;
+  constexpr int kConsumers = TypeParam::kConsumers;
   constexpr int kRounds = 200;
   for (int round = 0; round < kRounds; ++round) {
-    BoundedQueue<std::pair<int, int>> q(4);
+    QueueOf<TypeParam, std::pair<int, int>> q(4);
     std::vector<int> accepted(kProducers, 0);
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -290,17 +243,17 @@ TEST(BoundedQueueCloseTest, ShutdownRaceLosesNoAcceptedItems) {
   }
 }
 
-TEST(BoundedQueueCloseTest, CloseDuringChunkedPushBatchWakesLateConsumers) {
+TYPED_TEST(QueueCloseContractTest, CloseDuringChunkedPushBatchWakesLateConsumers) {
   // Wakeup-protocol regression: a producer whose chunked PushBatch is
   // interrupted by Close can exit with items from an earlier chunk still
   // queued, while a consumer only starts waiting *after* Close's broadcast
-  // has come and gone. The producer's exit path must notify based on queue
-  // occupancy or that consumer sleeps forever (the test then hangs and
-  // trips the ctest timeout). Many rounds to vary the interleaving of the
-  // three threads around the chunk boundaries.
+  // has come and gone. That consumer must still be woken to drain them, or
+  // it sleeps forever (the test then hangs and trips the ctest timeout).
+  // Many rounds to vary the interleaving of the three threads around the
+  // chunk boundaries.
   constexpr int kRounds = 400;
   for (int round = 0; round < kRounds; ++round) {
-    BoundedQueue<int> q(2);
+    QueueOf<TypeParam, int> q(2);
     std::atomic<int> accepted{0};
     std::thread producer([&] {
       std::vector<int> batch{0, 1, 2, 3, 4, 5, 6};  // 3.5x capacity: must chunk
@@ -324,6 +277,103 @@ TEST(BoundedQueueCloseTest, CloseDuringChunkedPushBatchWakesLateConsumers) {
     ASSERT_EQ(popped.load(), accepted.load())
         << "round " << round << ": accepted items lost";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Several producers: the MPMC ring only (fan-in links, TCP send queues).
+// ---------------------------------------------------------------------------
+
+TEST(MpmcQueueContractTest, MpmcStressDeliversEverythingExactlyOnce) {
+  constexpr int kProducers = 4;
+  constexpr int kConsumers = 3;
+  constexpr int kPerProducer = 20000;
+  RingQueue<std::pair<int, int>> q(64);
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
+    });
+  }
+  std::mutex mu;
+  std::map<int, std::vector<int>> received;  // producer -> sequence seen
+  std::vector<std::thread> consumers;
+  std::atomic<int> remaining{kProducers * kPerProducer};
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      while (remaining.fetch_sub(1) > 0) {
+        const auto [p, i] = q.Pop();
+        std::lock_guard<std::mutex> lock(mu);
+        received[p].push_back(i);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  for (auto& t : consumers) t.join();
+
+  size_t total = 0;
+  for (auto& [p, seqs] : received) {
+    total += seqs.size();
+    std::sort(seqs.begin(), seqs.end());
+    for (int i = 0; i < static_cast<int>(seqs.size()); ++i) {
+      ASSERT_EQ(seqs[i], i) << "producer " << p << " lost or duplicated an item";
+    }
+  }
+  EXPECT_EQ(total, static_cast<size_t>(kProducers) * kPerProducer);
+}
+
+TEST(MpmcQueueContractTest, PerProducerOrderPreservedWithSingleConsumer) {
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 10000;
+  RingQueue<std::pair<int, int>> q(32);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
+    });
+  }
+  std::vector<int> next(kProducers, 0);
+  for (int n = 0; n < kProducers * kPerProducer; ++n) {
+    const auto [p, i] = q.Pop();
+    ASSERT_EQ(i, next[p]) << "per-producer FIFO violated";
+    ++next[p];
+  }
+  for (auto& t : producers) t.join();
+}
+
+TEST(MpmcQueueContractTest, PushBatchFromManyProducersPreservesPerProducerFifo) {
+  // The invariant the batched transport layer leans on: whatever interleaving
+  // PushBatch chunks produce across producers, each producer's own items
+  // arrive in order. Small capacity forces chunking and backpressure.
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 5000;
+  constexpr int kBatch = 7;  // deliberately not a divisor of kPerProducer
+  RingQueue<std::pair<int, int>> q(16);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      std::vector<std::pair<int, int>> batch;
+      for (int i = 0; i < kPerProducer; ++i) {
+        batch.push_back({p, i});
+        if (batch.size() == kBatch) q.PushBatch(&batch);
+      }
+      q.PushBatch(&batch);  // flush the remainder
+    });
+  }
+  std::vector<int> next(kProducers, 0);
+  std::vector<std::pair<int, int>> out;
+  int received = 0;
+  while (received < kProducers * kPerProducer) {
+    out.clear();
+    q.PopBatch(&out, 32);
+    for (const auto& [p, i] : out) {
+      ASSERT_EQ(i, next[p]) << "per-producer FIFO violated under PushBatch";
+      ++next[p];
+      ++received;
+    }
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_EQ(q.size(), 0u);
 }
 
 }  // namespace

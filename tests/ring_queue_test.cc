@@ -1,3 +1,6 @@
+// Ring-specific stress for SpscRingQueue and RingQueue: cursor wraparound,
+// randomized batch sizes, close-point sweeps and close storms. The Queue<T>
+// contract both rings share is tested in queue_test.
 #include "stream/ring_queue.h"
 
 #include <algorithm>
@@ -15,14 +18,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // SpscRingQueue
 // ---------------------------------------------------------------------------
-
-TEST(SpscRingQueueTest, FifoSingleThread) {
-  SpscRingQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) q.Push(i);
-  EXPECT_EQ(q.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(q.Pop(), i);
-  EXPECT_EQ(q.size(), 0u);
-}
 
 TEST(SpscRingQueueTest, WraparoundAtTinyCapacities) {
   // Small capacities force the cursors around the ring thousands of times,
@@ -69,44 +64,6 @@ TEST(SpscRingQueueTest, RandomizedBatchSizesPreserveOrderExactlyOnce) {
 
   ASSERT_EQ(got.size(), static_cast<size_t>(kItems));
   for (int i = 0; i < kItems; ++i) ASSERT_EQ(got[i], i) << "lost, duplicated or reordered";
-}
-
-TEST(SpscRingQueueTest, CloseWhileFullUnblocksProducerAndKeepsAcceptedItems) {
-  SpscRingQueue<int> q(1);
-  EXPECT_EQ(q.Push(1), 1u);
-  std::atomic<size_t> second_push{999};
-  std::thread producer([&] { second_push.store(q.Push(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(second_push.load(), 999u) << "push did not block at capacity";
-  q.Close();
-  producer.join();
-  EXPECT_EQ(second_push.load(), 0u) << "close must reject the blocked push";
-  int out = -1;
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out, 1) << "the accepted item must survive close";
-  EXPECT_FALSE(q.TryPop(&out));
-}
-
-TEST(SpscRingQueueTest, CloseWhileEmptyUnblocksConsumer) {
-  SpscRingQueue<int> q(4);
-  std::atomic<size_t> popped{999};
-  std::thread consumer([&] {
-    std::vector<int> out;
-    popped.store(q.PopBatch(&out, 8));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(popped.load(), 999u) << "pop did not block on empty";
-  q.Close();
-  consumer.join();
-  EXPECT_EQ(popped.load(), 0u);
-}
-
-TEST(SpscRingQueueTest, PushBatchOnClosedQueueLeavesRemainder) {
-  SpscRingQueue<int> q(8);
-  q.Close();
-  std::vector<int> batch = {1, 2, 3};
-  EXPECT_EQ(q.PushBatch(&batch), 0u);
-  EXPECT_EQ(batch.size(), 3u) << "closed queue must leave the unaccepted remainder";
 }
 
 TEST(SpscRingQueueTest, ShutdownRaceLosesNoAcceptedItems) {
@@ -156,45 +113,6 @@ TEST(RingQueueTest, WraparoundAtTinyCapacities) {
     while (q.size() > 0) EXPECT_EQ(q.Pop(), next_out++);
     EXPECT_EQ(next_out, 4096) << "capacity " << cap;
   }
-}
-
-TEST(RingQueueTest, MpmcStressDeliversEverythingExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 20000;
-  RingQueue<std::pair<int, int>> q(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
-    });
-  }
-  std::mutex mu;
-  std::map<int, std::vector<int>> received;  // producer -> sequence seen
-  std::vector<std::thread> consumers;
-  std::atomic<int> remaining{kProducers * kPerProducer};
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (remaining.fetch_sub(1) > 0) {
-        const auto [p, i] = q.Pop();
-        std::lock_guard<std::mutex> lock(mu);
-        received[p].push_back(i);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  size_t total = 0;
-  for (auto& [p, seqs] : received) {
-    total += seqs.size();
-    std::sort(seqs.begin(), seqs.end());
-    for (int i = 0; i < static_cast<int>(seqs.size()); ++i) {
-      ASSERT_EQ(seqs[i], i) << "producer " << p << " lost or duplicated an item";
-    }
-  }
-  EXPECT_EQ(total, static_cast<size_t>(kProducers) * kPerProducer);
 }
 
 TEST(RingQueueTest, RandomizedBatchesPreservePerProducerFifo) {
@@ -284,78 +202,40 @@ TEST(RingQueueTest, CloseWhileEmptyRaceUnblocksAllConsumers) {
   }
 }
 
-TEST(RingQueueTest, PushBatchOnClosedQueueLeavesRemainder) {
-  RingQueue<int> q(8);
-  q.Push(1);
-  q.Close();
-  std::vector<int> batch = {2, 3};
-  EXPECT_EQ(q.PushBatch(&batch), 0u);
-  EXPECT_EQ(batch.size(), 2u);
-  int out = -1;
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out, 1);
-}
-
-TEST(RingQueueTest, DrainIsNonBlockingAndEmptiesTheQueue) {
-  RingQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) q.Push(i);
-  std::vector<int> out;
-  EXPECT_EQ(q.Drain(&out), 10u);
-  EXPECT_EQ(q.size(), 0u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
-  out.clear();
-  EXPECT_EQ(q.Drain(&out), 0u) << "drain on empty must not block";
-}
-
 // ---------------------------------------------------------------------------
 // Shared pieces
 // ---------------------------------------------------------------------------
 
-TEST(RingQueueHealthTest, GaugesMatchTheMutexQueueSemantics) {
-  for (QueueImpl impl : {QueueImpl::kRing, QueueImpl::kMutex}) {
-    for (bool spsc : {true, false}) {
-      auto q = MakeQueue<int>(impl, 4, spsc);
-      q->EnableHealthTracking();
-      q->Push(1);
-      q->Push(2);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      QueueHealth h = q->Health();
-      EXPECT_EQ(h.depth, 2u);
-      EXPECT_EQ(h.capacity, 4u);
-      EXPECT_GT(h.depth_ewma, 0.0);
-      EXPECT_GT(h.oldest_age_micros, 0);
-      q->Push(3);
-      q->Push(4);
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      h = q->Health();
-      EXPECT_GT(h.at_capacity_stretch_micros, 0) << "full queue must accrue capacity time";
-      int out = 0;
-      q->TryPop(&out);
-      h = q->Health();
-      EXPECT_EQ(h.depth, 3u);
-      EXPECT_GT(h.time_at_capacity_micros, 0);
-    }
+TEST(RingQueueHealthTest, GaugesTrackDepthAgeAndTimeAtCapacity) {
+  for (bool spsc : {true, false}) {
+    auto q = MakeQueue<int>(QueueImpl::kRing, 4, spsc);
+    q->EnableHealthTracking();
+    q->Push(1);
+    q->Push(2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    QueueHealth h = q->Health();
+    EXPECT_EQ(h.depth, 2u);
+    EXPECT_EQ(h.capacity, 4u);
+    EXPECT_GT(h.depth_ewma, 0.0);
+    EXPECT_GT(h.oldest_age_micros, 0);
+    q->Push(3);
+    q->Push(4);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    h = q->Health();
+    EXPECT_GT(h.at_capacity_stretch_micros, 0) << "full queue must accrue capacity time";
+    int out = 0;
+    q->TryPop(&out);
+    h = q->Health();
+    EXPECT_EQ(h.depth, 3u);
+    EXPECT_GT(h.time_at_capacity_micros, 0);
   }
 }
 
 TEST(MakeQueueTest, FactorySelectsTheRightImplementationPerLink) {
   auto spsc = MakeQueue<int>(QueueImpl::kRing, 8, /*spsc_safe=*/true);
   auto mpmc = MakeQueue<int>(QueueImpl::kRing, 8, /*spsc_safe=*/false);
-  auto mutex_q = MakeQueue<int>(QueueImpl::kMutex, 8, /*spsc_safe=*/true);
   EXPECT_NE(dynamic_cast<SpscRingQueue<int>*>(spsc.get()), nullptr);
   EXPECT_NE(dynamic_cast<RingQueue<int>*>(mpmc.get()), nullptr);
-  EXPECT_NE(dynamic_cast<BoundedQueue<int>*>(mutex_q.get()), nullptr);
-}
-
-TEST(QueueImplNameTest, RoundTrips) {
-  QueueImpl impl = QueueImpl::kMutex;
-  EXPECT_TRUE(ParseQueueImpl("ring", &impl));
-  EXPECT_EQ(impl, QueueImpl::kRing);
-  EXPECT_EQ(QueueImplName(impl), std::string("ring"));
-  EXPECT_TRUE(ParseQueueImpl("mutex", &impl));
-  EXPECT_EQ(impl, QueueImpl::kMutex);
-  EXPECT_EQ(QueueImplName(impl), std::string("mutex"));
-  EXPECT_FALSE(ParseQueueImpl("spinlock", &impl));
 }
 
 }  // namespace

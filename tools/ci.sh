@@ -24,6 +24,11 @@ cmake -B build -S . && cmake --build build -j && (cd build && ctest --output-on-
 
 echo "== overload scenarios =="
 (cd build && ctest -L overload --output-on-failure)
+# Repeated: the shed cases engage only because the joiner counts the batch
+# it has already popped as backlog. Without that, a flood reaches the
+# watermark only when a producer refills the queue first, so a regression
+# fails only some runs and one pass can miss it.
+(cd build && ctest -R overload_test --repeat until-fail:20 --output-on-failure)
 
 echo "== multi-process smoke =="
 # `net`-labeled tests open localhost sockets; net_smoke_test additionally
@@ -91,17 +96,17 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
   cmake --build build-tsan -j --target "${TSAN_SAFE_TARGETS[@]}"
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" ctest -L tsan_safe --output-on-failure)
 
-  echo "== sharded router snapshot-publish repetition (TSan, N=20) =="
+  echo "== sharded router snapshot-publish repetition (TSan, N=20/30) =="
   # With ingest lanes every lane's router reads the adaptive epoch list as
-  # an immutable snapshot while the replanner CAS-publishes replacements
-  # and folds observations under a try-lock (docs/INTERNALS.md §14). That
-  # publish/read edge is the newest lock-free surface in the repo; repeat
-  # the router unit tests and the shared-router lanes scenario so a torn
-  # read or lost-observation schedule has real odds of surfacing.
+  # an immutable snapshot while the replanner swaps in replacements under
+  # a pointer mutex and folds observations under a try-lock
+  # (docs/INTERNALS.md §14). Repeat the router unit tests and the
+  # shared-router lanes scenario so a torn read or lost-observation
+  # schedule has real odds of surfacing.
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
     ctest -R 'adaptive_router_test' --repeat until-fail:20 --output-on-failure)
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" GTEST_FILTER='*SharedAdaptiveRouter*' \
-    ctest -R 'ingest_lanes_test' --repeat until-fail:10 --output-on-failure)
+    ctest -R 'ingest_lanes_test' --repeat until-fail:30 --output-on-failure)
 
   echo "== lane-merge checkpoint capture repetition (TSan, N=5) =="
   # Async checkpoints capture the joiners' lane-merge buffers as record
@@ -115,10 +120,11 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
   echo "== ring-queue race repetition (TSan, N=200) =="
   # The close/wake interleavings in the lock-free rings are the raciest
   # code in the repo and a single pass rarely explores them; hammer the
-  # ring stress tests 200 times under TSan so a stranded-waiter or
-  # missed-close schedule has real odds of surfacing.
+  # ring stress tests and the Queue<T> contract suite 200 times under TSan
+  # so a stranded-waiter or missed-close schedule has real odds of
+  # surfacing.
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
-    ctest -R ring_queue_test --repeat until-fail:200 --output-on-failure)
+    ctest -R '^(ring_queue_test|queue_test)$' --repeat until-fail:200 --output-on-failure)
 
   echo "== address sanitizer =="
   # ASan also covers the network surface: the transport threads + wire
