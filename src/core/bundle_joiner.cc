@@ -66,11 +66,13 @@ uint64_t BundleJoiner::EvictOldestEntry() {
     approx_bytes_ -= ApproxBundleBytes(it->second);
     RemovePostings(entry.bundle_id, it->second);
     bundles_.erase(it);
-    // A retired id supersedes any dirty record of it (ids are never
-    // reused, so a later delta cannot resurrect it by accident).
-    dirty_bundles_.erase(entry.bundle_id);
-    retired_bundles_.push_back(entry.bundle_id);
-  } else {
+    if (log_changes_) {
+      // A retired id supersedes any dirty record of it (ids are never
+      // reused, so a later delta cannot resurrect it by accident).
+      dirty_bundles_.erase(entry.bundle_id);
+      retired_bundles_.push_back(entry.bundle_id);
+    }
+  } else if (log_changes_) {
     dirty_bundles_.insert(entry.bundle_id);
   }
   --alive_members_;
@@ -237,7 +239,7 @@ void BundleJoiner::AddMemberTokensToIndex(uint64_t bundle_id, Bundle& bundle,
     if (pos != bundle.indexed.end() && *pos == w) continue;
     bundle.indexed.insert(pos, w);
     approx_bytes_ += sizeof(TokenId) + sizeof(uint64_t);  // indexed token + posting
-    posting_appends_.emplace_back(w, bundle_id);
+    if (log_changes_) posting_appends_.emplace_back(w, bundle_id);
     std::vector<uint64_t>* list;
     if (options_.direct_index) {
       if (w >= dense_index_.size()) {
@@ -311,7 +313,7 @@ void BundleJoiner::Store(const RecordPtr& r, const AdmissionCandidate& admission
   approx_bytes_ += ApproxMemberBytes(member);
   if (bundle->members.capacity() == 0) bundle->members.reserve(4);
   bundle->members.emplace_back(uid, std::move(member));
-  dirty_bundles_.insert(bundle_id);
+  if (log_changes_) dirty_bundles_.insert(bundle_id);
   AddMemberTokensToIndex(bundle_id, *bundle, *r);
   store_order_.push_back(OrderEntry{bundle_id, uid, r->timestamp});
   ++alive_members_;
@@ -403,6 +405,7 @@ void BundleJoiner::MarkFrozen() {
   posting_appends_.clear();
   order_pops_since_freeze_ = 0;
   frozen_order_len_ = store_order_.size();
+  log_changes_ = true;
 }
 
 void BundleJoiner::Snapshot(std::string* out) const {
@@ -504,6 +507,9 @@ store::FrozenBlob BundleJoiner::FreezeBase() {
 }
 
 store::FrozenBlob BundleJoiner::FreezeDelta() {
+  // Nothing was logged before the first freeze or restore, so there is no
+  // earlier image a delta could apply to: ship a base instead.
+  if (!log_changes_) return FreezeBase();
   auto dirty = std::make_shared<std::vector<std::pair<uint64_t, Bundle>>>();
   dirty->reserve(dirty_bundles_.size());
   for (const uint64_t id : dirty_bundles_) {

@@ -85,7 +85,9 @@ class BundleJoiner : public LocalJoiner {
   /// Incremental checkpointing: Store, eviction, and index growth record
   /// which bundles were touched, which retired, and which postings were
   /// appended since the last freeze; a delta ships deep copies of just
-  /// the dirty bundles plus those logs. FreezeBase serializes the full
+  /// the dirty bundles plus those logs. The logs start at the first freeze
+  /// or restore, so a joiner nothing checkpoints keeps none, and a
+  /// FreezeDelta before that returns a base. FreezeBase serializes the full
   /// image eagerly (bundle state has no cheap immutable view, unlike the
   /// record joiner's refcounted window). Retired bundles take their
   /// postings with them, so a base costs O(live window) and a delta
@@ -94,6 +96,12 @@ class BundleJoiner : public LocalJoiner {
   store::FrozenBlob FreezeBase() override;
   store::FrozenBlob FreezeDelta() override;
   void RestoreDelta(const std::string& blob) override;
+
+  /// Entries held for the next delta (dirty and retired bundles, posting
+  /// appends); for tests.
+  size_t DeltaLogEntries() const {
+    return dirty_bundles_.size() + retired_bundles_.size() + posting_appends_.size();
+  }
 
  private:
   struct Member {
@@ -177,8 +185,9 @@ class BundleJoiner : public LocalJoiner {
   size_t alive_members_ = 0;
   size_t approx_bytes_ = 0;  ///< Σ ApproxBundleBytes + ApproxMemberBytes, live state
 
-  // Dirty tracking for delta checkpoints (reset by MarkFrozen). The set
-  // is ordered so a delta's bundle section serializes deterministically.
+  // Dirty tracking for delta checkpoints (reset by MarkFrozen, and kept
+  // only once log_changes_ is set). The set is ordered so a delta's bundle
+  // section serializes deterministically.
   // Posting appends are logged as (token, bundle) pairs because a bundle
   // keeps gaining indexed tokens over its life — rebuilding lists from
   // bundle state could not reproduce live list order.
@@ -187,6 +196,7 @@ class BundleJoiner : public LocalJoiner {
   std::vector<std::pair<TokenId, uint64_t>> posting_appends_;
   uint64_t order_pops_since_freeze_ = 0;
   uint64_t frozen_order_len_ = 0;
+  bool log_changes_ = false;  ///< set by the first freeze or restore
 
   /// Reused across individual verifications (batch_verify == false) so the
   /// E7 baseline measures merge cost, not per-member allocation.

@@ -169,7 +169,7 @@ class DispatcherBolt : public stream::Bolt {
     Dispatch(tuple, out);
   }
 
-  void ExecuteBatch(stream::TupleBatch batch, stream::OutputCollector& out) override {
+  void ExecuteBatch(stream::TupleBatch& batch, stream::OutputCollector& out) override {
     // Whole inbound batch routed without per-tuple virtual dispatch; the
     // collector coalesces the resulting EmitDirects per joiner task.
     for (stream::Tuple& tuple : batch) Dispatch(tuple, out);
@@ -295,7 +295,7 @@ class JoinerBolt : public stream::Bolt {
     Process(tuple, out);
   }
 
-  void ExecuteBatch(stream::TupleBatch batch, stream::OutputCollector& out) override {
+  void ExecuteBatch(stream::TupleBatch& batch, stream::OutputCollector& out) override {
     // One health read per batch: the queue cannot refill mid-batch beyond
     // what the sample saw by more than the in-flight producers, and the
     // sample itself takes the health tracker's lock.
@@ -441,15 +441,18 @@ class JoinerBolt : public stream::Bolt {
   /// never see the watermark unless a producer refilled the queue first.
   /// kProbe/kBundle are level-triggered (shed while over the watermark);
   /// kOldest latches the backlog size on the upward crossing and sheds
-  /// exactly that many probes. kBundle additionally shrinks the stored
-  /// window by 1/8 on each crossing, trading recall for service rate.
+  /// exactly that many probes, and stays latched until it has: the dip
+  /// that shedding itself causes is not the joiner catching up, and a
+  /// re-latch on the producer's next refill would shed every probe of a
+  /// flood. kBundle additionally shrinks the stored window by 1/8 on each
+  /// crossing, trading recall for service rate.
   void SampleHealth(size_t in_hand) {
     if (options_->shed_policy == stream::ShedPolicy::kNone || !queue_health_) return;
     const stream::QueueHealth h = queue_health_();
     const size_t backlog = h.depth + in_hand;
     const bool over = h.force_shed || backlog >= shed_threshold_;
     const bool was_over = shed_active_;
-    shed_active_ = over;
+    shed_active_ = over || shed_pending_ > 0;
     if (over && !was_over) {
       if (options_->shed_policy == stream::ShedPolicy::kOldest) {
         shed_pending_ += backlog;

@@ -1,6 +1,7 @@
 #ifndef DSSJ_NET_FRAME_ARENA_H_
 #define DSSJ_NET_FRAME_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -51,12 +52,17 @@ class FrameArena {
     if (blocks_used_ == blocks_.size()) blocks_.emplace_back();
     std::string& b = blocks_[blocks_used_++];
     b.resize(n);
+    block_bytes_ += n;
     return b.data();
   }
 
   /// Storage for `n` decoded tokens; stable until Reset(). Chunked so a
-  /// frame's worth of records shares a handful of allocations that are all
-  /// reused across frames.
+  /// frame's records share a few allocations that are reused across
+  /// frames. A chunk is sized to the frame: every decoded token used at
+  /// least one input byte (of the frame or of a decompressed block), so a
+  /// frame never needs more tokens than it has input bytes. A task that
+  /// keeps one tuple pins the whole arena, so a small frame must not carry
+  /// a large chunk.
   TokenId* AllocTokens(size_t n) {
     while (chunk_idx_ < chunks_.size() &&
            chunks_[chunk_idx_].size - chunk_off_ < n) {
@@ -64,7 +70,7 @@ class FrameArena {
       chunk_off_ = 0;
     }
     if (chunk_idx_ == chunks_.size()) {
-      const size_t cap = n > kTokenChunk ? n : kTokenChunk;
+      const size_t cap = std::max(n, std::min(kTokenChunk, bytes_.size() + block_bytes_));
       chunks_.push_back({std::make_unique<TokenId[]>(cap), cap});
       chunk_off_ = 0;
     }
@@ -89,6 +95,7 @@ class FrameArena {
     bytes_.clear();
     for (size_t i = 0; i < blocks_used_; ++i) blocks_[i].clear();
     blocks_used_ = 0;
+    block_bytes_ = 0;
     for (size_t i = 0; i < records_used_ && i < records_.size(); ++i) {
       records_[i] = Record();
     }
@@ -106,7 +113,7 @@ class FrameArena {
   }
 
  private:
-  static constexpr size_t kTokenChunk = 4096;
+  static constexpr size_t kTokenChunk = 512;
 
   struct TokenChunk {
     std::unique_ptr<TokenId[]> data;
@@ -116,6 +123,7 @@ class FrameArena {
   std::string bytes_;
   std::vector<std::string> blocks_;
   size_t blocks_used_ = 0;
+  size_t block_bytes_ = 0;  ///< decompressed bytes handed out since Reset()
   std::deque<Record> records_;
   size_t records_used_ = 0;
   std::vector<TokenChunk> chunks_;

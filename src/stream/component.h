@@ -87,12 +87,14 @@ class Bolt {
   /// Process one tuple; emit any outputs via `out`.
   virtual void Execute(Tuple tuple, OutputCollector& out) = 0;
 
-  /// Process a batch of tuples popped from the inbound queue under one lock
-  /// (FIFO order within the batch). The default forwards to Execute per
-  /// tuple; override to hoist per-batch work. Correctness must not depend
-  /// on batch boundaries — the executor may deliver any split, including
-  /// one tuple per batch (`batch_size=1`).
-  virtual void ExecuteBatch(TupleBatch batch, OutputCollector& out) {
+  /// Process a batch of tuples popped from the inbound queue (FIFO order
+  /// within the batch). The default forwards to Execute per tuple; override
+  /// to hoist per-batch work. Correctness must not depend on batch
+  /// boundaries — the executor may deliver any split, including one tuple
+  /// per batch (`batch_size=1`). The batch is the executor's own, reused
+  /// for every batch so its storage is allocated once: the bolt may move
+  /// tuples out of it, and the executor clears it afterwards.
+  virtual void ExecuteBatch(TupleBatch& batch, OutputCollector& out) {
     for (Tuple& t : batch) Execute(std::move(t), out);
   }
 

@@ -1194,7 +1194,9 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     ckpt.has_state = true;
   }
 
-  std::vector<Envelope> log;
+  // A deque: truncation at a durable epoch drops entries from the front
+  // without shifting the retained suffix.
+  std::deque<Envelope> log;
   size_t replay_pos = 0;
   size_t log_high = 0;  // log entries executed at least once (replay metric)
   int restarts = 0;
@@ -1374,7 +1376,6 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
         cap = std::min(cap, freeze_anchor + ckpt_interval - executed_total);
       }
       const size_t run = static_cast<size_t>(cap);
-      batch.clear();
       int64_t batch_extra_ns = 0;
       for (size_t k = replay_pos; k < replay_pos + run; ++k) {
         batch_extra_ns += log[k].extra_busy_ns;
@@ -1385,7 +1386,8 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
         m.replayed_tuples.Add(std::min<uint64_t>(run, log_high - replay_pos));
       }
       const int64_t begin = NowNanos();
-      task.bolt->ExecuteBatch(std::move(batch), collector);
+      task.bolt->ExecuteBatch(batch, collector);
+      batch.clear();
       m.executed.Add(run);
       m.execute_nanos.Add(static_cast<uint64_t>(NowNanos() - begin));
       simulated_busy_ns += batch_extra_ns;
@@ -1429,7 +1431,6 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
       } else {
         // Unsupervised fast path: no log, tuples move straight into the
         // batch (byte-for-byte the pre-supervision executor).
-        batch.clear();
         int64_t batch_extra_ns = 0;
         for (size_t k = run_begin; k < idx; ++k) {
           batch_extra_ns += (*in)[k].extra_busy_ns;
@@ -1437,7 +1438,8 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
         }
         const size_t executed = idx - run_begin;
         const int64_t begin = NowNanos();
-        task.bolt->ExecuteBatch(std::move(batch), collector);
+        task.bolt->ExecuteBatch(batch, collector);
+        batch.clear();
         m.executed.Add(executed);
         // One sample per batch (per-tuple timing would dominate small
         // Execute bodies at large batch sizes).

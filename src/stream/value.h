@@ -1,6 +1,8 @@
 #ifndef DSSJ_STREAM_VALUE_H_
 #define DSSJ_STREAM_VALUE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -19,112 +21,46 @@ namespace dssj::stream {
 /// edge crosses simulated workers.
 using Value = std::variant<int64_t, double, std::string, std::shared_ptr<const void>>;
 
-namespace detail {
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_MEMORY__)
-#define DSSJ_VALUE_FREELIST 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(memory_sanitizer)
-#define DSSJ_VALUE_FREELIST 0
-#endif
-#endif
-#ifndef DSSJ_VALUE_FREELIST
-#define DSSJ_VALUE_FREELIST 1
-#endif
-
-/// Allocator for a tuple's field vector. Almost every tuple carries a
-/// handful of fields, and the frame receive path constructs one short-lived
-/// field vector per decoded tuple, so requests of up to kSmall elements are
-/// served from a thread-local freelist of fixed kSmall-element blocks
-/// instead of malloc. Larger vectors fall through to operator new. Stateless
-/// (all instances compare equal), so vector moves still steal the buffer.
-/// Disabled under ASan/MSan: recycling would hide use-after-free of freed
-/// tuples from the sanitizer.
-template <typename T>
-class SmallVecAllocator {
- public:
-  using value_type = T;
-  static constexpr size_t kSmall = 4;
-
-  SmallVecAllocator() noexcept = default;
-  template <typename U>
-  SmallVecAllocator(const SmallVecAllocator<U>&) noexcept {}
-
-  T* allocate(size_t n) {
-#if DSSJ_VALUE_FREELIST
-    if (n <= kSmall) {
-      auto& fl = Freelist();
-      if (!fl.blocks.empty()) {
-        T* p = static_cast<T*>(fl.blocks.back());
-        fl.blocks.pop_back();
-        return p;
-      }
-      return static_cast<T*>(::operator new(kSmall * sizeof(T)));
-    }
-#endif
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-
-  void deallocate(T* p, size_t n) noexcept {
-#if DSSJ_VALUE_FREELIST
-    // Any allocation with n <= kSmall handed out a full kSmall-element
-    // block, so every block on the freelist has the same size.
-    if (n <= kSmall) {
-      auto& fl = Freelist();
-      if (fl.blocks.size() < kMaxFree) {
-        fl.blocks.push_back(p);
-        return;
-      }
-    }
-#else
-    (void)n;
-#endif
-    ::operator delete(p);
-  }
-
-  friend bool operator==(const SmallVecAllocator&, const SmallVecAllocator&) noexcept {
-    return true;
-  }
-  friend bool operator!=(const SmallVecAllocator&, const SmallVecAllocator&) noexcept {
-    return false;
-  }
-
- private:
-  /// Caps per-thread retention (kMaxFree * kSmall * sizeof(Value) bytes);
-  /// producer/consumer threads free into their own lists, so an unbounded
-  /// list on a consumer-only thread would grow forever.
-  static constexpr size_t kMaxFree = 4096;
-
-  struct FreelistHolder {
-    std::vector<void*> blocks;
-    ~FreelistHolder() {
-      for (void* p : blocks) ::operator delete(p);
-    }
-  };
-
-  static FreelistHolder& Freelist() {
-    thread_local FreelistHolder fl;
-    return fl;
-  }
-};
-
-}  // namespace detail
-
 /// The unit of data flowing through a topology. A tuple is an ordered list
 /// of fields plus a serialized-size estimate used by the network accounting.
-/// Copyable (copies share opaque payloads).
+/// The first kInlineFields fields live inside the tuple, so building,
+/// moving and dropping the shapes the join topology moves (at most four
+/// fields) never touches the heap; wider tuples keep the rest in one heap
+/// vector. Copyable (copies share opaque payloads); a moved-from tuple is
+/// empty.
 class Tuple {
  public:
-  Tuple() = default;
-  explicit Tuple(std::vector<Value> values) {
-    values_.reserve(values.size());
-    for (Value& v : values) values_.push_back(std::move(v));
-  }
+  static constexpr size_t kInlineFields = 4;
 
-  size_t num_fields() const { return values_.size(); }
+  Tuple() noexcept {}
+  explicit Tuple(std::vector<Value> values) : Tuple() {
+    Reserve(values.size());
+    for (Value& v : values) Append(std::move(v));
+  }
+  Tuple(const Tuple& other) : Tuple() { *this = other; }
+  Tuple(Tuple&& other) noexcept { StealFrom(other); }
+  Tuple& operator=(const Tuple& other) {
+    if (this != &other) {
+      Clear();
+      Reserve(other.size_);
+      for (size_t i = 0; i < other.size_; ++i) Append(other.field(i));
+      payload_bytes_ = other.payload_bytes_;
+    }
+    return *this;
+  }
+  Tuple& operator=(Tuple&& other) noexcept {
+    if (this != &other) {
+      Clear();
+      StealFrom(other);
+    }
+    return *this;
+  }
+  ~Tuple() { Clear(); }
+
+  size_t num_fields() const { return size_; }
   const Value& field(size_t i) const {
-    DCHECK_LT(i, values_.size());
-    return values_[i];
+    DCHECK_LT(i, size_);
+    return i < kInlineFields ? *Slot(i) : (*overflow_)[i - kInlineFields];
   }
 
   int64_t Int(size_t i) const { return std::get<int64_t>(field(i)); }
@@ -138,10 +74,23 @@ class Tuple {
     return std::static_pointer_cast<const T>(std::get<std::shared_ptr<const void>>(field(i)));
   }
 
-  void Append(Value v) { values_.push_back(std::move(v)); }
+  void Append(Value v) {
+    if (size_ < kInlineFields) {
+      new (Slot(size_)) Value(std::move(v));
+    } else {
+      if (overflow_ == nullptr) overflow_ = std::make_unique<std::vector<Value>>();
+      overflow_->push_back(std::move(v));
+    }
+    ++size_;
+  }
 
-  /// Pre-sizes the field vector (frame decoding knows the count up front).
-  void Reserve(size_t n) { values_.reserve(n); }
+  /// Pre-sizes the heap overflow for a tuple wider than kInlineFields
+  /// (frame decoding knows the count up front); a no-op otherwise.
+  void Reserve(size_t n) {
+    if (n <= kInlineFields) return;
+    if (overflow_ == nullptr) overflow_ = std::make_unique<std::vector<Value>>();
+    overflow_->reserve(n - kInlineFields);
+  }
 
   /// Declares the wire size of opaque payload fields (bytes). Scalar and
   /// string fields are sized automatically; call this once per tuple whose
@@ -153,8 +102,8 @@ class Tuple {
   /// string, declared payload bytes for opaque fields, plus a fixed header.
   size_t SerializedBytes() const {
     size_t bytes = 16;  // frame header
-    for (const Value& v : values_) {
-      if (const auto* s = std::get_if<std::string>(&v)) {
+    for (size_t i = 0; i < size_; ++i) {
+      if (const auto* s = std::get_if<std::string>(&field(i))) {
         bytes += 4 + s->size();
       } else {
         bytes += 8;
@@ -164,7 +113,32 @@ class Tuple {
   }
 
  private:
-  std::vector<Value, detail::SmallVecAllocator<Value>> values_;
+  Value* Slot(size_t i) { return reinterpret_cast<Value*>(inline_) + i; }
+  const Value* Slot(size_t i) const { return reinterpret_cast<const Value*>(inline_) + i; }
+
+  /// Destroys every field; keeps payload_bytes_ (assignment overwrites it).
+  void Clear() noexcept {
+    for (size_t i = 0; i < size_ && i < kInlineFields; ++i) Slot(i)->~Value();
+    overflow_.reset();
+    size_ = 0;
+  }
+
+  /// Takes `other`'s fields into this empty tuple and leaves `other` empty.
+  void StealFrom(Tuple& other) noexcept {
+    const size_t n = std::min(other.size_, kInlineFields);
+    for (size_t i = 0; i < n; ++i) {
+      new (Slot(i)) Value(std::move(*other.Slot(i)));
+      other.Slot(i)->~Value();
+    }
+    overflow_ = std::move(other.overflow_);
+    size_ = other.size_;
+    payload_bytes_ = other.payload_bytes_;
+    other.size_ = 0;
+  }
+
+  alignas(Value) unsigned char inline_[sizeof(Value) * kInlineFields];
+  std::unique_ptr<std::vector<Value>> overflow_;  ///< fields [kInlineFields, size_)
+  size_t size_ = 0;
   size_t payload_bytes_ = 0;
 };
 
@@ -172,28 +146,21 @@ class Tuple {
 /// Small-vector: up to kInlineCapacity tuples live inline (no heap
 /// allocation for the common dispatcher fan-out of a handful of targets);
 /// larger batches spill to a single heap block. Elements are always
-/// contiguous, so iteration is pointer-based. Move-only — copying a batch
-/// on the hot path is almost certainly a bug.
+/// contiguous, so iteration is pointer-based. Neither copyable nor
+/// movable: an executor owns one batch and lends it to Bolt::ExecuteBatch
+/// by reference, so the storage it grew is reused for every batch.
 class TupleBatch {
  public:
   static constexpr size_t kInlineCapacity = 8;
 
   TupleBatch() noexcept : data_(InlineData()) {}
-
-  TupleBatch(TupleBatch&& other) noexcept : data_(InlineData()) { StealFrom(other); }
-
-  TupleBatch& operator=(TupleBatch&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      StealFrom(other);
-    }
-    return *this;
-  }
-
   TupleBatch(const TupleBatch&) = delete;
   TupleBatch& operator=(const TupleBatch&) = delete;
 
-  ~TupleBatch() { Reset(); }
+  ~TupleBatch() {
+    clear();
+    if (!IsInline()) ::operator delete(data_);
+  }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -244,35 +211,6 @@ class TupleBatch {
     if (!IsInline()) ::operator delete(data_);
     data_ = fresh;
     capacity_ = new_capacity;
-  }
-
-  /// Leaves `other` empty with inline storage.
-  void StealFrom(TupleBatch& other) noexcept {
-    if (other.IsInline()) {
-      for (size_t i = 0; i < other.size_; ++i) {
-        new (data_ + i) Tuple(std::move(other.data_[i]));
-        other.data_[i].~Tuple();
-      }
-      size_ = other.size_;
-      capacity_ = kInlineCapacity;
-    } else {
-      data_ = other.data_;
-      size_ = other.size_;
-      capacity_ = other.capacity_;
-      other.data_ = other.InlineData();
-      other.capacity_ = kInlineCapacity;
-    }
-    other.size_ = 0;
-  }
-
-  /// Destroys elements and releases any heap block (back to inline state).
-  void Reset() {
-    clear();
-    if (!IsInline()) {
-      ::operator delete(data_);
-      data_ = InlineData();
-      capacity_ = kInlineCapacity;
-    }
   }
 
   Tuple* data_;

@@ -195,6 +195,47 @@ TEST(BundleJoinerTest, IndexAndBaseStayBoundedByTheWindow) {
   EXPECT_GT(joiner.stats().dead_postings_purged, 0u);
 }
 
+// The delta logs feed the next checkpoint, so a joiner that is never
+// frozen (an unsupervised run, or checkpoint_interval = 0) must not keep
+// them: over many windows with no freeze they stay within one window's
+// worth of entries. Once frozen, a FreezeDelta drains them again.
+TEST(BundleJoinerTest, DeltaLogsStayBoundedWithoutFreezes) {
+  constexpr size_t kPerWindow = 200;
+  constexpr size_t kWindows = 25;
+  WorkloadOptions wo;
+  wo.seed = 43;
+  wo.token_universe = 1u << 16;
+  wo.duplicate_fraction = 0.4;
+  wo.dup_locality = 100;
+  wo.timestamp_step_us = 1000;
+  const auto stream = WorkloadGenerator(wo).Generate(kPerWindow * (kWindows + 1));
+  const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);
+  const WindowSpec window =
+      WindowSpec::ByTime(static_cast<int64_t>(kPerWindow) * wo.timestamp_step_us);
+  BundleJoiner joiner(sim, window);
+  const auto cb = [](const ResultPair&) {};
+  const size_t unfrozen = kPerWindow * kWindows;
+  for (size_t i = 0; i < unfrozen; ++i) joiner.Process(stream[i], true, true, cb);
+  ASSERT_GT(joiner.stats().evictions, kPerWindow * (kWindows - 2));
+  EXPECT_LE(joiner.DeltaLogEntries(), kPerWindow) << "after " << unfrozen << " records";
+
+  // A delta asked for before any freeze has nothing to apply to: it comes
+  // back as a base image that restores on its own.
+  store::FrozenBlob first = joiner.FreezeDelta();
+  EXPECT_FALSE(first.is_delta);
+  std::string base;
+  first.encode(&base);
+  BundleJoiner restored(sim, window);
+  restored.Restore(base);
+  EXPECT_EQ(restored.StoredCount(), joiner.StoredCount());
+  EXPECT_EQ(restored.BundleCount(), joiner.BundleCount());
+
+  for (size_t i = unfrozen; i < stream.size(); ++i) joiner.Process(stream[i], true, true, cb);
+  EXPECT_GT(joiner.DeltaLogEntries(), 0u);
+  EXPECT_TRUE(joiner.FreezeDelta().is_delta);
+  EXPECT_EQ(joiner.DeltaLogEntries(), 0u);
+}
+
 TEST(BundleJoinerTest, MemoryAccountingIsMonotoneInWindow) {
   const auto stream = DupStream(37, 2000, 0.4);
   const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);

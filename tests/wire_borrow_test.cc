@@ -84,6 +84,52 @@ TEST(BorrowLifetimeTest, BorrowedTokensOutliveTheArenaHandle) {
   }
 }
 
+// A task that keeps one received tuple (a replay-log entry waiting for a
+// durable epoch, a lane-merge buffer) pins that tuple's whole arena, so the
+// arena must be sized to its frame, not to a fixed floor. Decoding one
+// 32-record frame may hold the frame copy (up to twice its size, string
+// growth), at most one token per frame byte (every decoded token used at
+// least one), and the Record objects — nothing more.
+TEST(BorrowLifetimeTest, ArenaMemoryIsProportionalToTheFrame) {
+  constexpr size_t kRecords = 32;
+  const net::PayloadCodec codec = RecordWireCodec();
+  std::vector<Envelope> envs;
+  for (size_t i = 0; i < kRecords; ++i) {
+    auto record = std::make_shared<Record>();
+    record->id = i;
+    record->seq = i;
+    record->timestamp = static_cast<int64_t>(i);
+    const auto t = static_cast<TokenId>(i);
+    record->tokens = std::vector<TokenId>{t, t + 40, t + 300, t + 2000, t + 70000};
+    Envelope e;
+    e.tuple = MakeTuple(std::shared_ptr<const void>(record), static_cast<int64_t>(i));
+    e.source_task = 1;
+    e.link_seq = i + 1;
+    envs.push_back(std::move(e));
+  }
+  // The compressed codec also holds the decompressed section, which the
+  // compressed frame size does not bound.
+  for (const WireCodec wire : {WireCodec::kRaw, WireCodec::kDelta}) {
+    std::string bytes;
+    net::AppendDataFrame(wire, 1, 2, envs, &codec, &bytes);
+    net::FrameArenaPool pool(0);
+    auto arena = pool.Acquire();
+    arena->bytes() = bytes;
+    net::Frame frame;
+    size_t consumed = 0;
+    std::string error;
+    ASSERT_EQ(net::ParseFrame(arena->bytes().data(), bytes.size(), &codec,
+                              net::kDefaultMaxFrameBytes, &frame, &consumed, &error, arena),
+              net::ParseStatus::kFrame)
+        << error;
+    ASSERT_EQ(frame.envelopes.size(), kRecords);
+    const size_t bound =
+        2 * bytes.size() + sizeof(TokenId) * bytes.size() + kRecords * sizeof(Record);
+    EXPECT_LE(arena->MemoryBytes(), bound)
+        << net::WireCodecName(wire) << ": " << bytes.size() << "-byte frame";
+  }
+}
+
 TEST(BorrowLifetimeTest, NullArenaDecodesOwnEverything) {
   const net::PayloadCodec codec = RecordWireCodec();
   for (const WireCodec wire : kAllCodecs) {

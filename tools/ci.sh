@@ -87,7 +87,7 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
                      stream_substrate_misc_test fault_recovery_test
                      distributed_join_test adaptive_router_test
                      ingest_lanes_test checkpoint_equivalence_test
-                     migration_test)
+                     migration_test tuple_hop_alloc_test)
 
   echo "== thread sanitizer =="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
