@@ -41,19 +41,6 @@ class MaxGauge {
   std::atomic<uint64_t> value_;
 };
 
-/// Thread-safe last-value gauge (e.g. current queue depth). Writers
-/// overwrite, readers get the most recent value (relaxed ordering).
-class Gauge {
- public:
-  Gauge() : value_(0) {}
-
-  void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  int64_t Get() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_;
-};
-
 /// Single-threaded running aggregate: count, mean, variance (Welford),
 /// min and max. Merge two instances with Merge().
 class RunningStat {

@@ -40,10 +40,8 @@ const char* kSinkName = "sink";
 
 /// State shared between the driver and the bolts of one run.
 struct SharedState {
-  explicit SharedState(int num_joiners)
-      : joiner_stats(num_joiners), joiner_stored(num_joiners, 0) {}
+  explicit SharedState(int num_joiners) : joiner_stats(num_joiners) {}
 
-  std::atomic<uint64_t> result_count{0};
   Histogram latency;
 
   std::mutex pairs_mu;
@@ -51,16 +49,11 @@ struct SharedState {
 
   // Written once per joiner task at Finish (disjoint slots).
   std::vector<JoinerStats> joiner_stats;
-  std::vector<size_t> joiner_stored;
 
   // Written by the (single) adaptive dispatcher at Finish.
   std::atomic<uint64_t> router_replans{0};
   std::atomic<uint64_t> router_live_epochs{0};
 
-  // Shedding totals, published by joiners at Finish (like result_count, so
-  // a crashed incarnation's half-done sheds die with it).
-  std::atomic<uint64_t> shed_probes{0};
-  std::atomic<uint64_t> shed_pairs_upper_bound{0};
   std::mutex shed_mu;
   std::vector<std::pair<uint64_t, int>> shed_probe_seqs;  ///< (probe seq, partition)
 };
@@ -315,28 +308,25 @@ class JoinerBolt : public stream::Bolt {
     // Side effects stay bolt-local until here so a crashed incarnation's
     // half-done work dies with it (the supervisor replays into a fresh
     // instance); the surviving incarnation publishes once.
-    shared_->result_count.fetch_add(result_count_, std::memory_order_relaxed);
+    const JoinerStats& js = joiner_->stats();
     shared_->latency.Merge(latency_);
-    shared_->joiner_stats[partition_] = joiner_->stats();
-    shared_->joiner_stored[partition_] = joiner_->StoredCount();
-    shared_->shed_probes.fetch_add(shed_probes_, std::memory_order_relaxed);
-    shared_->shed_pairs_upper_bound.fetch_add(shed_ub_, std::memory_order_relaxed);
+    shared_->joiner_stats[partition_] = js;
     if (!shed_seqs_.empty()) {
       std::lock_guard<std::mutex> lock(shared_->shed_mu);
       for (const uint64_t seq : shed_seqs_) {
         shared_->shed_probe_seqs.emplace_back(seq, partition_);
       }
     }
-    if (metrics_ != nullptr) {
-      // app_results rides the transport's metrics barrier, so the
-      // coordinator's result_count is cluster-wide under kTcp.
-      metrics_->app_results.Add(result_count_);
-      metrics_->shed_probes.Add(shed_probes_);
-      metrics_->shed_pairs_upper_bound.Add(shed_ub_);
-      const JoinerStats& js = joiner_->stats();
-      metrics_->spilled_bytes.Add(js.spilled_bytes);
-      metrics_->spill_reads.Add(js.spill_reads);
-    }
+    // Task counters ride the transport's metrics barrier, so the
+    // coordinator's result counters are cluster-wide under kTcp.
+    metrics_->result_count.Add(result_count_);
+    metrics_->stores.Add(js.stores);
+    metrics_->shed_probes.Add(shed_probes_);
+    metrics_->shed_pairs_upper_bound.Add(shed_ub_);
+    metrics_->budget_evictions.Add(js.budget_evictions);
+    metrics_->eviction_horizon_seq.Update(js.eviction_horizon_seq);
+    metrics_->spilled_bytes.Add(js.spilled_bytes);
+    metrics_->spill_reads.Add(js.spill_reads);
   }
 
   /// Checkpoint = emission-rule result count + shed accounting + (under
@@ -1179,21 +1169,12 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   result.throughput_rps = result.elapsed_seconds > 0.0
                               ? static_cast<double>(input.size()) / result.elapsed_seconds
                               : 0.0;
-  result.result_count = shared->result_count.load(std::memory_order_relaxed);
-  if (options.transport == JoinTransport::kTcp) {
-    // Remote joiners publish result_count through the metrics barrier, not
-    // the process-local SharedState.
-    result.result_count = stream::Aggregate(topology->TasksOf(kJoinerName)).app_results;
-  }
+  static_cast<stream::CounterTotals&>(result) = stream::Aggregate(topology->AllTasks());
   if (options.collect_results) result.pairs = std::move(shared->pairs);
 
-  const stream::ComponentAggregate dispatch =
-      stream::Aggregate(topology->TasksOf(kDispatcherName));
-  result.dispatch_messages = dispatch.total_messages;
+  const stream::CounterTotals dispatch = stream::Aggregate(topology->TasksOf(kDispatcherName));
+  result.dispatch_messages = dispatch.emitted;
   result.dispatch_bytes = dispatch.total_bytes;
-  const stream::ComponentAggregate all = stream::Aggregate(topology->AllTasks());
-  result.remote_messages = all.remote_messages;
-  result.remote_bytes = all.remote_bytes;
 
   result.joiner_stats = shared->joiner_stats;
   result.joiner_busy_micros.reserve(options.num_joiners);
@@ -1205,13 +1186,13 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   const auto add_stage = [&result, &topology](const char* name) {
     const std::vector<stream::TaskStats> tasks = topology->TasksOf(name);
     if (tasks.empty()) return;
-    const stream::ComponentAggregate agg = stream::Aggregate(tasks);
+    const stream::CounterTotals agg = stream::Aggregate(tasks);
     DistributedJoinResult::StageTime st;
     st.component = name;
     st.tasks = static_cast<int>(tasks.size());
-    st.busy_micros = agg.busy_nanos_sum / 1000;
-    st.idle_micros = agg.idle_nanos_sum / 1000;
-    st.blocked_micros = agg.blocked_nanos_sum / 1000;
+    st.busy_micros = agg.busy_nanos / 1000;
+    st.idle_micros = agg.idle_nanos / 1000;
+    st.blocked_micros = agg.blocked_nanos / 1000;
     result.stage_times.push_back(std::move(st));
   };
   add_stage(kSourceName);
@@ -1230,39 +1211,15 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
       bottleneck_ns > 0
           ? static_cast<double>(input.size()) / (static_cast<double>(bottleneck_ns) / 1e9)
           : 0.0;
-  uint64_t stores = 0;
-  for (const JoinerStats& s : result.joiner_stats) stores += s.stores;
-  result.total_stores = stores;
-  result.replication_factor =
-      input.empty() ? 0.0 : static_cast<double>(stores) / static_cast<double>(input.size());
+  result.replication_factor = input.empty() ? 0.0
+                                             : static_cast<double>(result.stores) /
+                                                   static_cast<double>(input.size());
   result.latency = SummarizeLatency(shared->latency);
   result.router_replans = shared->router_replans.load(std::memory_order_relaxed);
   result.router_live_epochs = shared->router_live_epochs.load(std::memory_order_relaxed);
   result.ok = topology->ok();
   result.failure_message = topology->failure_message();
-  result.restarts = all.restarts;
-  result.replayed_tuples = all.replayed_tuples;
-  result.checkpoints = all.checkpoints;
-  result.checkpoint_bytes = all.checkpoint_bytes;
-  result.delta_checkpoints = all.delta_checkpoints;
-  result.base_checkpoints = all.base_checkpoints;
-  result.delta_checkpoint_bytes = all.delta_checkpoint_bytes;
-  result.base_checkpoint_bytes = all.base_checkpoint_bytes;
-  result.spilled_bytes = all.spilled_bytes;
-  result.spill_reads = all.spill_reads;
-  result.link_drops_recovered = all.link_drops_recovered;
-  result.link_dups_discarded = all.link_dups_discarded;
-  result.migrations = all.migrations;
-  result.migration_bytes = all.migration_bytes;
-  result.shed_probes = shared->shed_probes.load(std::memory_order_relaxed);
-  result.shed_pairs_upper_bound =
-      shared->shed_pairs_upper_bound.load(std::memory_order_relaxed);
   result.shed_probe_seqs = std::move(shared->shed_probe_seqs);
-  for (const JoinerStats& s : result.joiner_stats) {
-    result.budget_evictions += s.budget_evictions;
-    result.eviction_horizon_seq =
-        std::max(result.eviction_horizon_seq, s.eviction_horizon_seq);
-  }
   return result;
 }
 

@@ -17,6 +17,7 @@
 #include "net/wire.h"
 #include "store/options.h"
 #include "stream/fault.h"
+#include "stream/metrics.h"
 #include "stream/overload.h"
 #include "text/record.h"
 
@@ -258,17 +259,24 @@ struct LatencySummary {
 /// Everything a run produces: results (or their count), timing, and the
 /// communication/load metrics the paper's evaluation reports.
 ///
-/// Under JoinTransport::kTcp the coordinator (rank 0) reports cluster-wide
-/// values for every counter that rides the end-of-run metrics barrier —
-/// result_count, communication, busy times, fault/overload counters — and
-/// owns `pairs` (the sink is placed on worker 0). Fields published through
-/// process-local shared state (joiner_stats, latency, shed_probe_seqs,
-/// replication_factor/total_stores, router_*) cover only the joiners this
-/// rank hosts. Worker ranks (> 0) report their local view; use ok() /
+/// The base holds every task counter (stream/metrics.h) merged over all of
+/// the run's tasks: result_count, stores, remote_messages/bytes, busy
+/// times, checkpoint, spill, shed, budget-eviction and migration counters.
+/// Under JoinTransport::kTcp the coordinator (rank 0) reports those
+/// cluster-wide, as it does everything derived from them, and owns `pairs`
+/// (the sink is placed on worker 0). Only `joiner_stats`, `latency` and
+/// `shed_probe_seqs` are process-local and cover just the joiners this
+/// rank hosts. Worker ranks (> 0) report their local view; use ok /
 /// failure_message there.
-struct DistributedJoinResult {
+///
+/// `shed_probes` counts probe sides dropped under pressure; every shed
+/// record is still stored, so `pairs` misses exactly the oracle pairs whose
+/// probe seq appears in `shed_probe_seqs`. `shed_pairs_upper_bound` sums
+/// StoredCount at each shed — a cheap overestimate of lost pairs.
+/// `budget_evictions` and `eviction_horizon_seq` total the joiners' memory
+/// budget evictions (see JoinerStats).
+struct DistributedJoinResult : stream::CounterTotals {
   std::vector<ResultPair> pairs;  ///< filled iff options.collect_results
-  uint64_t result_count = 0;
 
   uint64_t input_records = 0;
   double elapsed_seconds = 0.0;
@@ -284,13 +292,9 @@ struct DistributedJoinResult {
   /// Dispatch communication (dispatcher tier → joiner tier).
   uint64_t dispatch_messages = 0;
   uint64_t dispatch_bytes = 0;
-  /// Subset of the above crossing simulated workers.
-  uint64_t remote_messages = 0;
-  uint64_t remote_bytes = 0;
 
-  /// Σ stores across joiners / input records: 1.0 means no replication.
+  /// `stores` / input records: 1.0 means no replication.
   double replication_factor = 0.0;
-  uint64_t total_stores = 0;
 
   LatencySummary latency;
 
@@ -315,45 +319,14 @@ struct DistributedJoinResult {
   uint64_t router_replans = 0;
   uint64_t router_live_epochs = 0;
 
-  /// Fault tolerance (meaningful under options.supervise; ok is always true
-  /// otherwise). ok == false means some task exhausted its restart budget
-  /// and the result set is incomplete.
+  /// False when the run failed (failure_message says why); the result set
+  /// is then incomplete.
   bool ok = true;
   std::string failure_message;
-  uint64_t restarts = 0;
-  uint64_t replayed_tuples = 0;
-  uint64_t checkpoints = 0;
-  uint64_t checkpoint_bytes = 0;
-  /// Base/delta split of the above, plus spill-tier traffic: bytes moved
-  /// to cold segments and cold read-backs (0 unless options.store_dir).
-  uint64_t delta_checkpoints = 0;
-  uint64_t base_checkpoints = 0;
-  uint64_t delta_checkpoint_bytes = 0;
-  uint64_t base_checkpoint_bytes = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_reads = 0;
-  uint64_t link_drops_recovered = 0;
-  uint64_t link_dups_discarded = 0;
 
-  /// Overload control (0/empty unless options enable a shed policy).
-  /// `shed_probes` counts probe sides dropped under pressure; every shed
-  /// record still stored, so `pairs` misses exactly the oracle pairs whose
-  /// probe seq appears in `shed_probe_seqs` (filled iff collect_results;
-  /// each entry is (probe seq, joiner partition)). `shed_pairs_upper_bound`
-  /// sums StoredCount at each shed — a cheap overestimate of lost pairs.
-  uint64_t shed_probes = 0;
-  uint64_t shed_pairs_upper_bound = 0;
+  /// Shed probes as (probe seq, joiner partition), filled iff
+  /// collect_results (empty unless options enable a shed policy).
   std::vector<std::pair<uint64_t, int>> shed_probe_seqs;
-
-  /// Memory-budget evictions across joiners (see JoinerStats).
-  uint64_t budget_evictions = 0;
-  uint64_t eviction_horizon_seq = 0;
-
-  /// Elastic scaling (0 unless options.elastic or a migrate/kill_worker
-  /// fault verb ran): completed live migrations and the cumulative
-  /// serialized state shipped between incarnations.
-  uint64_t migrations = 0;
-  uint64_t migration_bytes = 0;
 };
 
 /// Runs the distributed streaming join over `input` (replayed in order as a

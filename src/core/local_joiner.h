@@ -176,62 +176,29 @@ inline RecordPtr ReadRecordFrom(BinaryReader* r) {
   return std::make_shared<const Record>(id, seq, timestamp, std::move(tokens));
 }
 
+/// Calls `f` on every JoinerStats counter in checkpoint byte order: the one
+/// list WriteJoinerStats and ReadJoinerStats walk. `Stats` is JoinerStats
+/// or const JoinerStats.
+template <typename Stats, typename F>
+void ForEachJoinerStat(Stats& s, F f) {
+  for (auto* v : {&s.probes, &s.stores, &s.evictions, &s.results, &s.budget_evictions,
+                  &s.eviction_horizon_seq, &s.postings_scanned, &s.dead_postings_purged,
+                  &s.candidates, &s.length_filtered, &s.position_filtered, &s.suffix_filtered,
+                  &s.verify.merge_steps, &s.verify.full_verifications,
+                  &s.verify.diff_verifications, &s.verify.early_exits, &s.bundles_created,
+                  &s.members_added, &s.bundle_candidates, &s.batch_accepts, &s.batch_rejects,
+                  &s.member_diff_resolutions, &s.spilled_records, &s.spilled_bytes,
+                  &s.spill_reads, &s.spill_read_errors}) {
+    f(*v);
+  }
+}
+
 inline void WriteJoinerStats(const JoinerStats& s, BinaryWriter* w) {
-  w->WriteU64(s.probes);
-  w->WriteU64(s.stores);
-  w->WriteU64(s.evictions);
-  w->WriteU64(s.results);
-  w->WriteU64(s.budget_evictions);
-  w->WriteU64(s.eviction_horizon_seq);
-  w->WriteU64(s.postings_scanned);
-  w->WriteU64(s.dead_postings_purged);
-  w->WriteU64(s.candidates);
-  w->WriteU64(s.length_filtered);
-  w->WriteU64(s.position_filtered);
-  w->WriteU64(s.suffix_filtered);
-  w->WriteU64(s.verify.merge_steps);
-  w->WriteU64(s.verify.full_verifications);
-  w->WriteU64(s.verify.diff_verifications);
-  w->WriteU64(s.verify.early_exits);
-  w->WriteU64(s.bundles_created);
-  w->WriteU64(s.members_added);
-  w->WriteU64(s.bundle_candidates);
-  w->WriteU64(s.batch_accepts);
-  w->WriteU64(s.batch_rejects);
-  w->WriteU64(s.member_diff_resolutions);
-  w->WriteU64(s.spilled_records);
-  w->WriteU64(s.spilled_bytes);
-  w->WriteU64(s.spill_reads);
-  w->WriteU64(s.spill_read_errors);
+  ForEachJoinerStat(s, [w](uint64_t v) { w->WriteU64(v); });
 }
 
 inline void ReadJoinerStats(BinaryReader* r, JoinerStats* s) {
-  s->probes = r->ReadU64();
-  s->stores = r->ReadU64();
-  s->evictions = r->ReadU64();
-  s->results = r->ReadU64();
-  s->budget_evictions = r->ReadU64();
-  s->eviction_horizon_seq = r->ReadU64();
-  s->postings_scanned = r->ReadU64();
-  s->dead_postings_purged = r->ReadU64();
-  s->candidates = r->ReadU64();
-  s->length_filtered = r->ReadU64();
-  s->position_filtered = r->ReadU64();
-  s->suffix_filtered = r->ReadU64();
-  s->verify.merge_steps = r->ReadU64();
-  s->verify.full_verifications = r->ReadU64();
-  s->verify.diff_verifications = r->ReadU64();
-  s->verify.early_exits = r->ReadU64();
-  s->bundles_created = r->ReadU64();
-  s->members_added = r->ReadU64();
-  s->bundle_candidates = r->ReadU64();
-  s->batch_accepts = r->ReadU64();
-  s->batch_rejects = r->ReadU64();
-  s->member_diff_resolutions = r->ReadU64();
-  s->spilled_records = r->ReadU64();
-  s->spilled_bytes = r->ReadU64();
-  s->spill_reads = r->ReadU64();
-  s->spill_read_errors = r->ReadU64();
+  ForEachJoinerStat(*s, [r](uint64_t& v) { v = r->ReadU64(); });
 }
 
 }  // namespace dssj

@@ -42,7 +42,9 @@ namespace dssj::net {
 ///                         before any allocation (decompression-bomb guard).
 ///   kEos:     i32 source_task, i32 dst_task, u64 final link count
 ///             (Envelope::link_seq semantics for EOS markers).
-///   kMetrics: i32 task_id, u32-length-prefixed SerializeTaskCounters blob.
+///   kMetrics: i32 task_id, u32-length-prefixed SerializeTaskCounters blob,
+///             laid out by DSSJ_TASK_COUNTERS (stream/metrics.h): editing
+///             that list bumps kWireVersion.
 ///   kDone:    u16 sender rank. Worker's end-of-run marker: everything this
 ///             rank will ever send has been sent.
 ///   kFail:    u16 sender rank, u32-length-prefixed failure message.
@@ -109,7 +111,7 @@ const char* WireCodecName(WireCodec codec);
 bool ParseWireCodec(const std::string& name, WireCodec* out);
 
 inline constexpr uint32_t kWireMagic = 0x314a5344;  // "DSJ1"
-inline constexpr uint16_t kWireVersion = 2;
+inline constexpr uint16_t kWireVersion = 3;
 
 /// Hard ceiling on a single frame's `length` field. A peer announcing more
 /// is malformed (or malicious) and the connection is failed rather than

@@ -1,123 +1,61 @@
 #include "stream/metrics.h"
 
-#include <algorithm>
-
 #include "common/serialize.h"
 
 namespace dssj::stream {
-
-ComponentAggregate Aggregate(const std::vector<TaskStats>& tasks) {
-  ComponentAggregate agg;
-  for (const TaskStats& t : tasks) {
-    if (t.metrics == nullptr) continue;
-    agg.executed += t.metrics->executed.Get();
-    agg.emitted += t.metrics->emitted.Get();
-    agg.remote_messages += t.metrics->remote_messages.Get();
-    agg.remote_bytes += t.metrics->remote_bytes.Get();
-    agg.total_messages += t.metrics->total_messages.Get();
-    agg.total_bytes += t.metrics->total_bytes.Get();
-    const uint64_t busy = t.metrics->busy_nanos.Get();
-    agg.busy_nanos_sum += busy;
-    agg.busy_nanos_max = std::max(agg.busy_nanos_max, busy);
-    agg.idle_nanos_sum += t.metrics->idle_nanos.Get();
-    agg.blocked_nanos_sum += t.metrics->blocked_nanos.Get();
-    agg.restarts += t.metrics->restarts.Get();
-    agg.replayed_tuples += t.metrics->replayed_tuples.Get();
-    agg.checkpoints += t.metrics->checkpoints.Get();
-    agg.checkpoint_bytes += t.metrics->checkpoint_bytes.Get();
-    agg.checkpoint_nanos += t.metrics->checkpoint_nanos.Get();
-    agg.link_drops_recovered += t.metrics->link_drops_recovered.Get();
-    agg.link_dups_discarded += t.metrics->link_dups_discarded.Get();
-    agg.delta_checkpoints += t.metrics->delta_checkpoints.Get();
-    agg.base_checkpoints += t.metrics->base_checkpoints.Get();
-    agg.delta_checkpoint_bytes += t.metrics->delta_checkpoint_bytes.Get();
-    agg.base_checkpoint_bytes += t.metrics->base_checkpoint_bytes.Get();
-    agg.spilled_bytes += t.metrics->spilled_bytes.Get();
-    agg.spill_reads += t.metrics->spill_reads.Get();
-    agg.shed_probes += t.metrics->shed_probes.Get();
-    agg.shed_pairs_upper_bound += t.metrics->shed_pairs_upper_bound.Get();
-    agg.app_results += t.metrics->app_results.Get();
-    agg.migrations += t.metrics->migrations.Get();
-    agg.migration_bytes += t.metrics->migration_bytes.Get();
-    agg.migration_nanos += t.metrics->migration_nanos.Get();
-    agg.net_connect_retries += t.metrics->net_connect_retries.Get();
-    agg.net_reconnects += t.metrics->net_reconnects.Get();
-    agg.queue_time_at_capacity_micros_max = std::max(
-        agg.queue_time_at_capacity_micros_max, t.metrics->queue_time_at_capacity_micros.Get());
-    agg.queue_oldest_age_micros_max =
-        std::max(agg.queue_oldest_age_micros_max, t.metrics->queue_oldest_age_micros.Get());
-  }
-  return agg;
-}
-
 namespace {
 
-// Additive counters in blob order. New fields append; readers merge the
-// min(written, known) prefix, which keeps coordinator and worker builds
-// compatible across one field-list revision.
-using CounterField = Counter TaskMetrics::*;
-constexpr CounterField kCounterFields[] = {
-    &TaskMetrics::executed,
-    &TaskMetrics::emitted,
-    &TaskMetrics::remote_messages,
-    &TaskMetrics::remote_bytes,
-    &TaskMetrics::total_messages,
-    &TaskMetrics::total_bytes,
-    &TaskMetrics::busy_nanos,
-    &TaskMetrics::restarts,
-    &TaskMetrics::replayed_tuples,
-    &TaskMetrics::checkpoints,
-    &TaskMetrics::checkpoint_bytes,
-    &TaskMetrics::checkpoint_nanos,
-    &TaskMetrics::link_drops_recovered,
-    &TaskMetrics::link_dups_discarded,
-    &TaskMetrics::shed_probes,
-    &TaskMetrics::shed_pairs_upper_bound,
-    &TaskMetrics::app_results,
-    // Appended after the PR 4 field list froze; the count-prefixed format
-    // keeps mixed-build clusters merging the common prefix.
-    &TaskMetrics::migrations,
-    &TaskMetrics::migration_bytes,
-    &TaskMetrics::migration_nanos,
-    &TaskMetrics::net_connect_retries,
-    &TaskMetrics::net_reconnects,
-    // Appended with the tiered state store (PR 9).
-    &TaskMetrics::delta_checkpoints,
-    &TaskMetrics::base_checkpoints,
-    &TaskMetrics::delta_checkpoint_bytes,
-    &TaskMetrics::base_checkpoint_bytes,
-    &TaskMetrics::spilled_bytes,
-    &TaskMetrics::spill_reads,
-    // Appended with the sharded ingestion front end (PR 10): pipeline
-    // breakdown counters for the bench's per-stage busy/idle/blocked table.
-    &TaskMetrics::idle_nanos,
-    &TaskMetrics::blocked_nanos,
-};
-constexpr size_t kNumCounterFields = sizeof(kCounterFields) / sizeof(kCounterFields[0]);
+#define DSSJ_COUNT_COUNTER(name, rule) +1
+constexpr uint32_t kNumTaskCounters = 0 DSSJ_TASK_COUNTERS(DSSJ_COUNT_COUNTER);
+#undef DSSJ_COUNT_COUNTER
 
 }  // namespace
 
-void SerializeTaskCounters(const TaskMetrics& m, std::string* out) {
-  BinaryWriter w(out);
-  w.WriteU32(static_cast<uint32_t>(kNumCounterFields));
-  for (const CounterField f : kCounterFields) w.WriteU64((m.*f).Get());
-  w.WriteU64(m.queue_highwater.Get());
+CounterTotals Aggregate(const std::vector<TaskStats>& tasks) {
+  CounterTotals totals;
+  for (const TaskStats& t : tasks) {
+    if (t.metrics == nullptr) continue;
+#define DSSJ_AGGREGATE_COUNTER(name, rule) \
+  totals.name = merge::rule::Of(totals.name, t.metrics->name.Get());
+    DSSJ_TASK_COUNTERS(DSSJ_AGGREGATE_COUNTER)
+#undef DSSJ_AGGREGATE_COUNTER
+  }
+  return totals;
 }
 
-bool MergeTaskCounters(const std::string& blob, TaskMetrics* m) {
-  SafeBinaryReader r(blob.data(), blob.size());
-  uint32_t written = 0;
-  if (!r.ReadU32(&written)) return false;
-  const size_t common = std::min<size_t>(written, kNumCounterFields);
-  for (size_t i = 0; i < written; ++i) {
-    uint64_t v = 0;
-    if (!r.ReadU64(&v)) return false;
-    if (i < common) (m->*kCounterFields[i]).Add(v);
+void SerializeTaskCounters(const TaskMetrics& m, std::string* out) {
+  BinaryWriter w(out);
+  w.WriteU32(kNumTaskCounters);
+#define DSSJ_WRITE_COUNTER(name, rule) w.WriteU64(m.name.Get());
+  DSSJ_TASK_COUNTERS(DSSJ_WRITE_COUNTER)
+#undef DSSJ_WRITE_COUNTER
+}
+
+Status MergeTaskCounters(int task_id, const std::string& blob,
+                         std::span<TaskMetrics* const> tasks) {
+  const std::string what = "METRICS blob for task " + std::to_string(task_id);
+  if (task_id < 0 || static_cast<size_t>(task_id) >= tasks.size()) {
+    return Status::OutOfRange(what + ": no such task (" + std::to_string(tasks.size()) +
+                              " tasks)");
   }
-  uint64_t highwater = 0;
-  if (!r.ReadU64(&highwater)) return false;
-  m->queue_highwater.Update(highwater);
-  return true;
+  SafeBinaryReader r(blob.data(), blob.size());
+  uint32_t count = 0;
+  if (!r.ReadU32(&count)) return Status::InvalidArgument(what + ": truncated");
+  if (count != kNumTaskCounters) {
+    return Status::InvalidArgument(what + ": " + std::to_string(count) +
+                                   " counters, expected " + std::to_string(kNumTaskCounters));
+  }
+  uint64_t values[kNumTaskCounters] = {};
+  for (uint64_t& v : values) {
+    if (!r.ReadU64(&v)) return Status::InvalidArgument(what + ": truncated");
+  }
+  if (!r.AtEnd()) return Status::InvalidArgument(what + ": trailing bytes");
+  TaskMetrics& m = *tasks[static_cast<size_t>(task_id)];
+  const uint64_t* v = values;
+#define DSSJ_MERGE_COUNTER(name, rule) merge::rule::Into(m.name, *v++);
+  DSSJ_TASK_COUNTERS(DSSJ_MERGE_COUNTER)
+#undef DSSJ_MERGE_COUNTER
+  return Status::OK();
 }
 
 }  // namespace dssj::stream

@@ -1,107 +1,103 @@
 #ifndef DSSJ_STREAM_METRICS_H_
 #define DSSJ_STREAM_METRICS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/stats.h"
+#include "common/status.h"
 
 namespace dssj::stream {
 
-/// Per-task runtime metrics, updated by the executor and the output
-/// collector. All fields are thread-safe to read while the topology runs.
+/// Every per-task run counter, declared once as X(name, merge). `merge` is
+/// how two values of a counter combine — over a component's tasks
+/// (Aggregate), over ranks (MergeTaskCounters) and into a run's totals: Sum
+/// adds, Max keeps the larger. TaskMetrics, CounterTotals and the METRICS
+/// blob are generated from this list, and the blob carries the counters in
+/// this order, so any edit to the list changes the wire format (bump
+/// net::kWireVersion). Adding a counter takes one line here plus the code
+/// that writes it.
+#define DSSJ_TASK_COUNTERS(X)                                                          \
+  /* Data tuples executed (bolts; spouts count 0) and tuples emitted on all edges, */  \
+  /* local ones included, with their serialized bytes. */                              \
+  X(executed, Sum)                                                                     \
+  X(emitted, Sum)                                                                      \
+  X(total_bytes, Sum)                                                                  \
+  /* The subset of `emitted` sent to a task on a different simulated worker. */        \
+  X(remote_messages, Sum)                                                              \
+  X(remote_bytes, Sum)                                                                 \
+  /* Peak inbound-queue depth (bolts): pinned at capacity = the task saturated. */     \
+  X(queue_highwater, Max)                                                              \
+  /* CPU nanoseconds: the executor thread's CPU time plus any simulated */             \
+  /* serialization cost (TopologyBuilder::SetRemoteByteCostNanos). Final once the */   \
+  /* task finishes — read after Topology::Wait(). */                                   \
+  X(busy_nanos, Sum)                                                                   \
+  /* Wall nanoseconds the executor waited on an empty inbound queue (starved by */     \
+  /* its upstream) and the collector spent pushing downstream (throttled by it). */    \
+  X(idle_nanos, Sum)                                                                   \
+  X(blocked_nanos, Sum)                                                                \
+  /* Supervision: incarnations re-created, tuples re-executed during recovery, */      \
+  /* checkpoints taken (spout snapshots included) with their bytes and wall time, */   \
+  /* and link-fault recovery (retained envelopes fetched, duplicates discarded). */    \
+  X(restarts, Sum)                                                                     \
+  X(replayed_tuples, Sum)                                                              \
+  X(checkpoints, Sum)                                                                  \
+  X(checkpoint_bytes, Sum)                                                             \
+  X(checkpoint_nanos, Sum)                                                             \
+  X(link_drops_recovered, Sum)                                                         \
+  X(link_dups_discarded, Sum)                                                          \
+  /* The bolts' chain checkpoints split by kind (small deltas vs full bases). */       \
+  X(delta_checkpoints, Sum)                                                            \
+  X(base_checkpoints, Sum)                                                             \
+  X(delta_checkpoint_bytes, Sum)                                                       \
+  X(base_checkpoint_bytes, Sum)                                                        \
+  /* Spill tier: bytes moved to disk, and cold records read back by probes. */         \
+  X(spilled_bytes, Sum)                                                                \
+  X(spill_reads, Sum)                                                                  \
+  /* Published by a component when it finishes: results found, records stored, */      \
+  /* probes shed (with Σ stored-window size at each shed, an upper bound on the */     \
+  /* pairs lost), records evicted ahead of the window and the highest such seq. */     \
+  X(result_count, Sum)                                                                 \
+  X(stores, Sum)                                                                       \
+  X(shed_probes, Sum)                                                                  \
+  X(shed_pairs_upper_bound, Sum)                                                       \
+  X(budget_evictions, Sum)                                                             \
+  X(eviction_horizon_seq, Max)                                                         \
+  /* Elastic scaling: completed live migrations, state bytes shipped, and wall */      \
+  /* time frozen (pause → resume). */                                                  \
+  X(migrations, Sum)                                                                   \
+  X(migration_bytes, Sum)                                                              \
+  X(migration_nanos, Sum)                                                              \
+  /* Transport health, parked on the first task each rank hosted: connect */           \
+  /* attempts beyond the first per dial, and links re-established after a drop. */     \
+  X(net_connect_retries, Sum)                                                          \
+  X(net_reconnects, Sum)
+
+/// The merge rules of DSSJ_TASK_COUNTERS. A Sum counter lives in a Counter,
+/// a Max counter in a MaxGauge.
+namespace merge {
+struct Sum {
+  using Cell = Counter;
+  static void Into(Counter& cell, uint64_t v) { cell.Add(v); }
+  static uint64_t Of(uint64_t a, uint64_t b) { return a + b; }
+};
+struct Max {
+  using Cell = MaxGauge;
+  static void Into(MaxGauge& cell, uint64_t v) { cell.Update(v); }
+  static uint64_t Of(uint64_t a, uint64_t b) { return std::max(a, b); }
+};
+}  // namespace merge
+
+/// One task's counters, updated by the executor, the output collector and
+/// the component itself. Every field is thread-safe to read while the
+/// topology runs.
 struct TaskMetrics {
-  /// Data tuples executed (bolts) or emitted by NextTuple (spouts count 0).
-  Counter executed;
-  /// Tuples emitted by this task (all edges, including local).
-  Counter emitted;
-  /// Messages / bytes sent to a task on a *different* simulated worker.
-  Counter remote_messages;
-  Counter remote_bytes;
-  /// Messages / bytes sent anywhere (local included).
-  Counter total_messages;
-  Counter total_bytes;
-  /// Peak inbound-queue depth observed (bolts; backpressure indicator —
-  /// a value pinned at the queue capacity means the task was saturated).
-  MaxGauge queue_highwater;
-  /// Wall nanoseconds per Execute call (profiling; includes preemption).
-  Histogram execute_nanos;
-  /// Total CPU nanoseconds this task consumed: the executor thread's CPU
-  /// time (blocking on the queue burns none) plus any simulated
-  /// serialization cost (see TopologyBuilder::SetRemoteByteCostNanos).
-  /// Finalized when the task finishes — read after Topology::Wait().
-  Counter busy_nanos;
-  /// Wall nanoseconds the executor spent waiting on an empty inbound queue
-  /// (bolts only; spouts pace themselves and report 0). High idle with low
-  /// busy means the stage is starved by its upstream.
-  Counter idle_nanos;
-  /// Wall nanoseconds the output collector spent pushing into downstream
-  /// queues (includes backpressure blocking when a consumer is full). High
-  /// blocked means this stage is throttled by its downstream.
-  Counter blocked_nanos;
-
-  // Fault tolerance (supervised executors; all zero in unsupervised runs).
-  /// Times this task's component object was destroyed and re-created.
-  Counter restarts;
-  /// Tuples re-executed (bolts) or NextTuple calls re-issued (spouts)
-  /// during recovery; their emissions are suppressed per-link.
-  Counter replayed_tuples;
-  /// Checkpoints taken, and their cumulative serialized size / wall time.
-  Counter checkpoints;
-  Counter checkpoint_bytes;
-  Counter checkpoint_nanos;
-  /// Injected-link-fault recovery: envelopes fetched from retention after a
-  /// scripted drop, and duplicate deliveries discarded by sequence check.
-  Counter link_drops_recovered;
-  Counter link_dups_discarded;
-
-  // Bolt checkpoint chains (zero unless supervised with a checkpoint
-  // interval). The `checkpoints` triple above also counts spout
-  // snapshots; these split the bolts' chain checkpoints by kind so
-  // overhead attribution (small frequent deltas vs. rare full bases)
-  // survives aggregation.
-  Counter delta_checkpoints;
-  Counter base_checkpoints;
-  Counter delta_checkpoint_bytes;
-  Counter base_checkpoint_bytes;
-  /// Bytes moved to the on-disk spill tier, and cold-record read-backs
-  /// triggered by probes that survived the in-memory stub filters (zero
-  /// without a store directory).
-  Counter spilled_bytes;
-  Counter spill_reads;
-
-  // Overload control (all zero unless TopologyBuilder::SetOverload).
-  /// Probe sides shed by admission control; stores are always processed,
-  /// so each shed loses at most the pairs the probe would have found.
-  Counter shed_probes;
-  /// Σ stored-window size at each shed — an upper bound on pairs lost.
-  Counter shed_pairs_upper_bound;
-  /// Application-defined result counter (e.g. pairs found by a joiner
-  /// task). Components publish into it at Finish so multi-process runs can
-  /// aggregate results on the coordinator without sharing memory.
-  Counter app_results;
-
-  // Elastic scaling (zero unless TopologyBuilder::SetElastic).
-  /// Completed live migrations of this task, the cumulative size of the
-  /// shipped state blobs, and the wall time spent frozen (pause → resume).
-  Counter migrations;
-  Counter migration_bytes;
-  Counter migration_nanos;
-
-  // Network transport health (filled from Transport::Stats at end of run,
-  // attributed to the first locally hosted task of each rank).
-  /// Connect attempts beyond the first per dial (the backoff retry loop).
-  Counter net_connect_retries;
-  /// Connections re-established after an established link dropped.
-  Counter net_reconnects;
-  /// Queue-health snapshots (see QueueHealth), refreshed by the executor
-  /// once per batch and by the watchdog tick. EWMA is scaled ×1000 to fit
-  /// an integer gauge.
-  Gauge queue_depth;
-  Gauge queue_depth_ewma_x1000;
-  Gauge queue_time_at_capacity_micros;
-  Gauge queue_oldest_age_micros;
+#define DSSJ_COUNTER_CELL(name, rule) merge::rule::Cell name;
+  DSSJ_TASK_COUNTERS(DSSJ_COUNTER_CELL)
+#undef DSSJ_COUNTER_CELL
 };
 
 /// Identity + metrics of one task, exposed by Topology after (or during) a
@@ -114,65 +110,27 @@ struct TaskStats {
   const TaskMetrics* metrics = nullptr;
 };
 
-/// Aggregate of one component's tasks (helper for benches).
-struct ComponentAggregate {
-  uint64_t executed = 0;
-  uint64_t emitted = 0;
-  uint64_t remote_messages = 0;
-  uint64_t remote_bytes = 0;
-  uint64_t total_messages = 0;
-  uint64_t total_bytes = 0;
-  uint64_t busy_nanos_max = 0;  ///< bottleneck task busy time
-  uint64_t busy_nanos_sum = 0;
-  uint64_t idle_nanos_sum = 0;     ///< executor wall time starved upstream
-  uint64_t blocked_nanos_sum = 0;  ///< collector wall time pushing downstream
-
-  // Fault tolerance (zero in unsupervised runs).
-  uint64_t restarts = 0;
-  uint64_t replayed_tuples = 0;
-  uint64_t checkpoints = 0;
-  uint64_t checkpoint_bytes = 0;
-  uint64_t checkpoint_nanos = 0;
-  uint64_t link_drops_recovered = 0;
-  uint64_t link_dups_discarded = 0;
-
-  // Tiered state store (zero unless a store is configured).
-  uint64_t delta_checkpoints = 0;
-  uint64_t base_checkpoints = 0;
-  uint64_t delta_checkpoint_bytes = 0;
-  uint64_t base_checkpoint_bytes = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_reads = 0;
-
-  // Overload control (zero when no shed policy / watchdog is active).
-  uint64_t shed_probes = 0;
-  uint64_t shed_pairs_upper_bound = 0;
-  uint64_t app_results = 0;
-  int64_t queue_time_at_capacity_micros_max = 0;
-  int64_t queue_oldest_age_micros_max = 0;
-
-  // Elastic scaling (zero in static runs).
-  uint64_t migrations = 0;
-  uint64_t migration_bytes = 0;
-  uint64_t migration_nanos = 0;
-  uint64_t net_connect_retries = 0;
-  uint64_t net_reconnects = 0;
+/// Every counter merged by its rule over a set of tasks.
+struct CounterTotals {
+#define DSSJ_COUNTER_TOTAL(name, rule) uint64_t name = 0;
+  DSSJ_TASK_COUNTERS(DSSJ_COUNTER_TOTAL)
+#undef DSSJ_COUNTER_TOTAL
 };
 
-/// Sums `tasks` (typically Topology::TasksOf(component)).
-ComponentAggregate Aggregate(const std::vector<TaskStats>& tasks);
+/// Totals of `tasks` (typically Topology::TasksOf(component) or AllTasks()).
+CounterTotals Aggregate(const std::vector<TaskStats>& tasks);
 
-/// Serializes a task's counters into a portable blob (fixed field order
-/// with a leading count, so old readers accept new writers and vice versa).
-/// Used by the network transport to ship worker-side metrics to the
-/// coordinator at end of run.
+/// Serializes a task's counters into a METRICS blob: the counter count
+/// (u32), then each counter (u64) in table order. The network transport
+/// ships these from workers to the coordinator at the end of a run.
 void SerializeTaskCounters(const TaskMetrics& m, std::string* out);
 
-/// Merges a SerializeTaskCounters blob into `m`: counters add, the queue
-/// high-watermark max-merges. Returns false on a malformed blob (left
-/// partially merged only if the blob was truncated mid-field — callers
-/// treat false as a transport-level failure).
-bool MergeTaskCounters(const std::string& blob, TaskMetrics* m);
+/// Merges a worker's METRICS blob for task `task_id` into `*tasks[task_id]`
+/// by each counter's rule. All or nothing: an out-of-range task, a count
+/// other than the table's, a truncated blob or trailing bytes leave every
+/// metric unchanged and return an error that names the task.
+Status MergeTaskCounters(int task_id, const std::string& blob,
+                         std::span<TaskMetrics* const> tasks);
 
 }  // namespace dssj::stream
 

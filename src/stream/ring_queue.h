@@ -251,7 +251,7 @@ class TrickleGate {
 /// Inert — one dead atomic branch per operation — until Enable(); when
 /// enabled it serializes on its own small mutex, which only overload-
 /// control runs ever turn on. Depths are the caller's racy post-op
-/// estimates: the gauges steer shedding and the watchdog, not correctness.
+/// estimates: they steer shedding and the watchdog, not correctness.
 class RingHealthTracker {
  public:
   void Enable() { enabled_.store(true, std::memory_order_release); }

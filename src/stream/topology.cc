@@ -265,8 +265,6 @@ struct TopologyImpl {
   void RunWatchdog();
   void StopWatchdog();
   std::string StallDump(const char* trigger, int64_t stalled_us);
-  /// Refreshes one task's queue-health gauges from a snapshot.
-  static void PublishQueueHealth(TaskMetrics& m, const QueueHealth& h);
   void Retain(int src, int dst, uint64_t seq, Envelope env);
   bool FetchRetained(int src, int dst, uint64_t seq, Envelope* out);
   /// Sleeps the current (exponential) restart backoff and doubles it.
@@ -423,13 +421,6 @@ void TopologyImpl::NoteTaskExit(int task_id) {
   }
 }
 
-void TopologyImpl::PublishQueueHealth(TaskMetrics& m, const QueueHealth& h) {
-  m.queue_depth.Set(static_cast<int64_t>(h.depth));
-  m.queue_depth_ewma_x1000.Set(static_cast<int64_t>(h.depth_ewma * 1000.0));
-  m.queue_time_at_capacity_micros.Set(h.time_at_capacity_micros);
-  m.queue_oldest_age_micros.Set(h.oldest_age_micros);
-}
-
 std::string TopologyImpl::StallDump(const char* trigger, int64_t stalled_us) {
   std::string out = "stall watchdog (" + std::string(trigger) + "): no healthy progress for " +
                     std::to_string(stalled_us / 1000) + " ms with work pending; task state:";
@@ -477,9 +468,6 @@ void TopologyImpl::RunWatchdog() {
       if (task_exited[task.id].load(std::memory_order_relaxed) == 0) all_exited = false;
       if (task.queue != nullptr) {
         const QueueHealth h = task.queue->Health();
-        // Publish from here too, so a wedged task still reports fresh
-        // health through the metrics.
-        PublishQueueHealth(*task.metrics, h);
         if (h.depth > 0) pending = true;
         oldest_age_us = std::max(oldest_age_us, h.oldest_age_micros);
       }
@@ -782,7 +770,6 @@ class CollectorImpl : public OutputCollector {
     TaskMetrics& m = *task_->metrics;
     const size_t bytes = tuple.SerializedBytes();
     m.emitted.Increment();
-    m.total_messages.Increment();
     m.total_bytes.Add(bytes);
     int64_t extra_busy_ns = 0;
     if (topo_->CurWorker(task_id) != worker_) {
@@ -1131,7 +1118,6 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
     ctx.queue_health = [topo, tp]() {
       QueueHealth h = tp->queue->Health();
       h.force_shed = topo->force_shed.load(std::memory_order_relaxed);
-      PublishQueueHealth(*tp->metrics, h);
       return h;
     };
   }
@@ -1385,11 +1371,9 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
       if (replay_pos < log_high) {
         m.replayed_tuples.Add(std::min<uint64_t>(run, log_high - replay_pos));
       }
-      const int64_t begin = NowNanos();
       task.bolt->ExecuteBatch(batch, collector);
       batch.clear();
       m.executed.Add(run);
-      m.execute_nanos.Add(static_cast<uint64_t>(NowNanos() - begin));
       simulated_busy_ns += batch_extra_ns;
       executed_total += run;
       replay_pos += run;
@@ -1437,13 +1421,9 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
           batch.push_back(std::move((*in)[k].tuple));
         }
         const size_t executed = idx - run_begin;
-        const int64_t begin = NowNanos();
         task.bolt->ExecuteBatch(batch, collector);
         batch.clear();
         m.executed.Add(executed);
-        // One sample per batch (per-tuple timing would dominate small
-        // Execute bodies at large batch sizes).
-        m.execute_nanos.Add(static_cast<uint64_t>(NowNanos() - begin));
         simulated_busy_ns += batch_extra_ns;
       }
     }
@@ -2669,13 +2649,15 @@ void Topology::Wait() {
         local.task_metrics.emplace_back(task.id, std::move(blob));
       }
     }
+    // A blob the merge rejects would leave cluster-wide counters (the
+    // result count among them) short, so it fails the run.
+    std::vector<TaskMetrics*> slots;
+    for (Task& task : t.tasks) slots.push_back(task.metrics.get());
     TopologyImpl* tp = &t;
     const Transport::FinishReport report =
-        t.transport->Finish(local, [tp](int task_id, const std::string& blob) {
-          if (task_id < 0 || task_id >= static_cast<int>(tp->tasks.size())) return;
-          if (!MergeTaskCounters(blob, tp->tasks[task_id].metrics.get())) {
-            LOG(ERROR) << "discarding malformed metrics blob for task " << task_id;
-          }
+        t.transport->Finish(local, [tp, &slots](int task_id, const std::string& blob) {
+          const Status st = MergeTaskCounters(task_id, blob, slots);
+          if (!st.ok()) tp->MarkFailed(st.message());
         });
     if (report.remote_failed) t.MarkFailed(report.remote_failure);
     // A STATE frame racing the barrier can adopt an executor after the

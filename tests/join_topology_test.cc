@@ -65,7 +65,7 @@ TEST(RunDistributedJoinTest, AllEmptyRecordsYieldNothing) {
   options.length_partition = LengthPartition({0, 8, 64});
   const DistributedJoinResult result = RunDistributedJoin(stream, options);
   EXPECT_EQ(result.result_count, 0u);
-  EXPECT_EQ(result.total_stores, 0u);
+  EXPECT_EQ(result.stores, 0u);
   EXPECT_EQ(result.dispatch_messages, 0u);
 }
 
@@ -76,7 +76,7 @@ TEST(RunDistributedJoinTest, SingleRecordHasNoPartner) {
   options.strategy = DistributionStrategy::kBroadcast;
   const DistributedJoinResult result = RunDistributedJoin(stream, options);
   EXPECT_EQ(result.result_count, 0u);
-  EXPECT_EQ(result.total_stores, 1u);
+  EXPECT_EQ(result.stores, 1u);
 }
 
 TEST(RunDistributedJoinTest, IdenticalRunsGiveIdenticalResultSets) {

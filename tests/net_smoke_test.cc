@@ -2,9 +2,9 @@
 // dssj_worker processes over localhost TCP and requires the printed result
 // set to be byte-identical to the single-process run — including a run with
 // a scripted mid-stream link disconnect and a remote task kill recovered
-// via checkpoint/replay. This is the only test that exercises the actual
-// binaries and fork/exec path; net_transport_test covers the same stack
-// in-process.
+// via checkpoint/replay, and one over a corpus with binary-garbage lines.
+// This is the only test that exercises the actual binaries and fork/exec
+// path; net_transport_test covers the same stack in-process.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -65,6 +65,40 @@ std::string WriteCorpus(const std::string& path, int lines) {
   return path;
 }
 
+/// Deterministic corpus in which every 20th line is 5-300 random bytes
+/// (anything but '\n'). The rest draw 3-10 words from a 400-word
+/// vocabulary, and every third line extends the line three back by one
+/// word, so garbage lines have near-duplicates too.
+std::string WriteGarbageCorpus(const std::string& path, int lines) {
+  uint64_t state = 0x243f6a8885a308d3ull;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<uint32_t>(state >> 33);
+  };
+  const auto word = [&next] { return "w" + std::to_string(next() % 400); };
+  std::vector<std::string> all;
+  all.reserve(lines);
+  for (int i = 0; i < lines; ++i) {
+    std::string line;
+    if (i % 20 == 19) {
+      const int n = 5 + static_cast<int>(next() % 296);
+      for (int b = 0; b < n; ++b) {
+        const char c = static_cast<char>(next() & 0xff);
+        line += c == '\n' ? ' ' : c;
+      }
+    } else if (i >= 3 && i % 3 == 0) {
+      line = all[i - 3] + ' ' + word();
+    } else {
+      const int n = 3 + static_cast<int>(next() % 8);
+      for (int w = 0; w < n; ++w) line += (w > 0 ? " " : "") + word();
+    }
+    all.push_back(std::move(line));
+  }
+  std::ofstream out(path, std::ios::binary);
+  for (const std::string& line : all) out << line << '\n';
+  return path;
+}
+
 /// fork/execs `argv`, redirecting stdout+stderr to `output_path`.
 pid_t Spawn(const std::vector<std::string>& argv, const std::string& output_path) {
   const pid_t pid = ::fork();
@@ -116,8 +150,7 @@ class NetSmokeTest : public ::testing::Test {
   }
 
   std::vector<std::string> BaseArgs(const char* bin) {
-    return {bin,          corpus_,        "--threshold=500", "--joiners=4",
-            "--max-pairs=1000000"};
+    return {bin, corpus_, threshold_, "--joiners=4", "--max-pairs=1000000"};
   }
 
   /// Runs single-process and 2-worker TCP with identical join flags and
@@ -140,8 +173,7 @@ class NetSmokeTest : public ::testing::Test {
                                 std::to_string(ports[1]);
 
     std::vector<std::string> worker = {DSSJ_WORKER_BIN, "--rank=1", "--transport=tcp",
-                                       "--connect=" + cluster, "--joiners=4",
-                                       "--threshold=500"};
+                                       "--connect=" + cluster, "--joiners=4", threshold_};
     worker.insert(worker.end(), extra.begin(), extra.end());
     const pid_t worker_pid = Spawn(worker, dir + "/worker.out");
 
@@ -159,6 +191,7 @@ class NetSmokeTest : public ::testing::Test {
   }
 
   std::string corpus_;
+  std::string threshold_ = "--threshold=500";
 };
 
 TEST_F(NetSmokeTest, TwoWorkersMatchSingleProcess) {
@@ -178,6 +211,17 @@ TEST_F(NetSmokeTest, DisconnectAndRemoteKillRecoverExactly) {
   RunBoth({"--fault_script=disconnect:dispatcher:0->joiner:1@50x20000; kill:joiner:1@30",
            "--checkpoint_interval=8"},
           &reference, &tcp);
+  if (::testing::Test::IsSkipped()) return;
+  EXPECT_EQ(tcp, reference);
+}
+
+// Binary-garbage lines cost the TCP path no pairs: the pair set over a
+// corpus that is 5% random bytes matches the single-process run's.
+TEST_F(NetSmokeTest, GarbageLinesMatchSingleProcess) {
+  corpus_ = WriteGarbageCorpus(::testing::TempDir() + "/net_smoke_garbage.txt", 6000);
+  threshold_ = "--threshold=800";
+  std::vector<std::string> reference, tcp;
+  RunBoth({}, &reference, &tcp);
   if (::testing::Test::IsSkipped()) return;
   EXPECT_EQ(tcp, reference);
 }

@@ -232,6 +232,48 @@ TEST_F(TcpClusterTest, RemoteTaskKillRecoversViaCheckpointReplay) {
   EXPECT_GE(run.coordinator.restarts, 1u) << "kill did not reach the remote joiner";
 }
 
+TEST_F(TcpClusterTest, LossAccountingIsClusterWide) {
+  const auto stream = MakeStream(59, 600);
+  DistributedJoinOptions base = BaseOptions(stream);
+  base.max_index_bytes = 4000;
+  const DistributedJoinResult reference = RunDistributedJoin(stream, base);
+  ASSERT_GT(reference.budget_evictions, 0u) << "budget never engaged; vacuous test";
+  const std::string cluster = ClusterOrSkip(2);
+  if (cluster.empty()) GTEST_SKIP() << "no localhost sockets available";
+  // Half the joiners evict on rank 1; the coordinator must count them too.
+  const ClusterRun run = RunTcpCluster(stream, base, cluster, 2);
+  ASSERT_TRUE(run.coordinator.ok) << run.coordinator.failure_message;
+  ASSERT_TRUE(run.workers[0].ok) << run.workers[0].failure_message;
+  EXPECT_EQ(run.coordinator.budget_evictions, reference.budget_evictions);
+  EXPECT_EQ(run.coordinator.eviction_horizon_seq, reference.eviction_horizon_seq);
+  EXPECT_EQ(run.coordinator.result_count, reference.result_count);
+  EXPECT_EQ(Canonical(run.coordinator.pairs), Canonical(reference.pairs));
+}
+
+TEST_F(TcpClusterTest, ShedAccountingIsClusterWide) {
+  const auto stream = MakeStream(61, 3000);
+  DistributedJoinOptions base = BaseOptions(stream);
+  // Brute-force joiners behind tiny queues: the dispatcher outruns their
+  // O(stored) probes, so the joiners on both ranks shed.
+  base.local = LocalAlgorithm::kBruteForce;
+  base.strategy = DistributionStrategy::kBroadcast;
+  base.num_joiners = 2;
+  base.queue_capacity = 8;
+  base.batch_size = 4;
+  base.shed_policy = stream::ShedPolicy::kProbe;
+  base.shed_watermark = 0.75;
+  const std::string cluster = ClusterOrSkip(2);
+  if (cluster.empty()) GTEST_SKIP() << "no localhost sockets available";
+  const ClusterRun run = RunTcpCluster(stream, base, cluster, 2);
+  ASSERT_TRUE(run.coordinator.ok) << run.coordinator.failure_message;
+  ASSERT_TRUE(run.workers[0].ok) << run.workers[0].failure_message;
+  // Each rank lists the sheds of the joiners it hosts; the coordinator's
+  // count must cover both ranks'.
+  EXPECT_GT(run.workers[0].shed_probe_seqs.size(), 0u) << "the worker never shed";
+  EXPECT_EQ(run.coordinator.shed_probes,
+            run.coordinator.shed_probe_seqs.size() + run.workers[0].shed_probe_seqs.size());
+}
+
 TEST_F(TcpClusterTest, RemoteFailurePropagatesToCoordinator) {
   const auto stream = MakeStream(53, 400);
   DistributedJoinOptions base = BaseOptions(stream);

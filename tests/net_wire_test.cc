@@ -4,6 +4,10 @@
 // deltas, lying compressed sections) are rejected instead of crashing — the
 // parser faces bytes from the network, not from this process.
 //
+// METRICS blobs (the per-task counters a worker ships at the end of a run)
+// round-trip, merge by each counter's rule, and are rejected whole when
+// malformed or addressed to no task.
+//
 // The fuzz battery at the bottom is the satellite required by PR 7: >= 5000
 // structured mutational iterations over seed frame streams in all three
 // codecs, parsed both with and without a frame arena (the zero-copy path),
@@ -15,6 +19,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/join_topology.h"
@@ -22,6 +27,7 @@
 #include "net/block_compress.h"
 #include "net/frame_arena.h"
 #include "net/wire.h"
+#include "stream/metrics.h"
 #include "text/record.h"
 
 namespace dssj::net {
@@ -595,6 +601,100 @@ TEST(WireFrameTest, BlockCompressorRoundTripsArbitraryBytes) {
       EXPECT_EQ(out, in) << "n=" << n << " flavor=" << flavor;
     }
   }
+}
+
+// METRICS blobs are generated from the counter table (DSSJ_TASK_COUNTERS),
+// so these tests walk the table too: a counter added to it is covered here
+// without editing them.
+
+/// Gives the i-th counter of the table the value scale * (i + 1).
+void FillByTable(uint64_t scale, stream::TaskMetrics* m) {
+  uint64_t i = 0;
+#define DSSJ_FILL_COUNTER(name, rule) stream::merge::rule::Into(m->name, scale * ++i);
+  DSSJ_TASK_COUNTERS(DSSJ_FILL_COUNTER)
+#undef DSSJ_FILL_COUNTER
+}
+
+std::vector<uint64_t> CounterValues(const stream::TaskMetrics& m) {
+  std::vector<uint64_t> out;
+#define DSSJ_GET_COUNTER(name, rule) out.push_back(m.name.Get());
+  DSSJ_TASK_COUNTERS(DSSJ_GET_COUNTER)
+#undef DSSJ_GET_COUNTER
+  return out;
+}
+
+TEST(WireMetricsTest, BlobRoundTripsAndMergesEveryCounterByItsRule) {
+  stream::TaskMetrics high, low;
+  FillByTable(100, &high);
+  FillByTable(1, &low);
+  std::string high_blob, low_blob;
+  stream::SerializeTaskCounters(high, &high_blob);
+  stream::SerializeTaskCounters(low, &low_blob);
+
+  stream::TaskMetrics merged;
+  stream::TaskMetrics* slots[] = {nullptr, &merged};
+  const Status first = stream::MergeTaskCounters(1, high_blob, slots);
+  ASSERT_TRUE(first.ok()) << first.ToString();
+  EXPECT_EQ(CounterValues(merged), CounterValues(high));
+  // A later, smaller value adds to a Sum counter and leaves a Max one.
+  const Status second = stream::MergeTaskCounters(1, low_blob, slots);
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  const stream::CounterTotals totals =
+      stream::Aggregate({stream::TaskStats{"a", 0, 0, 0, &high},
+                         stream::TaskStats{"a", 1, 1, 0, &low}});
+  uint64_t i = 0;
+  size_t max_counters = 0;
+#define DSSJ_CHECK_COUNTER(name, rule)                                        \
+  {                                                                          \
+    ++i;                                                                     \
+    const bool sum = std::is_same_v<stream::merge::rule, stream::merge::Sum>; \
+    max_counters += sum ? 0 : 1;                                             \
+    EXPECT_EQ(merged.name.Get(), sum ? 101 * i : 100 * i) << #name;          \
+    EXPECT_EQ(totals.name, merged.name.Get()) << #name;                      \
+  }
+  DSSJ_TASK_COUNTERS(DSSJ_CHECK_COUNTER)
+#undef DSSJ_CHECK_COUNTER
+  EXPECT_GT(max_counters, 0u) << "no Max counter left; the Max rule is untested";
+}
+
+TEST(WireMetricsTest, RejectedBlobsLeaveTheMetricsUnchanged) {
+  stream::TaskMetrics sent;
+  FillByTable(3, &sent);
+  std::string blob;
+  stream::SerializeTaskCounters(sent, &blob);
+
+  stream::TaskMetrics target;
+  FillByTable(7, &target);  // nonzero, so a partial merge would show
+  const std::vector<uint64_t> before = CounterValues(target);
+  stream::TaskMetrics* slots[] = {&target};
+  const auto expect_rejected = [&](int task_id, const std::string& bad,
+                                   const std::string& what) {
+    const Status st = stream::MergeTaskCounters(task_id, bad, slots);
+    EXPECT_FALSE(st.ok()) << what;
+    EXPECT_NE(st.message().find("task " + std::to_string(task_id)), std::string::npos)
+        << what << ": " << st.message();
+    EXPECT_EQ(CounterValues(target), before) << what;
+  };
+  for (size_t len = 0; len < blob.size(); ++len) {
+    expect_rejected(0, blob.substr(0, len), "truncated to " + std::to_string(len) + " bytes");
+  }
+  expect_rejected(0, blob + '\0', "one trailing byte");
+  expect_rejected(0, blob + std::string(8, '\0'), "one trailing counter");
+  // A count that disagrees with the table is rejected even when the body
+  // matches the count (a prefix merge would accept it).
+  uint32_t count = 0;
+  std::memcpy(&count, blob.data(), sizeof(count));
+  for (const uint32_t lie : {count - 1, count + 1}) {
+    std::string bad = blob;
+    std::memcpy(bad.data(), &lie, sizeof(lie));
+    bad.resize(sizeof(lie) + 8 * static_cast<size_t>(lie), '\0');
+    expect_rejected(0, bad, "count " + std::to_string(lie));
+  }
+  expect_rejected(1, blob, "task past the end");
+  expect_rejected(-1, blob, "negative task");
+
+  ASSERT_TRUE(stream::MergeTaskCounters(0, blob, slots).ok());
+  EXPECT_NE(CounterValues(target), before);
 }
 
 // ---------------------------------------------------------------------------

@@ -216,13 +216,13 @@ TEST(TopologyTest, MetricsCountMessagesAndRemoteBytes) {
       .SetPlacement({0, 1});
   auto topo = b.Build();
   topo->Run();
-  const ComponentAggregate src = Aggregate(topo->TasksOf("src"));
-  EXPECT_EQ(src.total_messages, 100u);
+  const CounterTotals src = Aggregate(topo->TasksOf("src"));
+  EXPECT_EQ(src.emitted, 100u);
   // Half the shuffle goes to the co-located task, half crosses workers.
   EXPECT_EQ(src.remote_messages, 50u);
   EXPECT_GT(src.remote_bytes, 0u);
   EXPECT_GT(src.total_bytes, src.remote_bytes);
-  const ComponentAggregate sink = Aggregate(topo->TasksOf("sink"));
+  const CounterTotals sink = Aggregate(topo->TasksOf("sink"));
   EXPECT_EQ(sink.executed, 100u);
   EXPECT_EQ(sink.emitted, 0u);
 }

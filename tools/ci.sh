@@ -148,7 +148,10 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
   # must equal a single-lane in-process run over the same corpus
   # (docs/INTERNALS.md §14, exercised end-to-end through the CLI). Pair
   # *sets* are compared sorted — the sink's collection order is
-  # interleaving-dependent; the set is not. Skips without localhost sockets.
+  # interleaving-dependent; the set is not. A memory budget makes the
+  # joiners evict, and the coordinator's `overload:` line must report the
+  # same loss as the single-process run: budget evictions on the worker's
+  # joiners count too. Skips without localhost sockets.
   LANES_CLUSTER=$(python3 - <<'PYEOF'
 import socket
 try:
@@ -182,18 +185,23 @@ for i in range(2000):
     lines.append(" ".join(words))
 open(sys.argv[1], "w").write("\n".join(lines) + "\n")
 PYEOF
-    LANES_FLAGS=(--threshold=600 --joiners=4 --max-pairs=100000)
+    LANES_FLAGS=(--threshold=600 --joiners=4 --max-pairs=100000 --max_index_bytes=4000)
     ASAN_OPTIONS="detect_leaks=1" ./build-asan/examples/dssj_cli \
-        "$LANES_TMP/corpus.txt" "${LANES_FLAGS[@]}" | grep '~' | sort > "$LANES_TMP/ref.txt"
+        "$LANES_TMP/corpus.txt" "${LANES_FLAGS[@]}" > "$LANES_TMP/ref.out"
+    grep '~' "$LANES_TMP/ref.out" | sort > "$LANES_TMP/ref.txt"
     [[ -s "$LANES_TMP/ref.txt" ]]  # a pair-free corpus would make this vacuous
+    grep -q '^overload:.*budget_evictions=[1-9]' "$LANES_TMP/ref.out"  # the budget engaged
     ASAN_OPTIONS="detect_leaks=1" ./build-asan/examples/dssj_worker --rank=1 \
         --transport=tcp --connect="$LANES_CLUSTER" --ingest_lanes=4 "${LANES_FLAGS[@]}" &
     LANES_WORKER=$!
     ASAN_OPTIONS="detect_leaks=1" ./build-asan/examples/dssj_cli "$LANES_TMP/corpus.txt" \
         --transport=tcp --connect="$LANES_CLUSTER" --ingest_lanes=4 "${LANES_FLAGS[@]}" \
-        | grep '~' | sort > "$LANES_TMP/lanes4.txt"
+        > "$LANES_TMP/lanes4.out"
+    grep '~' "$LANES_TMP/lanes4.out" | sort > "$LANES_TMP/lanes4.txt"
     wait "$LANES_WORKER"
     diff -u "$LANES_TMP/ref.txt" "$LANES_TMP/lanes4.txt"
+    diff -u <(grep '^overload:' "$LANES_TMP/ref.out") \
+        <(grep '^overload:' "$LANES_TMP/lanes4.out")
     rm -rf "$LANES_TMP"
   fi
 
