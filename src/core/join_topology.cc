@@ -68,8 +68,9 @@ struct SharedState {
 /// arrival rate at `rate_per_sec` regardless of the lane count.
 class RecordStreamSpout : public stream::Spout {
  public:
-  RecordStreamSpout(std::shared_ptr<const std::vector<RecordPtr>> input, double rate_per_sec)
-      : input_(std::move(input)), rate_(rate_per_sec) {}
+  /// `input` is borrowed: it must outlive the topology.
+  RecordStreamSpout(const std::vector<RecordPtr>* input, double rate_per_sec)
+      : input_(input), rate_(rate_per_sec) {}
 
   void Open(const stream::TaskContext& ctx) override {
     lane_ = ctx.task_index;
@@ -113,7 +114,7 @@ class RecordStreamSpout : public stream::Spout {
   }
 
  private:
-  std::shared_ptr<const std::vector<RecordPtr>> input_;
+  const std::vector<RecordPtr>* input_;
   double rate_;
   size_t pos_ = 0;  ///< lane-local stripe position
   int lane_ = 0;
@@ -1016,7 +1017,6 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   }
 
   auto shared = std::make_shared<SharedState>(options.num_joiners);
-  auto input_copy = std::make_shared<const std::vector<RecordPtr>>(input);
 
   stream::TopologyBuilder builder;
   builder.SetNumWorkers(workers)
@@ -1051,10 +1051,12 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   const bool pin = transport != nullptr;
   // Sharded front end: `lanes` spout/dispatcher pairs, wired one-to-one so
   // lane i's stripe of the input flows through lane i's router instance.
+  // The spouts borrow `input` as the factories borrow `options`: this call
+  // returns only after the topology is destroyed.
   stream::SpoutDeclarer source = builder.SetSpout(
       kSourceName,
-      [input_copy, &options] {
-        return std::make_unique<RecordStreamSpout>(input_copy, options.arrival_rate_per_sec);
+      [&input, &options] {
+        return std::make_unique<RecordStreamSpout>(&input, options.arrival_rate_per_sec);
       },
       lanes);
   if (pin) source.SetPlacement(std::vector<int>(lanes, 0));

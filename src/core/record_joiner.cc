@@ -25,8 +25,36 @@ size_t RecordJoiner::ApproxStoredBytes(const Record& r) const {
          sim_.PrefixLength(r.size()) * sizeof(Posting);
 }
 
+void RecordJoiner::RemoveOldestPostings() {
+  // Postings are appended in slot order and the oldest record leaves
+  // first, so its posting heads each of its lists.
+  const auto erase_front = [this](std::vector<Posting>& list) {
+    CHECK(!list.empty() && list.front().local_id == base_)
+        << "slot " << base_ << " does not head its posting list";
+    list.erase(list.begin());
+    ++stats_.dead_postings_purged;
+  };
+  const Record& r = *store_.front();
+  const size_t prefix_len = sim_.PrefixLength(r.size());
+  for (size_t i = 0; i < prefix_len; ++i) {
+    const TokenId w = r.tokens[i];
+    if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
+    if (options_.direct_index) {
+      std::vector<Posting>& list = dense_index_[w];
+      erase_front(list);
+      if (list.empty()) std::vector<Posting>().swap(list);
+    } else {
+      const auto it = sparse_index_.find(w);
+      CHECK(it != sparse_index_.end()) << "slot " << base_ << " missing from its posting list";
+      erase_front(it->second);
+      if (it->second.empty()) sparse_index_.erase(it);
+    }
+  }
+}
+
 void RecordJoiner::PopOldestStored() {
   approx_bytes_ -= ApproxStoredBytes(*store_.front());
+  RemoveOldestPostings();
   store_.pop_front();
   ++base_;
   ++stats_.evictions;
@@ -109,6 +137,7 @@ bool RecordJoiner::SpillOldestHot() {
   // Leaves the window (it is still *in* the window, just cold), so no
   // eviction is counted and the horizon does not move.
   approx_bytes_ -= ApproxStoredBytes(*r);
+  RemoveOldestPostings();
   store_.pop_front();
   ++base_;
   return true;
@@ -220,29 +249,21 @@ void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
     return slot;
   };
 
-  // Candidate generation over the probe prefix's posting lists. Dead
-  // postings are compacted away in passing.
+  // Candidate generation over the probe prefix's posting lists, which
+  // hold only stored records.
   for (size_t i = 0; i < prefix_len; ++i) {
     const TokenId w = r.tokens[i];
     if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
-    std::vector<Posting>* list_ptr;
+    const std::vector<Posting>* list;
     if (options_.direct_index) {
-      if (w >= dense_index_.size() || dense_index_[w].empty()) continue;
-      list_ptr = &dense_index_[w];
+      if (w >= dense_index_.size()) continue;
+      list = &dense_index_[w];
     } else {
       const auto it = sparse_index_.find(w);
       if (it == sparse_index_.end()) continue;
-      list_ptr = &it->second;
+      list = &it->second;
     }
-    std::vector<Posting>& list = *list_ptr;
-    size_t write = 0;
-    for (size_t read = 0; read < list.size(); ++read) {
-      const Posting p = list[read];
-      if (!Alive(p.local_id)) {
-        ++stats_.dead_postings_purged;
-        continue;
-      }
-      list[write++] = p;
+    for (const Posting& p : *list) {
       ++stats_.postings_scanned;
       const size_t s_size = p.size;
       if (s_size < lo || s_size > hi) {
@@ -269,7 +290,6 @@ void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
       }
       ++ov;
     }
-    list.resize(write);
   }
 
   // Verification.
@@ -350,23 +370,6 @@ void RecordJoiner::Process(const RecordPtr& r, bool store, bool probe,
   Evict(r->timestamp);
   if (probe) Probe(*r, cb);
   if (store) Store(r);
-}
-
-void RecordJoiner::CompactIndex() {
-  const auto compact = [this](std::vector<Posting>& list) {
-    size_t write = 0;
-    for (size_t read = 0; read < list.size(); ++read) {
-      if (Alive(list[read].local_id)) {
-        list[write++] = list[read];
-      } else {
-        ++stats_.dead_postings_purged;
-      }
-    }
-    list.resize(write);
-    if (list.empty()) std::vector<Posting>().swap(list);  // free the storage
-  };
-  for (std::vector<Posting>& list : dense_index_) compact(list);
-  for (auto& [w, list] : sparse_index_) compact(list);
 }
 
 namespace {

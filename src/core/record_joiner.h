@@ -60,8 +60,10 @@ struct RecordJoinerOptions {
 /// In the streaming setting probe prefix == index prefix (partners may be
 /// shorter or longer), see SimilaritySpec::PrefixLength.
 ///
-/// Expired records are dropped from the window eagerly and purged from
-/// posting lists lazily (compacted in place whenever a list is scanned).
+/// A record's postings leave the index with it: postings are appended in
+/// arrival order, so a record leaving the hot window (eviction or spill)
+/// heads each of its lists and is erased from the front. The index holds
+/// exactly the hot window's postings; a list that falls empty is freed.
 class RecordJoiner : public LocalJoiner {
  public:
   RecordJoiner(const SimilaritySpec& sim, const WindowSpec& window,
@@ -74,15 +76,11 @@ class RecordJoiner : public LocalJoiner {
   size_t EvictOldest(size_t n) override;
   const JoinerStats& stats() const override { return stats_; }
 
-  /// Eagerly removes every dead posting (normally removal is amortized into
-  /// probe scans). Exposed for memory experiments.
-  void CompactIndex();
-
   /// Checkpointing: the snapshot stores the window's records (in store
   /// order) plus stats; Restore rebuilds the inverted index by re-storing
   /// them, which reproduces posting order — and therefore match order —
-  /// exactly. Dead postings are not snapshotted, so purge/scan counters may
-  /// run lower after a restore; emissions are unaffected.
+  /// exactly. The index holds no dead postings, so the scan and purge
+  /// counters of a restored joiner track the live one's too.
   ///
   /// Blobs are tagged: Snapshot writes a self-contained image (cold
   /// records read back and inlined — the migration format), FreezeBase a
@@ -110,7 +108,7 @@ class RecordJoiner : public LocalJoiner {
 
  private:
   struct Posting {
-    uint64_t local_id;  ///< store slot; dead iff < base_
+    uint64_t local_id;  ///< store slot (base_ + index into store_)
     uint32_t position;  ///< token position within the stored record
     uint32_t size;      ///< stored record's token count, denormalized so the
                         ///< candidate scan length-filters without touching
@@ -135,7 +133,6 @@ class RecordJoiner : public LocalJoiner {
     store::SpillHandle handle;
   };
 
-  bool Alive(uint64_t local_id) const { return local_id >= base_; }
   const RecordPtr& StoredAt(uint64_t local_id) const {
     return store_[static_cast<size_t>(local_id - base_)];
   }
@@ -174,6 +171,9 @@ class RecordJoiner : public LocalJoiner {
   size_t ApproxStoredBytes(const Record& r) const;
   /// Removes the oldest stored record, maintaining the byte accounting.
   void PopOldestStored();
+  /// Erases the oldest hot record's postings (the head of each of its
+  /// lists), freeing lists that fall empty. Runs before it leaves store_.
+  void RemoveOldestPostings();
 
   SimilaritySpec sim_;
   WindowSpec window_;
@@ -202,8 +202,8 @@ class RecordJoiner : public LocalJoiner {
 
   // Inverted index over prefix tokens; exactly one of the two layouts is
   // populated, per options_.direct_index (see that flag for the tradeoff).
-  // In the dense layout lists that fall empty stay as 24-byte headers
-  // until CompactIndex frees them.
+  // A list that falls empty is erased (sparse) or has its storage freed,
+  // leaving the 24-byte header in the token-id table (dense).
   std::vector<std::vector<Posting>> dense_index_;
   std::unordered_map<TokenId, std::vector<Posting>> sparse_index_;
 

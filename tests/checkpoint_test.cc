@@ -111,6 +111,50 @@ TEST(CheckpointTest, RecordJoinerSparseIndex) {
       4);
 }
 
+std::vector<uint64_t> Counters(const JoinerStats& stats) {
+  std::vector<uint64_t> out;
+  ForEachJoinerStat(stats, [&out](uint64_t v) { out.push_back(v); });
+  return out;
+}
+
+// A restored joiner's index holds what the live one's does, so once all
+// three continue on the same input every counter agrees, not only the
+// emissions: the live joiner, one restored from a snapshot, and one
+// rebuilt from a base + delta chain.
+TEST(CheckpointTest, RecordJoinerCountersSurviveRestore) {
+  const std::vector<RecordPtr> stream = MakeStream(13, 600);
+  const auto make = [] {
+    return std::make_unique<RecordJoiner>(SimilaritySpec(SimilarityFunction::kJaccard, 700),
+                                          WindowSpec::ByCount(60));
+  };
+  auto live = make();
+  Feed(*live, stream, 0, 150);
+  std::string base;
+  live->FreezeBase().encode(&base);
+  Feed(*live, stream, 150, 250);
+  std::string delta1;
+  live->FreezeDelta().encode(&delta1);
+  Feed(*live, stream, 250, 350);
+  std::string delta2;
+  live->FreezeDelta().encode(&delta2);
+  std::string snapshot;
+  live->Snapshot(&snapshot);
+
+  auto restored = make();
+  restored->Restore(snapshot);
+  auto chain = make();
+  chain->Restore(base);
+  chain->RestoreDelta(delta1);
+  chain->RestoreDelta(delta2);
+
+  const auto expect = Feed(*live, stream, 350, stream.size());
+  EXPECT_EQ(Feed(*restored, stream, 350, stream.size()), expect);
+  EXPECT_EQ(Feed(*chain, stream, 350, stream.size()), expect);
+  EXPECT_GT(live->stats().dead_postings_purged, 0u);
+  EXPECT_EQ(Counters(restored->stats()), Counters(live->stats()));
+  EXPECT_EQ(Counters(chain->stats()), Counters(live->stats()));
+}
+
 TEST(CheckpointTest, BundleJoinerUnbounded) {
   CheckRoundTrip(
       [] {

@@ -213,18 +213,52 @@ TEST(RecordJoinerTest, PositionalFilterPrunesButPreservesResults) {
   EXPECT_GT(a.stats().position_filtered, 0u);
 }
 
-TEST(RecordJoinerTest, CompactIndexDropsDeadPostings) {
+// The index must track the window, not the stream's history: a record's
+// postings leave with it, so on the tweet preset (whose rare prefix tokens
+// are seldom probed again) the index stops growing once the window is
+// full. Sparse layout, as every partitioned joiner uses.
+TEST(RecordJoinerTest, IndexStaysBoundedByTheWindow) {
+  constexpr size_t kPerWindow = 2000;
+  constexpr size_t kWindows = 12;
+  WorkloadOptions wo = PresetOptions(DatasetPreset::kTweet);
+  wo.seed = 47;
+  const auto stream = WorkloadGenerator(wo).Generate(kPerWindow * kWindows);
+  RecordJoinerOptions opts;
+  opts.direct_index = false;
   RecordJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 800),
-                      WindowSpec::ByCount(4));
+                      WindowSpec::ByTime(static_cast<int64_t>(kPerWindow) * wo.timestamp_step_us),
+                      opts);
   const auto cb = [](const ResultPair&) {};
-  for (uint64_t i = 0; i < 64; ++i) {
-    joiner.Process(MakeRecord(i, i, {static_cast<TokenId>(i % 7), 100, 101, 102}), true, true,
-                   cb);
+  size_t memory_at_2 = 0;
+  for (size_t w = 1; w <= kWindows; ++w) {
+    for (size_t i = (w - 1) * kPerWindow; i < w * kPerWindow; ++i) {
+      joiner.Process(stream[i], true, true, cb);
+    }
+    if (w == 2) {
+      memory_at_2 = joiner.MemoryBytes();
+    } else if (w >= 10) {
+      EXPECT_LE(joiner.MemoryBytes(), memory_at_2 * 3 / 2) << "after window " << w;
+    }
   }
-  const size_t before = joiner.MemoryBytes();
-  joiner.CompactIndex();
-  EXPECT_LE(joiner.MemoryBytes(), before);
+  EXPECT_GT(joiner.stats().evictions, kPerWindow * (kWindows - 2));
   EXPECT_GT(joiner.stats().dead_postings_purged, 0u);
+}
+
+// max_index_bytes bounds the joiner's memory, index included: a budget
+// eviction takes the record's postings with it.
+TEST(RecordJoinerTest, MemoryBudgetBoundsTheIndex) {
+  constexpr size_t kBudget = 65536;
+  WorkloadOptions wo = PresetOptions(DatasetPreset::kTweet);
+  wo.seed = 53;
+  const auto stream = WorkloadGenerator(wo).Generate(30000);
+  RecordJoinerOptions opts;
+  opts.direct_index = false;
+  opts.max_index_bytes = kBudget;
+  RecordJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 800),
+                      WindowSpec::Unbounded(), opts);
+  SingleNodeJoin(stream, joiner);
+  EXPECT_GT(joiner.stats().budget_evictions, 0u);
+  EXPECT_LE(joiner.MemoryBytes(), 4 * kBudget);
 }
 
 TEST(LocalJoinerStatsTest, FiltersActuallyFire) {

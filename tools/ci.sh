@@ -129,18 +129,21 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
   echo "== address sanitizer =="
   # ASan also covers the network surface: the transport threads + wire
   # parser run under it in-process, and the multi-process smoke re-runs
-  # with both spawned binaries ASan-instrumented.
+  # with both spawned binaries ASan-instrumented. The `joiner` suites run
+  # the posting-list front erase and checkpoint replay instrumented.
   ASAN_TARGETS=("${TSAN_SAFE_TARGETS[@]}"
                 net_wire_test net_transport_test net_smoke_test
                 wire_codec_equivalence_test wire_borrow_test
                 store_test
+                local_joiner_test checkpoint_test fuzz_equivalence_test
+                two_stream_joiner_test
                 dssj_cli dssj_worker)
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
   cmake --build build-asan -j --target "${ASAN_TARGETS[@]}"
   (cd build-asan && ASAN_OPTIONS="detect_leaks=1" \
-    ctest -L 'tsan_safe|net' --output-on-failure)
+    ctest -L 'tsan_safe|net|joiner' --output-on-failure)
 
   echo "== sharded ingestion multi-process smoke (ASan, lanes=4) =="
   # A real two-process TCP cluster with the ingestion front end split into
@@ -226,15 +229,18 @@ PYEOF
 
   echo "== undefined behavior sanitizer =="
   # UBSan is cheap enough to cover the overload/shedding surface on top of
-  # the concurrency set (shed accounting does a lot of size_t arithmetic).
+  # the concurrency set (shed accounting does a lot of size_t arithmetic),
+  # and the joiner suites' slot and filter-bound arithmetic.
   UBSAN_TARGETS=("${TSAN_SAFE_TARGETS[@]}" overload_test
-                 net_wire_test wire_borrow_test)
+                 net_wire_test wire_borrow_test
+                 local_joiner_test checkpoint_test fuzz_equivalence_test
+                 two_stream_joiner_test)
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
   cmake --build build-ubsan -j --target "${UBSAN_TARGETS[@]}"
   (cd build-ubsan && UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest -L 'tsan_safe|overload' --output-on-failure)
+    ctest -L 'tsan_safe|overload|joiner' --output-on-failure)
 
   echo "== wire fuzz (UBSan) =="
   # Varint shifting, zigzag casts, and LZ offset arithmetic are the repo's
