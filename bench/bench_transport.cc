@@ -166,16 +166,12 @@ void BM_JoinTcpLocalhost(benchmark::State& state) {
 
 BENCHMARK_CAPTURE(BM_WireEncodeFrames, raw, net::WireCodec::kRaw);
 BENCHMARK_CAPTURE(BM_WireEncodeFrames, delta, net::WireCodec::kDelta);
-BENCHMARK_CAPTURE(BM_WireEncodeFrames, delta_lz, net::WireCodec::kDeltaLz);
 BENCHMARK_CAPTURE(BM_WireParseFrames, raw, net::WireCodec::kRaw);
 BENCHMARK_CAPTURE(BM_WireParseFrames, delta, net::WireCodec::kDelta);
-BENCHMARK_CAPTURE(BM_WireParseFrames, delta_lz, net::WireCodec::kDeltaLz);
 BENCHMARK(BM_JoinInproc)->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 BENCHMARK_CAPTURE(BM_JoinLoopback, raw, net::WireCodec::kRaw)
     ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 BENCHMARK_CAPTURE(BM_JoinLoopback, delta, net::WireCodec::kDelta)
-    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
-BENCHMARK_CAPTURE(BM_JoinLoopback, delta_lz, net::WireCodec::kDeltaLz)
     ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 BENCHMARK(BM_JoinTcpLocalhost)->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 

@@ -31,7 +31,7 @@ inline const char* JoinFlagsUsage() {
          "          [--local=record|bundle] [--window=N] [--qgram=Q]\n"
          "          [--batch_size=N] [--ingest_lanes=N]\n"
          "          [--transport=inproc|loopback|tcp] [--workers=N]\n"
-         "          [--wire_codec=raw|delta|delta+lz]\n"
+         "          [--wire_codec=raw|delta]\n"
          "          [--connect=host:port,host:port,...] [--listen=host:port]\n"
          "          [--checkpoint_interval=N] [--max_restarts=N]\n"
          "          [--fault_script='kill:joiner:0@500; migrate:joiner:1->2@800; ...']\n"
@@ -102,7 +102,7 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
   }
   const std::string wire_codec = flags.GetString("wire_codec", "delta");
   if (!dssj::net::ParseWireCodec(wire_codec, &options.wire_codec)) {
-    std::fprintf(stderr, "unknown wire codec '%s' (raw|delta|delta+lz)\n", wire_codec.c_str());
+    std::fprintf(stderr, "--wire_codec expects raw|delta, got '%s'\n", wire_codec.c_str());
     return false;
   }
   options.num_workers = static_cast<int>(workers);

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.input_records));
   std::printf("duplicate pairs    %llu\n",
               static_cast<unsigned long long>(result.result_count));
-  std::printf("wall throughput    %.0f rec/s (single-core host)\n", result.throughput_rps);
+  std::printf("wall throughput    %.0f rec/s\n", result.throughput_rps);
   std::printf("cluster throughput %.0f rec/s (critical-path model)\n",
               result.scaled_throughput_rps);
   std::printf("replication        %.3f (stores per record)\n", result.replication_factor);

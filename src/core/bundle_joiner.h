@@ -92,7 +92,6 @@ class BundleJoiner : public LocalJoiner {
   /// record joiner's refcounted window). Retired bundles take their
   /// postings with them, so a base costs O(live window) and a delta
   /// O(change), however long the stream has run.
-  bool SupportsIncrementalSnapshot() const override { return true; }
   store::FrozenBlob FreezeBase() override;
   store::FrozenBlob FreezeDelta() override;
   void RestoreDelta(const std::string& blob) override;

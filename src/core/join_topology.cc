@@ -368,9 +368,6 @@ class JoinerBolt : public stream::Bolt {
   /// base uses the Snapshot layout, so it restores through Restore(); a
   /// delta carries only the merge buffers' change since the previous
   /// freeze (see CaptureMerge).
-  bool SupportsDeltaSnapshot() const override {
-    return joiner_->SupportsIncrementalSnapshot();
-  }
   store::FrozenBlob Freeze(bool want_delta) override {
     auto header = std::make_shared<std::string>();
     {

@@ -151,7 +151,7 @@ struct DistributedJoinOptions {
   /// How long TCP connect retries cover workers starting out of order.
   int64_t net_connect_timeout_micros = 30'000'000;
   /// Tuple-section coding for frames this process sends under kLoopback /
-  /// kTcp (--wire_codec=raw|delta|delta+lz). Frames are self-describing, so
+  /// kTcp (--wire_codec=raw|delta). Frames are self-describing, so
   /// mixed-codec clusters still interoperate; results are byte-identical
   /// across codecs.
   net::WireCodec wire_codec = net::WireCodec::kDelta;

@@ -138,7 +138,6 @@ class LocalJoiner {
   /// RestoreDelta(each delta, epoch order). The defaults serialize a full
   /// image eagerly (is_delta = false), so every joiner works in the
   /// pipeline and incremental support is a pure optimization.
-  virtual bool SupportsIncrementalSnapshot() const { return false; }
   virtual store::FrozenBlob FreezeBase() {
     auto blob = std::make_shared<std::string>();
     Snapshot(blob.get());

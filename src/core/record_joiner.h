@@ -92,7 +92,6 @@ class RecordJoiner : public LocalJoiner {
   bool SupportsSnapshot() const override { return true; }
   void Snapshot(std::string* out) const override;
   void Restore(const std::string& blob) override;
-  bool SupportsIncrementalSnapshot() const override { return true; }
   store::FrozenBlob FreezeBase() override;
   store::FrozenBlob FreezeDelta() override;
   void RestoreDelta(const std::string& blob) override;

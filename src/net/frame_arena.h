@@ -21,7 +21,6 @@ namespace dssj::net {
 ///                   encodes a complete frame here *before* parsing, so
 ///                   span-backed views alias stable storage, never the
 ///                   transport's rolling receive buffer),
-///   - AllocBlock(): decompression output for compressed frame sections,
 ///   - AllocTokens():delta-decoded token arrays,
 ///   - AllocRecord():the Record objects themselves (deque storage: addresses
 ///                   are stable while later records are added).
@@ -46,23 +45,12 @@ class FrameArena {
   /// parsing starts.
   std::string& bytes() { return bytes_; }
 
-  /// `n` writable bytes for a decompressed frame section; stable until
-  /// Reset().
-  char* AllocBlock(size_t n) {
-    if (blocks_used_ == blocks_.size()) blocks_.emplace_back();
-    std::string& b = blocks_[blocks_used_++];
-    b.resize(n);
-    block_bytes_ += n;
-    return b.data();
-  }
-
   /// Storage for `n` decoded tokens; stable until Reset(). Chunked so a
   /// frame's records share a few allocations that are reused across
   /// frames. A chunk is sized to the frame: every decoded token used at
-  /// least one input byte (of the frame or of a decompressed block), so a
-  /// frame never needs more tokens than it has input bytes. A task that
-  /// keeps one tuple pins the whole arena, so a small frame must not carry
-  /// a large chunk.
+  /// least one frame byte, so a frame never needs more tokens than it has
+  /// bytes. A task that keeps one tuple pins the whole arena, so a small
+  /// frame must not carry a large chunk.
   TokenId* AllocTokens(size_t n) {
     while (chunk_idx_ < chunks_.size() &&
            chunks_[chunk_idx_].size - chunk_off_ < n) {
@@ -70,7 +58,7 @@ class FrameArena {
       chunk_off_ = 0;
     }
     if (chunk_idx_ == chunks_.size()) {
-      const size_t cap = std::max(n, std::min(kTokenChunk, bytes_.size() + block_bytes_));
+      const size_t cap = std::max(n, std::min(kTokenChunk, bytes_.size()));
       chunks_.push_back({std::make_unique<TokenId[]>(cap), cap});
       chunk_off_ = 0;
     }
@@ -93,9 +81,6 @@ class FrameArena {
   /// that guarantee.
   void Reset() {
     bytes_.clear();
-    for (size_t i = 0; i < blocks_used_; ++i) blocks_[i].clear();
-    blocks_used_ = 0;
-    block_bytes_ = 0;
     for (size_t i = 0; i < records_used_ && i < records_.size(); ++i) {
       records_[i] = Record();
     }
@@ -106,7 +91,6 @@ class FrameArena {
 
   size_t MemoryBytes() const {
     size_t total = bytes_.capacity();
-    for (const auto& b : blocks_) total += b.capacity();
     for (const auto& c : chunks_) total += c.size * sizeof(TokenId);
     total += records_.size() * sizeof(Record);
     return total;
@@ -121,9 +105,6 @@ class FrameArena {
   };
 
   std::string bytes_;
-  std::vector<std::string> blocks_;
-  size_t blocks_used_ = 0;
-  size_t block_bytes_ = 0;  ///< decompressed bytes handed out since Reset()
   std::deque<Record> records_;
   size_t records_used_ = 0;
   std::vector<TokenChunk> chunks_;

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/serialize.h"
-#include "net/block_compress.h"
 
 namespace dssj::net {
 namespace {
@@ -37,32 +36,43 @@ bool SetError(std::string* error, const std::string& what) {
   return false;
 }
 
-/// The tuple section of a kData frame in `delta` layout (also the
-/// pre-compression plaintext of `delta+lz`): per envelope a link_seq —
-/// first one a plain varint, the rest zigzag gaps to the previous
-/// envelope — then the delta-coded tuple.
-void EncodeDeltaSection(const stream::Envelope* envs, size_t count,
-                        const PayloadCodec* codec, std::string* out) {
-  BinaryWriter w(out);
-  uint64_t prev_seq = 0;
-  for (size_t i = 0; i < count; ++i) {
-    DCHECK(!envs[i].eos) << "EOS markers travel as kEos frames";
-    const uint64_t seq = envs[i].link_seq;
-    if (i == 0) {
-      w.WriteVarint(seq);
-    } else {
-      w.WriteVarintI64(static_cast<int64_t>(seq - prev_seq));
-    }
-    prev_seq = seq;
-    EncodeTuple(WireCodec::kDelta, envs[i].tuple, codec, out);
+/// Body decoders. Each gets a reader scoped to exactly the frame body (type
+/// byte already consumed) and must consume it fully — trailing bytes are a
+/// framing error.
+bool ParseHello(SafeBinaryReader& r, Frame* frame, std::string* error) {
+  uint32_t magic = 0;
+  uint16_t version = 0;
+  if (!r.ReadU32(&magic) || !r.ReadU16(&version) || !r.ReadU16(&frame->rank)) {
+    return SetError(error, "truncated HELLO frame");
   }
+  if (magic != kWireMagic) return SetError(error, "bad magic in HELLO (not a dssj peer?)");
+  if (version != kWireVersion) {
+    return SetError(error, "wire version mismatch: peer " + std::to_string(version) +
+                               ", local " + std::to_string(kWireVersion));
+  }
+  return true;
 }
 
-/// Decodes a tuple section (either layout) into frame->envelopes. `r` must
-/// be scoped to exactly the section bytes and is consumed fully.
-bool ParseTupleSection(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
-                       const std::shared_ptr<FrameArena>& arena, int32_t source_task,
-                       uint32_t count, Frame* frame, std::string* error) {
+bool ParseData(SafeBinaryReader& r, const PayloadCodec* codec,
+               const std::shared_ptr<FrameArena>& arena, Frame* frame, std::string* error) {
+  uint8_t codec_byte = 0;
+  int32_t source_task = 0;
+  uint32_t count = 0;
+  {
+    uint32_t src_u = 0;
+    uint32_t dst_u = 0;
+    if (!r.ReadU8(&codec_byte) || !r.ReadU32(&src_u) || !r.ReadU32(&dst_u) ||
+        !r.ReadU32(&count)) {
+      return SetError(error, "truncated DATA header");
+    }
+    source_task = static_cast<int32_t>(src_u);
+    frame->dst_task = static_cast<int32_t>(dst_u);
+  }
+  if (codec_byte > static_cast<uint8_t>(WireCodec::kDelta)) {
+    return SetError(error, "unknown wire codec " + std::to_string(codec_byte) + " in DATA");
+  }
+  const WireCodec wire = static_cast<WireCodec>(codec_byte);
+
   // Cheap per-envelope size floors stop a corrupt count from driving a huge
   // reserve: raw needs link_seq (8) + tuple header (8) per envelope, delta
   // at least one byte each for link_seq / payload_bytes / num_fields.
@@ -91,92 +101,7 @@ bool ParseTupleSection(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* 
       return SetError(error, "malformed tuple in DATA");
     }
   }
-  if (!r.AtEnd()) return SetError(error, "trailing bytes in DATA tuple section");
   return true;
-}
-
-/// Body decoders. Each gets a reader scoped to exactly the frame body (type
-/// byte already consumed) and must consume it fully — trailing bytes are a
-/// framing error.
-bool ParseHello(SafeBinaryReader& r, Frame* frame, std::string* error) {
-  uint32_t magic = 0;
-  uint16_t version = 0;
-  if (!r.ReadU32(&magic) || !r.ReadU16(&version) || !r.ReadU16(&frame->rank)) {
-    return SetError(error, "truncated HELLO frame");
-  }
-  if (magic != kWireMagic) return SetError(error, "bad magic in HELLO (not a dssj peer?)");
-  if (version != kWireVersion) {
-    return SetError(error, "wire version mismatch: peer " + std::to_string(version) +
-                               ", local " + std::to_string(kWireVersion));
-  }
-  return true;
-}
-
-bool ParseData(SafeBinaryReader& r, const PayloadCodec* codec, uint32_t max_frame_bytes,
-               const std::shared_ptr<FrameArena>& arena, Frame* frame, std::string* error) {
-  uint8_t codec_byte = 0;
-  int32_t source_task = 0;
-  uint32_t count = 0;
-  {
-    uint32_t src_u = 0;
-    uint32_t dst_u = 0;
-    if (!r.ReadU8(&codec_byte) || !r.ReadU32(&src_u) || !r.ReadU32(&dst_u) ||
-        !r.ReadU32(&count)) {
-      return SetError(error, "truncated DATA header");
-    }
-    source_task = static_cast<int32_t>(src_u);
-    frame->dst_task = static_cast<int32_t>(dst_u);
-  }
-  if (codec_byte > static_cast<uint8_t>(WireCodec::kDeltaLz)) {
-    return SetError(error, "unknown wire codec " + std::to_string(codec_byte) + " in DATA");
-  }
-  const WireCodec wire = static_cast<WireCodec>(codec_byte);
-
-  if (wire != WireCodec::kDeltaLz) {
-    return ParseTupleSection(wire, r, codec, arena, source_task, count, frame, error);
-  }
-
-  // Compressed section: vu raw_len, vu comp_len, comp_len bytes filling the
-  // rest of the body. raw_len is bounded by the frame ceiling *before* any
-  // allocation, so a lying header cannot drive memory (decompression bomb).
-  uint64_t raw_len = 0;
-  uint64_t comp_len = 0;
-  if (!r.ReadVarint(&raw_len) || !r.ReadVarint(&comp_len)) {
-    return SetError(error, "truncated DATA compression header");
-  }
-  if (raw_len > max_frame_bytes) {
-    return SetError(error, "compressed DATA section declares " + std::to_string(raw_len) +
-                               " raw bytes (max " + std::to_string(max_frame_bytes) + ")");
-  }
-  if (comp_len != r.remaining()) {
-    return SetError(error, "compressed DATA section length mismatch");
-  }
-  const char* comp = nullptr;
-  size_t comp_size = 0;
-  if (!r.ReadSpan(&comp, &comp_size, comp_len)) {
-    return SetError(error, "truncated compressed DATA section");
-  }
-  const char* section = nullptr;
-  std::string local;
-  if (comp_len == raw_len) {
-    // Stored verbatim (the encoder found the section incompressible).
-    section = comp;
-  } else {
-    char* block = nullptr;
-    if (arena != nullptr) {
-      block = arena->AllocBlock(raw_len);
-    } else {
-      local.resize(raw_len);
-      block = local.data();
-    }
-    if (!BlockDecompress(comp, comp_size, block, raw_len)) {
-      return SetError(error, "corrupt compressed DATA section");
-    }
-    section = block;
-  }
-  SafeBinaryReader sr(section, raw_len);
-  return ParseTupleSection(WireCodec::kDelta, sr, codec, arena, source_task, count, frame,
-                           error);
 }
 
 bool ParseEos(SafeBinaryReader& r, Frame* frame, std::string* error) {
@@ -221,37 +146,9 @@ bool ParseMigrationHeader(SafeBinaryReader& r, Frame* frame, const char* what,
   return true;
 }
 
-bool ParseState(SafeBinaryReader& r, uint32_t max_frame_bytes, Frame* frame,
-                std::string* error) {
-  if (!ParseMigrationHeader(r, frame, "STATE", error)) return false;
-  // Same compressed-section layout (and decompression-bomb guard) as a
-  // delta+lz tuple section.
-  uint64_t raw_len = 0;
-  uint64_t comp_len = 0;
-  if (!r.ReadVarint(&raw_len) || !r.ReadVarint(&comp_len)) {
-    return SetError(error, "truncated STATE compression header");
-  }
-  if (raw_len > max_frame_bytes) {
-    return SetError(error, "STATE blob declares " + std::to_string(raw_len) +
-                               " raw bytes (max " + std::to_string(max_frame_bytes) + ")");
-  }
-  if (comp_len != r.remaining()) {
-    return SetError(error, "STATE compressed length mismatch");
-  }
-  const char* comp = nullptr;
-  size_t comp_size = 0;
-  if (!r.ReadSpan(&comp, &comp_size, comp_len)) {
-    return SetError(error, "truncated STATE blob");
-  }
-  if (comp_len == raw_len) {
-    frame->blob.assign(comp, comp_size);
-    return true;
-  }
-  frame->blob.resize(raw_len);
-  if (!BlockDecompress(comp, comp_size, frame->blob.data(), raw_len)) {
-    return SetError(error, "corrupt compressed STATE blob");
-  }
-  return true;
+bool ParseState(SafeBinaryReader& r, Frame* frame, std::string* error) {
+  return ParseMigrationHeader(r, frame, "STATE", error) &&
+         (r.ReadBytesU32(&frame->blob) || SetError(error, "truncated STATE blob"));
 }
 
 }  // namespace
@@ -262,8 +159,6 @@ const char* WireCodecName(WireCodec codec) {
       return "raw";
     case WireCodec::kDelta:
       return "delta";
-    case WireCodec::kDeltaLz:
-      return "delta+lz";
   }
   return "?";
 }
@@ -273,8 +168,6 @@ bool ParseWireCodec(const std::string& name, WireCodec* out) {
     *out = WireCodec::kRaw;
   } else if (name == "delta") {
     *out = WireCodec::kDelta;
-  } else if (name == "delta+lz" || name == "delta-lz" || name == "lz") {
-    *out = WireCodec::kDeltaLz;
   } else {
     return false;
   }
@@ -283,7 +176,6 @@ bool ParseWireCodec(const std::string& name, WireCodec* out) {
 
 void EncodeTuple(WireCodec wire, const stream::Tuple& tuple, const PayloadCodec* codec,
                  std::string* out) {
-  DCHECK(wire != WireCodec::kDeltaLz) << "compression wraps whole sections, not tuples";
   const bool delta = wire == WireCodec::kDelta;
   BinaryWriter w(out);
   if (delta) {
@@ -432,32 +324,21 @@ void AppendDataFrameRange(WireCodec wire, int32_t source_task, int32_t dst_task,
   w.WriteU32(static_cast<uint32_t>(source_task));
   w.WriteU32(static_cast<uint32_t>(dst_task));
   w.WriteU32(static_cast<uint32_t>(count));
-  switch (wire) {
-    case WireCodec::kRaw:
-      for (size_t i = 0; i < count; ++i) {
-        DCHECK(!envs[i].eos) << "EOS markers travel as kEos frames";
-        w.WriteU64(envs[i].link_seq);
-        EncodeTuple(wire, envs[i].tuple, codec, out);
-      }
-      break;
-    case WireCodec::kDelta:
-      EncodeDeltaSection(envs, count, codec, out);
-      break;
-    case WireCodec::kDeltaLz: {
-      thread_local std::string section;
-      thread_local std::string compressed;
-      section.clear();
-      compressed.clear();
-      EncodeDeltaSection(envs, count, codec, &section);
-      BlockCompress(section.data(), section.size(), &compressed);
-      w.WriteVarint(section.size());
-      // Store the section verbatim when compression does not win;
-      // comp_len == raw_len is the decoder's "stored" marker.
-      const std::string& body = compressed.size() < section.size() ? compressed : section;
-      w.WriteVarint(body.size());
-      out->append(body);
-      break;
+  // Per envelope a link_seq, then the tuple. delta codes the first link_seq
+  // as a plain varint and the rest as zigzag gaps to the previous one.
+  uint64_t prev_seq = 0;
+  for (size_t i = 0; i < count; ++i) {
+    DCHECK(!envs[i].eos) << "EOS markers travel as kEos frames";
+    const uint64_t seq = envs[i].link_seq;
+    if (wire == WireCodec::kRaw) {
+      w.WriteU64(seq);
+    } else if (i == 0) {
+      w.WriteVarint(seq);
+    } else {
+      w.WriteVarintI64(static_cast<int64_t>(seq - prev_seq));
     }
+    prev_seq = seq;
+    EncodeTuple(wire, envs[i].tuple, codec, out);
   }
   EndFrame(at, out);
 }
@@ -544,13 +425,7 @@ void AppendStateFrame(uint32_t migration_id, int32_t task_id, uint16_t target_ra
                       const std::string& blob, std::string* out) {
   size_t at = 0;
   AppendMigrationHeader(FrameType::kState, migration_id, task_id, target_rank, out, &at);
-  BinaryWriter w(out);
-  std::string compressed;
-  BlockCompress(blob.data(), blob.size(), &compressed);
-  w.WriteVarint(blob.size());
-  const std::string& body = compressed.size() < blob.size() ? compressed : blob;
-  w.WriteVarint(body.size());
-  out->append(body);
+  BinaryWriter(out).WriteBytesU32(blob);
   EndFrame(at, out);
 }
 
@@ -592,7 +467,7 @@ ParseStatus ParseFrame(const char* data, size_t size, const PayloadCodec* codec,
       ok = ParseHello(r, frame, error);
       break;
     case FrameType::kData:
-      ok = ParseData(r, codec, max_frame_bytes, arena, frame, error);
+      ok = ParseData(r, codec, arena, frame, error);
       break;
     case FrameType::kEos:
       ok = ParseEos(r, frame, error);
@@ -610,7 +485,7 @@ ParseStatus ParseFrame(const char* data, size_t size, const PayloadCodec* codec,
       ok = ParseMigrationHeader(r, frame, "PREPARE", error);
       break;
     case FrameType::kState:
-      ok = ParseState(r, max_frame_bytes, frame, error);
+      ok = ParseState(r, frame, error);
       break;
     case FrameType::kHandoff:
       ok = ParseMigrationHeader(r, frame, "HANDOFF", error);

@@ -30,16 +30,9 @@ namespace dssj::net {
 ///             then a tuple section whose layout the codec byte picks (the
 ///             frame is self-describing — receivers never consult local
 ///             configuration):
-///               raw:      count x [u64 link_seq][raw tuple]
-///               delta:    count x [link_seq: first vu, then vz of the gap
-///                         to the previous envelope][delta tuple]
-///               delta+lz: vu raw_len, vu comp_len, then comp_len bytes —
-///                         an LZ block (net/block_compress.h) inflating to
-///                         exactly raw_len bytes of `delta` section, or the
-///                         section verbatim when comp_len == raw_len (the
-///                         encoder stores incompressible sections raw).
-///                         raw_len above the frame ceiling is rejected
-///                         before any allocation (decompression-bomb guard).
+///               raw:   count x [u64 link_seq][raw tuple]
+///               delta: count x [link_seq: first vu, then vz of the gap to
+///                      the previous envelope][delta tuple]
 ///   kEos:     i32 source_task, i32 dst_task, u64 final link count
 ///             (Envelope::link_seq semantics for EOS markers).
 ///   kMetrics: i32 task_id, u32-length-prefixed SerializeTaskCounters blob,
@@ -57,12 +50,9 @@ namespace dssj::net {
 ///             and ship its state. Rides the same connection as the task's
 ///             data frames, so FIFO ordering makes everything before it the
 ///             exact in-flight gap.
-///   kState:   u32 migration_id, i32 task_id, u16 target rank, then
-///             vu raw_len, vu comp_len, comp_len bytes — the encoded
-///             MigrationState blob (stream/migration.h) compressed as an LZ
-///             block exactly like a delta+lz tuple section (comp_len ==
-///             raw_len means stored verbatim; raw_len above the frame
-///             ceiling is rejected before allocation).
+///   kState:   u32 migration_id, i32 task_id, u16 target rank, then the
+///             u32-length-prefixed encoded MigrationState blob
+///             (stream/migration.h).
 ///   kHandoff: u32 migration_id, i32 task_id, u16 new owner rank. Target →
 ///             coordinator: state restored, executor running.
 ///   kAck:     u32 migration_id, i32 task_id, u16 new owner rank.
@@ -98,25 +88,21 @@ enum class FrameType : uint8_t {
 ///             delta-coded (gap - 1 per step; strict ascent makes that
 ///             bijective). The default: the dominant payload bytes are
 ///             token gaps, which are small.
-///   kDeltaLz: kDelta plus a per-frame LZ block over the whole tuple
-///             section. Cheapest on the wire, costs a compressor pass.
 enum class WireCodec : uint8_t {
   kRaw = 0,
   kDelta = 1,
-  kDeltaLz = 2,
 };
 
-/// "raw" / "delta" / "delta+lz" (flag spelling).
+/// "raw" / "delta" (flag spelling).
 const char* WireCodecName(WireCodec codec);
 bool ParseWireCodec(const std::string& name, WireCodec* out);
 
 inline constexpr uint32_t kWireMagic = 0x314a5344;  // "DSJ1"
-inline constexpr uint16_t kWireVersion = 3;
+inline constexpr uint16_t kWireVersion = 4;
 
 /// Hard ceiling on a single frame's `length` field. A peer announcing more
 /// is malformed (or malicious) and the connection is failed rather than
-/// letting it drive allocation. Also bounds the declared decompressed size
-/// of a delta+lz tuple section.
+/// letting it drive allocation.
 inline constexpr uint32_t kDefaultMaxFrameBytes = 16u << 20;
 
 /// Application codec for opaque tuple payloads (shared_ptr<const void>
@@ -124,9 +110,8 @@ inline constexpr uint32_t kDefaultMaxFrameBytes = 16u << 20;
 /// boundary the application supplies the byte encoding (the join topology
 /// registers a Record codec).
 ///
-/// Both callbacks receive the *payload* coding to use, which is kRaw or
-/// kDelta (a kDeltaLz frame delta-codes its payloads and compresses on
-/// top). encode appends to *out; decode returns false on malformed bytes.
+/// Both callbacks receive the frame's codec, which picks the payload
+/// coding. encode appends to *out; decode returns false on malformed bytes.
 ///
 /// decode additionally receives the frame arena (may be null). When
 /// non-null, `data` points into arena-owned storage and the codec may
@@ -151,8 +136,7 @@ struct PayloadCodec {
 /// same tag stream with varint coding: vu payload_bytes, vu num_fields,
 /// ints as vz, strings/payloads as vu len + bytes (doubles stay 8 raw
 /// bytes — IEEE bits do not varint well). Requires a codec when the tuple
-/// carries a non-null payload field (CHECK otherwise). `wire` must be kRaw
-/// or kDelta.
+/// carries a non-null payload field (CHECK otherwise).
 void EncodeTuple(WireCodec wire, const stream::Tuple& tuple, const PayloadCodec* codec,
                  std::string* out);
 
@@ -182,9 +166,9 @@ void AppendMetricsFrame(int32_t task_id, const std::string& blob, std::string* o
 void AppendDoneFrame(uint16_t rank, std::string* out);
 void AppendFailFrame(uint16_t rank, const std::string& message, std::string* out);
 
-/// Migration control frames. kState compresses `blob` (an encoded
-/// MigrationState) with the block compressor; the other three carry only
-/// the (migration_id, task_id, worker) triple.
+/// Migration control frames. kState carries `blob` (an encoded
+/// MigrationState) verbatim; the other three carry only the
+/// (migration_id, task_id, worker) triple.
 void AppendPrepareFrame(uint32_t migration_id, int32_t task_id, uint16_t target_rank,
                         std::string* out);
 void AppendStateFrame(uint32_t migration_id, int32_t task_id, uint16_t target_rank,
@@ -229,9 +213,9 @@ enum class ParseStatus {
 /// `data`; on kFrame sets *consumed to the full frame size (prefix
 /// included) and fills *frame. Rejects frames whose announced length
 /// exceeds max_frame_bytes, unknown types and codecs, truncated bodies,
-/// non-canonical varints, non-monotone token deltas, corrupt or lying
-/// compressed sections, trailing garbage inside a body, and kHello
-/// magic/version mismatches (*error gets a description on kError).
+/// non-canonical varints, non-monotone token deltas, trailing garbage
+/// inside a body, and kHello magic/version mismatches (*error gets a
+/// description on kError).
 ///
 /// Zero-copy contract: when `arena` is non-null, `data` MUST point into
 /// storage owned by that arena (the transport copies or encodes each

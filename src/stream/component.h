@@ -121,10 +121,9 @@ class Bolt {
   /// default wraps Snapshot eagerly, which is correct for every
   /// SupportsSnapshot bolt and simply forfeits the off-thread win.
   /// `want_delta` asks for changes-since-last-freeze; a bolt may decline
-  /// (return is_delta == false) and ship a base instead. Deltas apply on
-  /// top of the state left by Restore(base) + earlier RestoreDelta calls,
-  /// in epoch order.
-  virtual bool SupportsDeltaSnapshot() const { return false; }
+  /// (return is_delta == false) and ship a base instead, as the default
+  /// does. Deltas apply on top of the state left by Restore(base) + earlier
+  /// RestoreDelta calls, in epoch order.
   virtual store::FrozenBlob Freeze(bool /*want_delta*/) {
     store::FrozenBlob f;
     std::string blob;

@@ -1347,8 +1347,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
         const int64_t t0 = NowNanos();
         // Every delta_base_interval-th epoch is a base; 0 never compacts.
         const uint32_t base_every = store_opts.delta_base_interval;
-        const bool want_delta = task.bolt->SupportsDeltaSnapshot() &&
-                                (base_every == 0 || next_epoch % base_every != 0);
+        const bool want_delta = base_every == 0 || next_epoch % base_every != 0;
         store::FrozenBlob frozen = task.bolt->Freeze(want_delta);
         m.checkpoint_nanos.Add(static_cast<uint64_t>(NowNanos() - t0));
         freeze_anchor = executed_total;

@@ -243,6 +243,11 @@ TEST_F(NetSmokeTest, BadFlagsAreUsageErrors) {
       {{DSSJ_WORKER_BIN, "--rank=1", "--transport=tcp", "--connect=127.0.0.1:1,127.0.0.1:2",
         "--joiners=4x"},
        "--joiners expects an integer"},
+      // Codec names that earlier versions accepted.
+      {{DSSJ_CLI_BIN, corpus_, "--wire_codec=delta-lz"}, "--wire_codec expects raw|delta"},
+      {{DSSJ_WORKER_BIN, "--rank=1", "--transport=tcp", "--connect=127.0.0.1:1,127.0.0.1:2",
+        "--wire_codec=lz"},
+       "--wire_codec expects raw|delta"},
   };
   for (const auto& c : cases) {
     const pid_t pid = Spawn(c.argv, dir + "/usage.out");

@@ -1,20 +1,21 @@
 // Wire-format tests: tuple encoding round-trips every Value alternative in
 // every codec, frame parsing is incremental, and malformed inputs (truncated
 // bodies, oversized lengths, non-canonical varints, non-monotone token
-// deltas, lying compressed sections) are rejected instead of crashing — the
+// deltas, lying length prefixes) are rejected instead of crashing — the
 // parser faces bytes from the network, not from this process.
 //
 // METRICS blobs (the per-task counters a worker ships at the end of a run)
 // round-trip, merge by each counter's rule, and are rejected whole when
 // malformed or addressed to no task.
 //
-// The fuzz battery at the bottom is the satellite required by PR 7: >= 5000
-// structured mutational iterations over seed frame streams in all three
-// codecs, parsed both with and without a frame arena (the zero-copy path),
-// under ASan/UBSan in CI.
+// The fuzz battery at the bottom runs >= 5000 structured mutational
+// iterations over seed frame streams in every codec plus the migration
+// control frames, parsed both with and without a frame arena (the zero-copy
+// path), under ASan/UBSan in CI.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <random>
@@ -24,7 +25,6 @@
 
 #include "core/join_topology.h"
 #include "gtest/gtest.h"
-#include "net/block_compress.h"
 #include "net/frame_arena.h"
 #include "net/wire.h"
 #include "stream/metrics.h"
@@ -37,12 +37,7 @@ using stream::Envelope;
 using stream::MakeTuple;
 using stream::Tuple;
 
-constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta,
-                                    WireCodec::kDeltaLz};
-// Payload-section codings accepted by EncodeTuple/DecodeTuple (kDeltaLz
-// compresses a kDelta section, so at tuple granularity only these two
-// exist).
-constexpr WireCodec kTupleCodings[] = {WireCodec::kRaw, WireCodec::kDelta};
+constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta};
 
 Record MakeTestRecord(uint64_t id, std::vector<TokenId> tokens) {
   Record r;
@@ -64,7 +59,7 @@ Tuple RoundTrip(WireCodec wire, const Tuple& in, const PayloadCodec* codec) {
 }
 
 TEST(WireTupleTest, RoundTripsScalarsAndStrings) {
-  for (const WireCodec wire : kTupleCodings) {
+  for (const WireCodec wire : kAllCodecs) {
     Tuple in = MakeTuple(int64_t{-42}, 3.5, std::string("hello \0 wire", 12),
                          int64_t{INT64_MIN}, std::string());
     in.set_payload_bytes(99);
@@ -80,7 +75,7 @@ TEST(WireTupleTest, RoundTripsScalarsAndStrings) {
 }
 
 TEST(WireTupleTest, RoundTripsDoubleBitPatterns) {
-  for (const WireCodec wire : kTupleCodings) {
+  for (const WireCodec wire : kAllCodecs) {
     for (const double d : {0.0, -0.0, 1e300, -1e-300,
                            std::numeric_limits<double>::infinity(),
                            std::numeric_limits<double>::denorm_min()}) {
@@ -100,7 +95,7 @@ TEST(WireTupleTest, RoundTripsDoubleBitPatterns) {
 
 TEST(WireTupleTest, RoundTripsRecordPayloadViaCodec) {
   const PayloadCodec codec = RecordWireCodec();
-  for (const WireCodec wire : kTupleCodings) {
+  for (const WireCodec wire : kAllCodecs) {
     auto record = std::make_shared<Record>(MakeTestRecord(7, {1, 5, 9, 200000}));
     Tuple in = MakeTuple(std::shared_ptr<const void>(record), int64_t{3});
     const Tuple out = RoundTrip(wire, in, &codec);
@@ -118,7 +113,7 @@ TEST(WireTupleTest, RoundTripsRecordPayloadViaCodec) {
 }
 
 TEST(WireTupleTest, RoundTripsNullPayload) {
-  for (const WireCodec wire : kTupleCodings) {
+  for (const WireCodec wire : kAllCodecs) {
     Tuple in = MakeTuple(std::shared_ptr<const void>(), int64_t{1});
     const Tuple out = RoundTrip(wire, in, nullptr);  // null payload needs no codec
     ASSERT_EQ(out.num_fields(), 2u);
@@ -279,7 +274,7 @@ TEST(WireFrameTest, MixedCodecPeersInteroperate) {
     AppendDataFrame(wire, 4, 9, SmallBatch(), nullptr, &bytes);
   }
   size_t pos = 0;
-  int frames = 0;
+  size_t frames = 0;
   while (pos < bytes.size()) {
     Frame frame;
     size_t consumed = 0;
@@ -293,7 +288,7 @@ TEST(WireFrameTest, MixedCodecPeersInteroperate) {
     pos += consumed;
     ++frames;
   }
-  EXPECT_EQ(frames, 3);
+  EXPECT_EQ(frames, std::size(kAllCodecs));
 }
 
 TEST(WireFrameTest, EnvelopeFramesSplitRunsAndEos) {
@@ -339,11 +334,23 @@ TEST(WireFrameTest, EnvelopeFramesSplitRunsAndEos) {
 }
 
 TEST(WireFrameTest, ControlFramesRoundTrip) {
+  // STATE carries its MigrationState blob verbatim: empty, with embedded
+  // NULs, and large.
+  std::string big(1u << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i * 131 + (i >> 10));
+  const std::string state_blobs[] = {std::string(), std::string("a\0b\0\0c", 6), big};
+
   std::string bytes;
   AppendHelloFrame(3, &bytes);
   AppendMetricsFrame(12, "blobby", &bytes);
   AppendDoneFrame(2, &bytes);
   AppendFailFrame(1, "task 5 exceeded restart budget", &bytes);
+  AppendPrepareFrame(0xfffffff0u, 5, 2, &bytes);
+  for (uint32_t i = 0; i < std::size(state_blobs); ++i) {
+    AppendStateFrame(71 + i, 6 + static_cast<int32_t>(i), 3, state_blobs[i], &bytes);
+  }
+  AppendHandoffFrame(80, 9, 0xffff, &bytes);
+  AppendAckFrame(81, 10, 1, &bytes);
 
   std::vector<Frame> frames;
   size_t pos = 0;
@@ -358,7 +365,7 @@ TEST(WireFrameTest, ControlFramesRoundTrip) {
     pos += consumed;
     frames.push_back(std::move(frame));
   }
-  ASSERT_EQ(frames.size(), 4u);
+  ASSERT_EQ(frames.size(), 10u);
   EXPECT_EQ(frames[0].type, FrameType::kHello);
   EXPECT_EQ(frames[0].rank, 3);
   EXPECT_EQ(frames[1].type, FrameType::kMetrics);
@@ -369,6 +376,23 @@ TEST(WireFrameTest, ControlFramesRoundTrip) {
   EXPECT_EQ(frames[3].type, FrameType::kFail);
   EXPECT_EQ(frames[3].rank, 1);
   EXPECT_EQ(frames[3].blob, "task 5 exceeded restart budget");
+
+  const auto expect_migration = [](const Frame& f, FrameType type, uint32_t migration_id,
+                                   int32_t task_id, uint16_t rank, const std::string& blob) {
+    EXPECT_EQ(f.type, type);
+    EXPECT_EQ(f.migration_id, migration_id);
+    EXPECT_EQ(f.task_id, task_id);
+    EXPECT_EQ(f.rank, rank);
+    EXPECT_TRUE(f.blob == blob) << "blob of " << f.blob.size() << " bytes, want "
+                                << blob.size();
+  };
+  expect_migration(frames[4], FrameType::kPrepare, 0xfffffff0u, 5, 2, "");
+  for (uint32_t i = 0; i < std::size(state_blobs); ++i) {
+    expect_migration(frames[5 + i], FrameType::kState, 71 + i, 6 + static_cast<int32_t>(i), 3,
+                     state_blobs[i]);
+  }
+  expect_migration(frames[8], FrameType::kHandoff, 80, 9, 0xffff, "");
+  expect_migration(frames[9], FrameType::kAck, 81, 10, 1, "");
 }
 
 TEST(WireFrameTest, PrefixesAskForMoreBytes) {
@@ -411,15 +435,19 @@ TEST(WireFrameTest, RejectsUnknownType) {
 }
 
 TEST(WireFrameTest, RejectsUnknownCodecByte) {
-  std::string bytes = OneDataFrame(WireCodec::kDelta, nullptr);
-  bytes[5] = 0x09;  // codec byte: only 0..2 are assigned
-  Frame frame;
-  size_t consumed = 0;
-  std::string error;
-  EXPECT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes,
-                       &frame, &consumed, &error),
-            ParseStatus::kError);
-  EXPECT_FALSE(error.empty());
+  // Only 0 (raw) and 1 (delta) are assigned; a v3 peer could send 2.
+  for (const char codec_byte : {'\x02', '\x09'}) {
+    std::string bytes = OneDataFrame(WireCodec::kDelta, nullptr);
+    bytes[5] = codec_byte;
+    Frame frame;
+    size_t consumed = 0;
+    std::string error;
+    EXPECT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes,
+                         &frame, &consumed, &error),
+              ParseStatus::kError)
+        << "codec byte " << int{codec_byte};
+    EXPECT_FALSE(error.empty());
+  }
 }
 
 TEST(WireFrameTest, RejectsBodyTruncatedInsideAnnouncedLength) {
@@ -495,112 +523,45 @@ ParseStatus ParseOne(const std::string& bytes, std::string* error) {
                     &frame, &consumed, error);
 }
 
-TEST(WireFrameTest, RejectsDecompressionBomb) {
-  // A kDeltaLz body announcing a decompressed size over the frame ceiling
-  // must be rejected before any allocation happens.
-  std::string body;
-  BinaryWriter w(&body);
-  w.WriteU8(static_cast<uint8_t>(WireCodec::kDeltaLz));
-  w.WriteU32(0);   // source_task
-  w.WriteU32(1);   // dst_task
-  w.WriteU32(1);   // count
-  w.WriteVarint(static_cast<uint64_t>(kDefaultMaxFrameBytes) + 1);  // raw_len lie
-  w.WriteVarint(4);  // comp_len
-  body.append("bomb", 4);
+TEST(WireFrameTest, RejectsMalformedStateFrames) {
+  std::string good;
+  AppendStateFrame(7, 3, 1, "state", &good);
+  const std::string body = good.substr(4 + 1);  // past the length prefix and type
+  constexpr size_t kHeaderBytes = 4 + 4 + 2;    // migration_id, task_id, rank
   std::string error;
-  EXPECT_EQ(ParseOne(RawFrame(FrameType::kData, body), &error), ParseStatus::kError);
+  ASSERT_EQ(ParseOne(RawFrame(FrameType::kState, body), &error), ParseStatus::kFrame) << error;
+
+  // A blob length that overruns the body.
+  for (const uint32_t lie : {uint32_t{6}, std::numeric_limits<uint32_t>::max()}) {
+    std::string overrun = body;
+    std::memcpy(overrun.data() + kHeaderBytes, &lie, sizeof(lie));
+    error.clear();
+    EXPECT_EQ(ParseOne(RawFrame(FrameType::kState, overrun), &error), ParseStatus::kError)
+        << "blob length " << lie;
+    EXPECT_FALSE(error.empty());
+  }
+  // One byte after the blob.
+  error.clear();
+  EXPECT_EQ(ParseOne(RawFrame(FrameType::kState, body + 'x'), &error), ParseStatus::kError);
+  EXPECT_FALSE(error.empty());
+  // A body cut inside the header.
+  error.clear();
+  EXPECT_EQ(ParseOne(RawFrame(FrameType::kState, body.substr(0, kHeaderBytes - 3)), &error),
+            ParseStatus::kError);
   EXPECT_FALSE(error.empty());
 }
 
-TEST(WireFrameTest, RejectsLyingCompressedLengths) {
-  // Start from a genuine delta section, compress it, then lie about raw_len
-  // in both directions: the decompressor's exact-output contract must
-  // reject both (a short lie truncates, a long lie under-fills).
-  std::string real = OneDataFrame(WireCodec::kDelta, nullptr);
-  const std::string section(real.data() + 4 + 1 + 1 + 4 + 4 + 4,
-                            real.size() - (4 + 1 + 1 + 4 + 4 + 4));
-  std::string compressed;
-  BlockCompress(section.data(), section.size(), &compressed);
-  ASSERT_NE(compressed.size(), section.size());  // force the compressed branch
-
-  for (const int64_t lie : {int64_t{-1}, int64_t{1}, int64_t{100}}) {
-    std::string body;
-    BinaryWriter w(&body);
-    w.WriteU8(static_cast<uint8_t>(WireCodec::kDeltaLz));
-    w.WriteU32(4);
-    w.WriteU32(9);
-    w.WriteU32(3);
-    w.WriteVarint(static_cast<uint64_t>(static_cast<int64_t>(section.size()) + lie));
-    w.WriteVarint(compressed.size());
-    body.append(compressed);
-    std::string error;
-    EXPECT_EQ(ParseOne(RawFrame(FrameType::kData, body), &error), ParseStatus::kError)
-        << "raw_len lie " << lie;
-  }
-
-  // comp_len disagreeing with the actual byte count is also a lie.
-  {
-    std::string body;
-    BinaryWriter w(&body);
-    w.WriteU8(static_cast<uint8_t>(WireCodec::kDeltaLz));
-    w.WriteU32(4);
-    w.WriteU32(9);
-    w.WriteU32(3);
-    w.WriteVarint(section.size());
-    w.WriteVarint(compressed.size() + 2);
-    body.append(compressed);
-    std::string error;
-    EXPECT_EQ(ParseOne(RawFrame(FrameType::kData, body), &error), ParseStatus::kError);
-  }
-}
-
-TEST(WireFrameTest, StoredSectionRoundTrips) {
-  // comp_len == raw_len means the section is stored verbatim (the encoder
-  // falls back when compression does not win); the parser must take the
-  // stored branch, not attempt decompression.
-  std::string real = OneDataFrame(WireCodec::kDelta, nullptr);
-  const std::string section(real.data() + 4 + 1 + 1 + 4 + 4 + 4,
-                            real.size() - (4 + 1 + 1 + 4 + 4 + 4));
-  std::string body;
-  BinaryWriter w(&body);
-  w.WriteU8(static_cast<uint8_t>(WireCodec::kDeltaLz));
-  w.WriteU32(4);
-  w.WriteU32(9);
-  w.WriteU32(3);
-  w.WriteVarint(section.size());
-  w.WriteVarint(section.size());
-  body.append(section);
-  const std::string bytes = RawFrame(FrameType::kData, body);
-  Frame frame;
-  size_t consumed = 0;
+TEST(WireFrameTest, RejectsHelloFromOtherWireVersion) {
+  // A peer on another wire version codes some bodies differently (v3 sent
+  // STATE blobs compressed), so HELLO refuses it before any other frame.
+  std::string bytes;
+  AppendHelloFrame(1, &bytes);
+  const uint16_t v3 = 3;
+  std::memcpy(bytes.data() + 4 + 1 + 4, &v3, sizeof(v3));  // past prefix, type, magic
   std::string error;
-  ASSERT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes,
-                       &frame, &consumed, &error),
-            ParseStatus::kFrame)
-      << error;
-  ASSERT_EQ(frame.envelopes.size(), 3u);
-  EXPECT_EQ(frame.envelopes[2].tuple.Str(1), "abc");
-}
-
-TEST(WireFrameTest, BlockCompressorRoundTripsArbitraryBytes) {
-  std::mt19937 rng(7);
-  for (const size_t n : {size_t{0}, size_t{1}, size_t{4}, size_t{100},
-                         size_t{65536}, size_t{1u << 18}}) {
-    // Three flavors: repetitive (compresses), random (stores), mixed.
-    for (int flavor = 0; flavor < 3; ++flavor) {
-      std::string in(n, '\0');
-      for (size_t i = 0; i < n; ++i) {
-        in[i] = flavor == 0   ? static_cast<char>(i % 7)
-                : flavor == 1 ? static_cast<char>(rng())
-                              : (i % 100 < 80 ? 'a' : static_cast<char>(rng()));
-      }
-      std::string comp;
-      BlockCompress(in.data(), in.size(), &comp);
-      std::string out(n, '\xff');
-      ASSERT_TRUE(BlockDecompress(comp.data(), comp.size(), out.data(), n));
-      EXPECT_EQ(out, in) << "n=" << n << " flavor=" << flavor;
-    }
-  }
+  EXPECT_EQ(ParseOne(bytes, &error), ParseStatus::kError);
+  EXPECT_NE(error.find("peer 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("local " + std::to_string(kWireVersion)), std::string::npos) << error;
 }
 
 // METRICS blobs are generated from the counter table (DSSJ_TASK_COUNTERS),
@@ -698,13 +659,13 @@ TEST(WireMetricsTest, RejectedBlobsLeaveTheMetricsUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz battery (PR 7 satellite): >= 5000 structured mutational iterations
-// over seed frame streams in all three codecs. Mutation classes: random bit
-// flips, truncations, length-field lies, varint padding injection
-// (non-canonical encodings), 0xff runs (huge varints / non-monotone deltas),
-// and chunk splices (confuses the LZ decompressor's sequence stream). Every
-// outcome is acceptable except a crash, a sanitizer report, or a parser that
-// stops making progress.
+// Fuzz battery: >= 5000 structured mutational iterations over seed frame
+// streams, one per codec plus one of migration control frames. Mutation
+// classes: random bit flips, truncations, length-field lies, varint padding
+// injection (non-canonical encodings), 0xff runs (huge varints /
+// non-monotone deltas / blob length lies), and chunk splices. Every outcome
+// is acceptable except a crash, a sanitizer report, or a parser that stops
+// making progress.
 // ---------------------------------------------------------------------------
 
 std::vector<std::string> FuzzSeeds(const PayloadCodec* codec) {
@@ -736,6 +697,13 @@ std::vector<std::string> FuzzSeeds(const PayloadCodec* codec) {
     AppendFailFrame(1, "boom", &s);
     seeds.push_back(std::move(s));
   }
+  std::string control;
+  AppendHelloFrame(1, &control);
+  AppendPrepareFrame(9, 2, 1, &control);
+  AppendStateFrame(9, 2, 1, std::string("state\0blob", 10) + std::string(40, 's'), &control);
+  AppendHandoffFrame(9, 2, 1, &control);
+  AppendAckFrame(9, 2, 1, &control);
+  seeds.push_back(std::move(control));
   return seeds;
 }
 
@@ -764,7 +732,7 @@ void Mutate(std::mt19937& rng, std::string* bytes) {
       bytes->insert(pos, static_cast<size_t>(pad), static_cast<char>(0x80));
       break;
     }
-    case 4: {  // 0xff run: maximal varints, wild deltas, lz token floods
+    case 4: {  // 0xff run: maximal varints, wild deltas
       const size_t pos = rng() % bytes->size();
       const size_t run = 1 + rng() % 16;
       for (size_t i = pos; i < bytes->size() && i < pos + run; ++i) {
@@ -816,7 +784,7 @@ TEST(WireFuzzTest, StructuredMutationsNeverCrash) {
       size_t consumed = 0;
       std::string error;
       const ParseStatus status = ParseFrame(data + pos, mutated.size() - pos, &codec,
-                                            1u << 20, &frame, &consumed, &error);
+                                            1u << 20, &frame, &consumed, &error, arena);
       if (status != ParseStatus::kFrame) break;
       ASSERT_GT(consumed, 0u);
       pos += consumed;

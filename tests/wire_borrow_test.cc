@@ -29,8 +29,7 @@ using net::WireCodec;
 using stream::Envelope;
 using stream::MakeTuple;
 
-constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta,
-                                    WireCodec::kDeltaLz};
+constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta};
 
 std::string OneRecordFrame(WireCodec wire, const net::PayloadCodec& codec,
                            std::vector<TokenId> tokens) {
@@ -107,9 +106,7 @@ TEST(BorrowLifetimeTest, ArenaMemoryIsProportionalToTheFrame) {
     e.link_seq = i + 1;
     envs.push_back(std::move(e));
   }
-  // The compressed codec also holds the decompressed section, which the
-  // compressed frame size does not bound.
-  for (const WireCodec wire : {WireCodec::kRaw, WireCodec::kDelta}) {
+  for (const WireCodec wire : kAllCodecs) {
     std::string bytes;
     net::AppendDataFrame(wire, 1, 2, envs, &codec, &bytes);
     net::FrameArenaPool pool(0);

@@ -1,7 +1,7 @@
-// Wire-codec equivalence battery: every codec (raw, delta, delta+lz) must
-// produce byte-identical join results across every transport (inproc,
-// loopback, tcp) at every batch size — the codec is an encoding choice, not
-// a semantics choice. Edge values ride along: records with empty token
+// Wire-codec equivalence battery: both codecs (raw, delta) must produce
+// byte-identical join results across every transport (inproc, loopback,
+// tcp) at every batch size — the codec is an encoding choice, not a
+// semantics choice. Edge values ride along: records with empty token
 // arrays, singleton tokens, and ceiling token ids flow through the join;
 // NaN doubles and embedded-NUL strings flow through the envelope coding
 // directly. A scripted mid-stream disconnect must not break equivalence
@@ -32,8 +32,7 @@ using stream::Envelope;
 using stream::MakeTuple;
 using stream::Tuple;
 
-constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta,
-                                    WireCodec::kDeltaLz};
+constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta};
 
 std::vector<ResultPair> Canonical(std::vector<ResultPair> pairs) {
   std::sort(pairs.begin(), pairs.end(), [](const ResultPair& a, const ResultPair& b) {
@@ -207,7 +206,7 @@ TEST_F(WireCodecEquivalenceTest, MixedCodecRanksInteroperate) {
     options.transport = JoinTransport::kTcp;
     options.cluster = cluster;
     options.rank = 1;
-    options.wire_codec = WireCodec::kDeltaLz;  // worker compresses
+    options.wire_codec = WireCodec::kDelta;  // worker sends delta
     run.workers[0] = RunDistributedJoin({}, options);
   });
   DistributedJoinOptions options = base;

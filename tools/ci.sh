@@ -34,7 +34,8 @@ echo "== multi-process smoke =="
 # `net`-labeled tests open localhost sockets; net_smoke_test additionally
 # fork/execs the real dssj_cli + dssj_worker binaries and diffs the result
 # set against a single-process run, and wire_codec_equivalence_test runs
-# per-codec TCP clusters (raw/delta/delta+lz x batch sizes x faults).
+# per-codec TCP clusters (raw/delta x batch sizes x faults) plus a
+# mixed-codec cluster.
 # Sandboxed runners without sockets can skip the whole surface with
 # `ctest -LE net` (the tests also self-skip when no localhost port can be
 # bound).
@@ -219,10 +220,10 @@ PYEOF
     ctest -L store --output-on-failure)
 
   echo "== wire fuzz + borrow lifetime (ASan) =="
-  # The fuzz battery (>= 5000 structured mutations over all three codecs,
-  # owning and arena parse paths) and the borrow-lifetime regressions
-  # (net_arena_pool=0 frees every frame buffer at last-borrower drop) are
-  # exactly the tests whose failure mode is a silent out-of-bounds read —
+  # The fuzz battery (>= 5000 structured mutations over both codecs and
+  # the migration control frames, owning and arena parse paths) and the
+  # borrow-lifetime regressions (net_arena_pool=0 frees every frame buffer
+  # at last-borrower drop) are exactly the tests whose failure mode is a silent out-of-bounds read —
   # they only prove anything under ASan, so they get an explicit stage.
   (cd build-asan && ASAN_OPTIONS="detect_leaks=1" \
     ctest -R 'net_wire_test|wire_borrow_test' --output-on-failure)
@@ -243,9 +244,9 @@ PYEOF
     ctest -L 'tsan_safe|overload|joiner' --output-on-failure)
 
   echo "== wire fuzz (UBSan) =="
-  # Varint shifting, zigzag casts, and LZ offset arithmetic are the repo's
-  # densest integer-overflow surface; run the mutational battery under
-  # UBSan as well as ASan.
+  # Varint shifting, zigzag casts, and length-prefix arithmetic are the
+  # repo's densest integer-overflow surface; run the mutational battery
+  # under UBSan as well as ASan.
   (cd build-ubsan && UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest -R 'net_wire_test|wire_borrow_test' --output-on-failure)
 fi
