@@ -81,23 +81,10 @@ uint64_t BundleJoiner::EvictOldestEntry() {
 }
 
 void BundleJoiner::RemovePostings(uint64_t bundle_id, const Bundle& bundle) {
-  const auto erase_from = [bundle_id](std::vector<uint64_t>& list) {
-    // Bundles retire roughly in birth order, so the id sits near the front.
-    const auto pos = std::find(list.begin(), list.end(), bundle_id);
-    CHECK(pos != list.end()) << "bundle " << bundle_id << " missing from its posting list";
-    list.erase(pos);
-  };
+  // Bundles retire roughly in birth order, so the id sits near the front.
   for (const TokenId w : bundle.indexed) {
-    if (options_.direct_index) {
-      std::vector<uint64_t>& list = dense_index_[w];
-      erase_from(list);
-      if (list.empty()) std::vector<uint64_t>().swap(list);
-    } else {
-      const auto it = sparse_index_.find(w);
-      CHECK(it != sparse_index_.end());
-      erase_from(it->second);
-      if (it->second.empty()) sparse_index_.erase(it);
-    }
+    const bool erased = index_.Erase(w, bundle_id);
+    CHECK(erased) << "bundle " << bundle_id << " missing from its posting list";
   }
   stats_.dead_postings_purged += bundle.indexed.size();
 }
@@ -207,16 +194,9 @@ void BundleJoiner::Probe(const Record& r, const ResultCallback& cb,
   ++probe_stamp_;
   for (size_t i = 0; i < prefix_len; ++i) {
     const TokenId w = r.tokens[i];
-    const std::vector<uint64_t>* list_ptr;
-    if (options_.direct_index) {
-      if (w >= dense_index_.size() || dense_index_[w].empty()) continue;
-      list_ptr = &dense_index_[w];
-    } else {
-      const auto it = sparse_index_.find(w);
-      if (it == sparse_index_.end()) continue;
-      list_ptr = &it->second;
-    }
-    for (const uint64_t bundle_id : *list_ptr) {
+    const std::vector<uint64_t>* list = index_.Find(w);
+    if (list == nullptr) continue;
+    for (const uint64_t bundle_id : *list) {
       // Lists hold live ids only: a retiring bundle removes its postings.
       const auto bit = bundles_.find(bundle_id);
       CHECK(bit != bundles_.end()) << "dead bundle " << bundle_id << " in posting list " << w;
@@ -240,20 +220,7 @@ void BundleJoiner::AddMemberTokensToIndex(uint64_t bundle_id, Bundle& bundle,
     bundle.indexed.insert(pos, w);
     approx_bytes_ += sizeof(TokenId) + sizeof(uint64_t);  // indexed token + posting
     if (log_changes_) posting_appends_.emplace_back(w, bundle_id);
-    std::vector<uint64_t>* list;
-    if (options_.direct_index) {
-      if (w >= dense_index_.size()) {
-        dense_index_.resize(
-            std::max<size_t>(w + 1, dense_index_.size() + dense_index_.size() / 2));
-      }
-      list = &dense_index_[w];
-    } else {
-      list = &sparse_index_[w];
-    }
-    // One allocation per list instead of the 1->2->4 growth chain: most
-    // lists stay short (Zipf tail), and malloc would dominate otherwise.
-    if (list->capacity() == 0) list->reserve(4);
-    list->push_back(bundle_id);
+    index_.Append(w, bundle_id);
   }
 }
 
@@ -415,28 +382,13 @@ void BundleJoiner::Snapshot(std::string* out) const {
   w.WriteU64(alive_members_);
   w.WriteU64(bundles_.size());
   for (const auto& [id, b] : bundles_) WriteBundleTo(id, b, &w);
-  // Posting lists verbatim, from whichever layout is live.
-  uint64_t lists = 0;
-  if (options_.direct_index) {
-    for (const auto& list : dense_index_) lists += list.empty() ? 0 : 1;
-  } else {
-    for (const auto& [_, list] : sparse_index_) lists += list.empty() ? 0 : 1;
-  }
-  w.WriteU64(lists);
-  const auto write_list = [&w](TokenId token, const std::vector<uint64_t>& list) {
+  // Posting lists verbatim, in slot order; Restore rebuilds each by token.
+  w.WriteU64(index_.size());
+  index_.ForEach([&w](TokenId token, const std::vector<uint64_t>& list) {
     w.WriteU32(token);
     w.WriteU64(list.size());
     for (const uint64_t id : list) w.WriteU64(id);
-  };
-  if (options_.direct_index) {
-    for (size_t t = 0; t < dense_index_.size(); ++t) {
-      if (!dense_index_[t].empty()) write_list(static_cast<TokenId>(t), dense_index_[t]);
-    }
-  } else {
-    for (const auto& [t, list] : sparse_index_) {
-      if (!list.empty()) write_list(t, list);
-    }
-  }
+  });
   w.WriteU64(store_order_.size());
   for (const OrderEntry& e : store_order_) {
     w.WriteU64(e.bundle_id);
@@ -448,8 +400,7 @@ void BundleJoiner::Snapshot(std::string* out) const {
 
 void BundleJoiner::Restore(const std::string& blob) {
   bundles_.clear();
-  dense_index_.clear();
-  sparse_index_.clear();
+  index_.Clear();
   store_order_.clear();
   probe_stamp_ = 0;
   BinaryReader r(blob);
@@ -467,15 +418,7 @@ void BundleJoiner::Restore(const std::string& blob) {
   for (uint64_t i = 0; i < lists; ++i) {
     const TokenId token = r.ReadU32();
     const uint64_t n = r.ReadU64();
-    std::vector<uint64_t>* list;
-    if (options_.direct_index) {
-      if (token >= dense_index_.size()) dense_index_.resize(token + 1);
-      list = &dense_index_[token];
-    } else {
-      list = &sparse_index_[token];
-    }
-    list->reserve(n);
-    for (uint64_t k = 0; k < n; ++k) list->push_back(r.ReadU64());
+    for (uint64_t k = 0; k < n; ++k) index_.Append(token, r.ReadU64());
   }
   const uint64_t order = r.ReadU64();
   for (uint64_t i = 0; i < order; ++i) {
@@ -587,14 +530,7 @@ void BundleJoiner::RestoreDelta(const std::string& blob) {
     const TokenId token = r.ReadU32();
     const uint64_t id = r.ReadU64();
     if (bundles_.count(id) == 0) continue;
-    std::vector<uint64_t>* list;
-    if (options_.direct_index) {
-      if (token >= dense_index_.size()) dense_index_.resize(token + 1);
-      list = &dense_index_[token];
-    } else {
-      list = &sparse_index_[token];
-    }
-    list->push_back(id);
+    index_.Append(token, id);
   }
   // Trim the eviction order, then append the interval's surviving suffix.
   // Pops beyond the materialized length refer to entries appended and
@@ -628,16 +564,8 @@ size_t BundleJoiner::MemoryBytes() const {
       bytes += (m.added.capacity() + m.removed.capacity()) * sizeof(TokenId);
     }
   }
-  bytes += dense_index_.capacity() * sizeof(std::vector<uint64_t>);
-  for (const std::vector<uint64_t>& list : dense_index_) {
-    bytes += list.capacity() * sizeof(uint64_t);
-  }
-  bytes += sparse_index_.size() * (sizeof(TokenId) + sizeof(std::vector<uint64_t>) + 16);
-  for (const auto& [_, list] : sparse_index_) {
-    bytes += list.capacity() * sizeof(uint64_t);
-  }
   bytes += store_order_.size() * sizeof(OrderEntry);
-  return bytes;
+  return bytes + index_.MemoryBytes();
 }
 
 }  // namespace dssj

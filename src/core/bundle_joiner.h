@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/local_joiner.h"
+#include "core/posting_index.h"
 #include "core/similarity.h"
 #include "core/window.h"
 
@@ -32,12 +33,6 @@ struct BundleJoinerOptions {
   /// and running a full merge verification — the "individual verification"
   /// baseline of the batch-verification experiment (E7).
   bool batch_verify = true;
-
-  /// Index layout; same tradeoff as RecordJoinerOptions::direct_index.
-  /// Direct addressing wins for a joiner holding a dense share of the
-  /// token space, a hash map wins for partitioned joiners whose sparse
-  /// slice still spans the full token-id range.
-  bool direct_index = true;
 
   /// Memory budget for bundle + index state, in approximate bytes (0 =
   /// unlimited). When the budget is exceeded the oldest members are evicted
@@ -172,12 +167,9 @@ class BundleJoiner : public LocalJoiner {
   BundleJoinerOptions options_;
 
   std::unordered_map<uint64_t, Bundle> bundles_;
-  // Inverted index over indexed prefix tokens; exactly one layout is
-  // populated, per options_.direct_index. Lists hold live bundle ids only:
-  // a list that falls empty is erased (sparse) or releases its storage and
-  // keeps just its 24-byte header (dense).
-  std::vector<std::vector<uint64_t>> dense_index_;
-  std::unordered_map<TokenId, std::vector<uint64_t>> sparse_index_;
+  // Inverted index over indexed prefix tokens. Lists hold live bundle ids
+  // only; a list that falls empty is freed.
+  PostingIndex<uint64_t> index_;
   std::deque<OrderEntry> store_order_;
   uint64_t next_bundle_id_ = 0;
   uint64_t probe_stamp_ = 0;

@@ -754,6 +754,27 @@ LatencySummary SummarizeLatency(const Histogram& h) {
   return s;
 }
 
+/// What a length-based run routes by: `options.length_partition`, or an
+/// even split of lengths 1..256 when it is empty, and the adaptive options
+/// with a time window's span as the epoch-retirement horizon.
+struct LengthRouting {
+  LengthPartition partition;
+  AdaptiveRouterOptions adaptive;
+};
+
+LengthRouting EffectiveLengthRouting(const DistributedJoinOptions& options) {
+  LengthRouting routing{options.length_partition, options.adaptive_options};
+  if (routing.partition.bounds().empty()) {
+    routing.partition = PartitionUniform(1, 256, options.num_joiners);
+  }
+  CHECK_EQ(routing.partition.num_partitions(), options.num_joiners)
+      << "length partition size must match num_joiners";
+  if (options.window.kind == WindowSpec::Kind::kTime) {
+    routing.adaptive.window_span_micros = options.window.span_micros;
+  }
+  return routing;
+}
+
 }  // namespace
 
 const char* DistributionStrategyName(DistributionStrategy s) {
@@ -884,27 +905,19 @@ std::unique_ptr<Router> MakeRouter(const DistributedJoinOptions& options,
                                    std::shared_ptr<AdaptiveRouterState> adaptive_state) {
   if (adaptive_state != nullptr) {
     // Lane-sharded adaptive routing: every dispatcher lane routes against
-    // the same CAS-published epoch list.
+    // the same epoch list, published by pointer swap under the state's
+    // snapshot mutex.
     CHECK(options.adaptive);
     return std::make_unique<AdaptiveLengthRouter>(std::move(adaptive_state));
   }
   switch (options.strategy) {
     case DistributionStrategy::kLengthBased: {
-      LengthPartition partition = options.length_partition;
-      if (partition.bounds().empty()) {
-        partition = PartitionUniform(1, 256, options.num_joiners);
-      }
-      CHECK_EQ(partition.num_partitions(), options.num_joiners)
-          << "length partition size must match num_joiners";
+      LengthRouting routing = EffectiveLengthRouting(options);
       if (options.adaptive) {
-        AdaptiveRouterOptions adaptive = options.adaptive_options;
-        if (options.window.kind == WindowSpec::Kind::kTime) {
-          adaptive.window_span_micros = options.window.span_micros;
-        }
-        return std::make_unique<AdaptiveLengthRouter>(options.sim, std::move(partition),
-                                                      adaptive);
+        return std::make_unique<AdaptiveLengthRouter>(
+            options.sim, std::move(routing.partition), routing.adaptive);
       }
-      return std::make_unique<LengthRouter>(options.sim, std::move(partition));
+      return std::make_unique<LengthRouter>(options.sim, std::move(routing.partition));
     }
     case DistributionStrategy::kPrefixBased:
       return std::make_unique<PrefixRouter>(options.sim, options.num_joiners);
@@ -920,15 +933,10 @@ std::unique_ptr<Router> MakeRouter(const DistributedJoinOptions& options,
 std::unique_ptr<LocalJoiner> MakeLocalJoiner(const DistributedJoinOptions& options,
                                              int partition) {
   const bool prefix_strategy = options.strategy == DistributionStrategy::kPrefixBased;
-  // Partitioned joiners each hold a sparse slice of the full token-id
-  // range; a direct-addressed table would cost every joiner the whole
-  // range, so they index with a hash map instead.
-  const bool direct_index = options.num_joiners <= 1;
   switch (options.local) {
     case LocalAlgorithm::kRecord: {
       RecordJoinerOptions ro;
       ro.positional_filter = options.positional_filter;
-      ro.direct_index = direct_index;
       ro.max_index_bytes = options.max_index_bytes;
       if (prefix_strategy) {
         ro.token_filter =
@@ -941,7 +949,6 @@ std::unique_ptr<LocalJoiner> MakeLocalJoiner(const DistributedJoinOptions& optio
       CHECK(!prefix_strategy)
           << "bundle joiner is not defined for the prefix distribution strategy";
       BundleJoinerOptions bo = options.bundle;
-      bo.direct_index = direct_index;
       bo.max_index_bytes = options.max_index_bytes;
       return std::make_unique<BundleJoiner>(options.sim, options.window, bo);
     }
@@ -974,19 +981,10 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
     }
     if (options.adaptive && options.strategy == DistributionStrategy::kLengthBased) {
       // All lanes must share one epoch list; build the state here and hand
-      // it to every lane's router (mirrors MakeRouter's defaults).
-      LengthPartition partition = options.length_partition;
-      if (partition.bounds().empty()) {
-        partition = PartitionUniform(1, 256, options.num_joiners);
-      }
-      CHECK_EQ(partition.num_partitions(), options.num_joiners)
-          << "length partition size must match num_joiners";
-      AdaptiveRouterOptions adaptive = options.adaptive_options;
-      if (options.window.kind == WindowSpec::Kind::kTime) {
-        adaptive.window_span_micros = options.window.span_micros;
-      }
+      // it to every lane's router.
+      LengthRouting routing = EffectiveLengthRouting(options);
       adaptive_state = std::make_shared<AdaptiveRouterState>(
-          options.sim, std::move(partition), adaptive);
+          options.sim, std::move(routing.partition), routing.adaptive);
     }
   }
   int workers = options.num_workers > 0 ? options.num_workers : options.num_joiners;

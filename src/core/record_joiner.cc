@@ -28,27 +28,14 @@ size_t RecordJoiner::ApproxStoredBytes(const Record& r) const {
 void RecordJoiner::RemoveOldestPostings() {
   // Postings are appended in slot order and the oldest record leaves
   // first, so its posting heads each of its lists.
-  const auto erase_front = [this](std::vector<Posting>& list) {
-    CHECK(!list.empty() && list.front().local_id == base_)
-        << "slot " << base_ << " does not head its posting list";
-    list.erase(list.begin());
-    ++stats_.dead_postings_purged;
-  };
   const Record& r = *store_.front();
   const size_t prefix_len = sim_.PrefixLength(r.size());
   for (size_t i = 0; i < prefix_len; ++i) {
     const TokenId w = r.tokens[i];
     if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
-    if (options_.direct_index) {
-      std::vector<Posting>& list = dense_index_[w];
-      erase_front(list);
-      if (list.empty()) std::vector<Posting>().swap(list);
-    } else {
-      const auto it = sparse_index_.find(w);
-      CHECK(it != sparse_index_.end()) << "slot " << base_ << " missing from its posting list";
-      erase_front(it->second);
-      if (it->second.empty()) sparse_index_.erase(it);
-    }
+    const Posting head = index_.EraseFront(w);
+    CHECK(head.local_id == base_) << "slot " << base_ << " does not head its posting list";
+    ++stats_.dead_postings_purged;
   }
 }
 
@@ -254,15 +241,8 @@ void RecordJoiner::Probe(const Record& r, const ResultCallback& cb) {
   for (size_t i = 0; i < prefix_len; ++i) {
     const TokenId w = r.tokens[i];
     if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
-    const std::vector<Posting>* list;
-    if (options_.direct_index) {
-      if (w >= dense_index_.size()) continue;
-      list = &dense_index_[w];
-    } else {
-      const auto it = sparse_index_.find(w);
-      if (it == sparse_index_.end()) continue;
-      list = &it->second;
-    }
+    const std::vector<Posting>* list = index_.Find(w);
+    if (list == nullptr) continue;
     for (const Posting& p : *list) {
       ++stats_.postings_scanned;
       const size_t s_size = p.size;
@@ -346,21 +326,8 @@ void RecordJoiner::AppendStored(const RecordPtr& r) {
   for (size_t i = 0; i < prefix_len; ++i) {
     const TokenId w = r->tokens[i];
     if (options_.token_filter != nullptr && !options_.token_filter(w)) continue;
-    std::vector<Posting>* list;
-    if (options_.direct_index) {
-      if (w >= dense_index_.size()) {
-        dense_index_.resize(
-            std::max<size_t>(w + 1, dense_index_.size() + dense_index_.size() / 2));
-      }
-      list = &dense_index_[w];
-    } else {
-      list = &sparse_index_[w];
-    }
-    // One allocation per list instead of the 1->2->4 growth chain: most
-    // lists stay short (Zipf tail), and malloc dominates Store otherwise.
-    if (list->capacity() == 0) list->reserve(4);
-    list->push_back(
-        Posting{local_id, static_cast<uint32_t>(i), static_cast<uint32_t>(r->size())});
+    index_.Append(w, Posting{local_id, static_cast<uint32_t>(i),
+                             static_cast<uint32_t>(r->size())});
   }
 }
 
@@ -491,8 +458,7 @@ void RecordJoiner::Restore(const std::string& blob) {
   store_.clear();
   base_ = 0;
   approx_bytes_ = 0;
-  dense_index_.clear();
-  sparse_index_.clear();
+  index_.Clear();
   cand_overlap_.clear();
   cand_stamp_.clear();
   probe_stamp_ = 0;
@@ -588,16 +554,7 @@ size_t RecordJoiner::MemoryBytes() const {
   // Cold records live on disk; only their stubs are resident.
   bytes += cold_.size() * sizeof(ColdStub);
   for (const ColdStub& stub : cold_) bytes += stub.prefix.capacity() * sizeof(TokenId);
-  bytes += dense_index_.capacity() * sizeof(std::vector<Posting>);
-  for (const std::vector<Posting>& list : dense_index_) {
-    bytes += list.capacity() * sizeof(Posting);
-  }
-  // ~per-node overhead of the hash map: key + list header + bucket/next.
-  bytes += sparse_index_.size() * (sizeof(TokenId) + sizeof(std::vector<Posting>) + 16);
-  for (const auto& [w, list] : sparse_index_) {
-    bytes += list.capacity() * sizeof(Posting);
-  }
-  return bytes;
+  return bytes + index_.MemoryBytes();
 }
 
 }  // namespace dssj

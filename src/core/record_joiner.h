@@ -3,10 +3,10 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/local_joiner.h"
+#include "core/posting_index.h"
 #include "core/similarity.h"
 #include "core/window.h"
 #include "store/spill.h"
@@ -36,15 +36,6 @@ struct RecordJoinerOptions {
   /// prefix-distribution dedup rule ensuring each pair is reported by
   /// exactly one worker. Requires token_filter.
   bool dedup_by_min_prefix_token = false;
-
-  /// Index layout. Direct addressing (a vector indexed by TokenId) makes
-  /// every posting-list lookup one load, but its table spans the whole
-  /// token-id range this joiner ever sees. That wins when the joiner holds
-  /// a dense share of the token space (single node) and loses badly when
-  /// many partitions each hold a sparse slice of the same id range — k
-  /// joiners then pay k full-range tables for 1/k of the postings each.
-  /// The distributed topology turns this off for partitioned joiners.
-  bool direct_index = true;
 
   /// Memory budget for window + index state, in approximate bytes (see
   /// RecordJoiner's incremental accounting; 0 = unlimited). When storing a
@@ -199,12 +190,9 @@ class RecordJoiner : public LocalJoiner {
   uint64_t frozen_cold_len_ = 0;
   uint64_t frozen_cold_popped_ = 0;
 
-  // Inverted index over prefix tokens; exactly one of the two layouts is
-  // populated, per options_.direct_index (see that flag for the tradeoff).
-  // A list that falls empty is erased (sparse) or has its storage freed,
-  // leaving the 24-byte header in the token-id table (dense).
-  std::vector<std::vector<Posting>> dense_index_;
-  std::unordered_map<TokenId, std::vector<Posting>> sparse_index_;
+  // Inverted index over prefix tokens, holding exactly the hot window's
+  // postings; a list that falls empty is freed.
+  PostingIndex<Posting> index_;
 
   // Scratch for candidate accumulation, reused across probes. Candidates
   // are addressed by store slot (local_id - base_, stable for the duration

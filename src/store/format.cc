@@ -15,7 +15,9 @@ namespace {
 // checksum runs.
 constexpr uint32_t kCheckpointMagic = 0x54535344u;
 constexpr uint32_t kSegmentMagic = 0x47535344u;
-constexpr uint16_t kVersion = 1;
+// Bumped whenever the framing or its checksum function changes, so an image
+// written by another version fails on its version, not on its checksum.
+constexpr uint16_t kVersion = 2;
 
 namespace fs = std::filesystem;
 
@@ -28,7 +30,7 @@ void EncodeCheckpointFile(CheckpointKind kind, uint64_t epoch, const std::string
   w.WriteU16(kVersion);
   w.WriteU8(static_cast<uint8_t>(kind));
   w.WriteU64(epoch);
-  w.WriteU64(Fnv1a64(payload.data(), payload.size()));
+  w.WriteU64(Checksum64(payload.data(), payload.size()));
   w.WriteVarint(payload.size());
   out->append(payload);
 }
@@ -61,7 +63,7 @@ Status DecodeCheckpointFile(const void* data, size_t size, CheckpointKind* kind,
   if (!r.ReadSpan(&body, &body_size, len)) {
     return Status::InvalidArgument("checkpoint file: truncated payload");
   }
-  if (Fnv1a64(body, body_size) != checksum) {
+  if (Checksum64(body, body_size) != checksum) {
     return Status::InvalidArgument("checkpoint file: checksum mismatch");
   }
   *kind = static_cast<CheckpointKind>(kind_byte);
@@ -73,7 +75,7 @@ Status DecodeCheckpointFile(const void* data, size_t size, CheckpointKind* kind,
 size_t AppendSegmentFrame(const std::string& payload, std::string* out) {
   BinaryWriter w(out);
   w.WriteU32(kSegmentMagic);
-  w.WriteU64(Fnv1a64(payload.data(), payload.size()));
+  w.WriteU64(Checksum64(payload.data(), payload.size()));
   w.WriteVarint(payload.size());
   out->append(payload);
   return payload.size();
@@ -97,7 +99,7 @@ Status ReadSegmentFrame(const void* data, size_t size, size_t offset, std::strin
   if (!r.ReadSpan(&body, &body_size, len)) {
     return Status::InvalidArgument("segment frame: truncated payload");
   }
-  if (Fnv1a64(body, body_size) != checksum) {
+  if (Checksum64(body, body_size) != checksum) {
     return Status::InvalidArgument("segment frame: checksum mismatch");
   }
   payload->assign(body, body_size);

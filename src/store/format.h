@@ -1,6 +1,6 @@
 // On-disk framing of the tiered state store (docs/INTERNALS.md §13). Three
 // file species live in a task's store directory, all carrying the same
-// magic + version + FNV-1a64 checksum + varint-length discipline as the
+// magic + version + Checksum64 + varint-length discipline as the
 // stream/migration.cc blobs, so every truncation or bit flip is rejected
 // with a clean Status instead of a crash or silent corruption:
 //
@@ -27,7 +27,7 @@ enum class CheckpointKind : uint8_t {
 };
 
 /// Serializes one checkpoint file image: header (magic, version, kind,
-/// epoch), FNV-1a64 payload checksum, varint payload length, payload.
+/// epoch), Checksum64 of the payload, varint payload length, payload.
 void EncodeCheckpointFile(CheckpointKind kind, uint64_t epoch, const std::string& payload,
                           std::string* out);
 

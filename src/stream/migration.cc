@@ -8,7 +8,8 @@ namespace dssj::stream {
 namespace {
 
 constexpr uint32_t kMigrationMagic = 0x4247494d;  // "MIGB"
-constexpr uint16_t kMigrationVersion = 1;
+// Bumped with the blob layout or its checksum function, as store/format.cc's.
+constexpr uint16_t kMigrationVersion = 2;
 
 }  // namespace
 
@@ -37,7 +38,7 @@ void EncodeMigrationState(const MigrationState& state, std::string* out) {
   BinaryWriter w(out);
   w.WriteU32(kMigrationMagic);
   w.WriteU16(kMigrationVersion);
-  w.WriteU64(Fnv1a64(payload.data(), payload.size()));
+  w.WriteU64(Checksum64(payload.data(), payload.size()));
   out->append(payload);
 }
 
@@ -58,7 +59,7 @@ Status DecodeMigrationState(const void* data, size_t size, MigrationState* out) 
   // Checksum the whole payload before trusting any of it: a single flipped
   // bit anywhere past the header is rejected here rather than surfacing as
   // a silently different state.
-  if (Fnv1a64(static_cast<const char*>(data) + (size - r.remaining()), r.remaining()) !=
+  if (Checksum64(static_cast<const char*>(data) + (size - r.remaining()), r.remaining()) !=
       checksum) {
     return Status::InvalidArgument("migration blob: checksum mismatch");
   }

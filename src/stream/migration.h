@@ -65,8 +65,8 @@ struct MigrationState {
   std::vector<std::pair<uint32_t, uint64_t>> next_seq;
 };
 
-/// Serializes `state` into a self-describing blob: magic + version + FNV-1a
-/// checksum + payload. Deterministic for a given state.
+/// Serializes `state` into a self-describing blob: magic + version +
+/// Checksum64 of the payload + payload. Deterministic for a given state.
 void EncodeMigrationState(const MigrationState& state, std::string* out);
 
 /// Decodes a blob produced by EncodeMigrationState. Untrusted input is

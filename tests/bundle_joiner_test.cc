@@ -156,8 +156,7 @@ TEST(BundleJoinerTest, BatchVerificationSharesCostAgainstRecordJoiner) {
 // State must track the time window, not the stream's history: a retired
 // bundle takes its postings with it, so on a large-vocabulary stream (whose
 // rare prefix tokens are seldom probed again) neither the index nor a
-// checkpoint base keeps growing once the window is full. Sparse layout, as
-// every partitioned joiner uses.
+// checkpoint base keeps growing once the window is full.
 TEST(BundleJoinerTest, IndexAndBaseStayBoundedByTheWindow) {
   constexpr size_t kPerWindow = 1000;
   constexpr size_t kWindows = 12;
@@ -170,7 +169,6 @@ TEST(BundleJoinerTest, IndexAndBaseStayBoundedByTheWindow) {
   wo.timestamp_step_us = 1000;
   const auto stream = WorkloadGenerator(wo).Generate(kPerWindow * kWindows);
   BundleJoinerOptions opts;
-  opts.direct_index = false;
   BundleJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 800),
                       WindowSpec::ByTime(static_cast<int64_t>(kPerWindow) * wo.timestamp_step_us),
                       opts);

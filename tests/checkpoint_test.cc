@@ -100,11 +100,10 @@ TEST(CheckpointTest, RecordJoinerTimeWindow) {
       3);
 }
 
-TEST(CheckpointTest, RecordJoinerSparseIndex) {
+TEST(CheckpointTest, RecordJoinerDice700Unbounded) {
   CheckRoundTrip(
       [] {
         RecordJoinerOptions ro;
-        ro.direct_index = false;
         return std::make_unique<RecordJoiner>(
             SimilaritySpec(SimilarityFunction::kDice, 700), WindowSpec::Unbounded(), ro);
       },
@@ -185,11 +184,10 @@ TEST(CheckpointTest, BundleJoinerTimeWindowIndividualVerify) {
       7);
 }
 
-TEST(CheckpointTest, BundleJoinerSparseIndex) {
+TEST(CheckpointTest, BundleJoinerJaccard650Unbounded) {
   CheckRoundTrip(
       [] {
         BundleJoinerOptions bo;
-        bo.direct_index = false;
         return std::make_unique<BundleJoiner>(
             SimilaritySpec(SimilarityFunction::kJaccard, 650), WindowSpec::Unbounded(), bo);
       },

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -195,6 +197,51 @@ TEST(HashTest, Fnv1a64KnownVectorsAndSpread) {
   EXPECT_EQ(Fnv1a64(""), 0xCBF29CE484222325ULL);
   EXPECT_NE(Fnv1a64("a"), Fnv1a64("b"));
   EXPECT_EQ(Fnv1a64(std::string_view("abc")), Fnv1a64("abc", 3));
+}
+
+// Pins the checksum of every checkpoint file, spill frame and migration
+// blob: a change here must come with new version numbers in those formats.
+// The cases cover the empty input, a lone partial block, whole blocks and
+// a block plus a tail.
+TEST(HashTest, Checksum64KnownAnswers) {
+  EXPECT_EQ(Checksum64("", 0), 0xB81DFAE1B735D0FCULL);
+  EXPECT_EQ(Checksum64("a", 1), 0x2D568E30860009A8ULL);
+  EXPECT_EQ(Checksum64("abc", 3), 0x2645B504E533F3F9ULL);
+  EXPECT_EQ(Checksum64("abcdefgh", 8), 0x2AB74FCD349EB9A7ULL);
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(Checksum64(fox.data(), fox.size()), 0x6A79FB83006E1BD8ULL);
+  std::string bytes;
+  for (int i = 0; i < 100; ++i) bytes.push_back(static_cast<char>(i));
+  EXPECT_EQ(Checksum64(bytes.data(), 31), 0x0E2D18CF80E61DF0ULL);
+  EXPECT_EQ(Checksum64(bytes.data(), 32), 0x50603874EB7E41DFULL);
+  EXPECT_EQ(Checksum64(bytes.data(), 33), 0x6E9D04B40294D9CCULL);
+  EXPECT_EQ(Checksum64(bytes.data(), 100), 0x0737B4CB42579E6FULL);
+}
+
+// Every lane step is a bijection, so rewriting any one 8-byte word (the
+// zero-padded tail included) always changes the checksum; sampled at every
+// word with masks from dense to single-bit.
+TEST(HashTest, Checksum64SeesEveryChangeWithinOneWord) {
+  std::mt19937_64 rng(5);
+  std::string data(1003, '\0');  // 125 whole words and a 3-byte tail
+  for (char& c : data) c = static_cast<char>(rng());
+  const uint64_t want = Checksum64(data.data(), data.size());
+  // Word loads need no alignment: the same bytes one address on agree.
+  const std::string shifted = " " + data;
+  EXPECT_EQ(Checksum64(shifted.data() + 1, data.size()), want);
+  for (size_t begin = 0; begin < data.size(); begin += 8) {
+    const size_t width = std::min<size_t>(8, data.size() - begin);
+    const uint64_t in_word = width == 8 ? ~0ULL : (1ULL << (8 * width)) - 1;
+    for (int trial = 0; trial < 16; ++trial) {
+      uint64_t mask = (rng() >> (rng() % 64)) & in_word;
+      if (mask == 0) mask = 1;
+      std::string changed = data;
+      for (size_t i = 0; i < width; ++i) {
+        changed[begin + i] = static_cast<char>(changed[begin + i] ^ (mask >> (8 * i)));
+      }
+      EXPECT_NE(Checksum64(changed.data(), changed.size()), want) << "word at " << begin;
+    }
+  }
 }
 
 TEST(HashTest, Mix64AvalanchesLowBits) {

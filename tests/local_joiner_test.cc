@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -9,6 +12,7 @@
 #include "core/brute_force_joiner.h"
 #include "core/bundle_joiner.h"
 #include "core/join_topology.h"
+#include "core/posting_index.h"
 #include "core/record_joiner.h"
 #include "workload/generator.h"
 
@@ -216,7 +220,7 @@ TEST(RecordJoinerTest, PositionalFilterPrunesButPreservesResults) {
 // The index must track the window, not the stream's history: a record's
 // postings leave with it, so on the tweet preset (whose rare prefix tokens
 // are seldom probed again) the index stops growing once the window is
-// full. Sparse layout, as every partitioned joiner uses.
+// full.
 TEST(RecordJoinerTest, IndexStaysBoundedByTheWindow) {
   constexpr size_t kPerWindow = 2000;
   constexpr size_t kWindows = 12;
@@ -224,7 +228,6 @@ TEST(RecordJoinerTest, IndexStaysBoundedByTheWindow) {
   wo.seed = 47;
   const auto stream = WorkloadGenerator(wo).Generate(kPerWindow * kWindows);
   RecordJoinerOptions opts;
-  opts.direct_index = false;
   RecordJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 800),
                       WindowSpec::ByTime(static_cast<int64_t>(kPerWindow) * wo.timestamp_step_us),
                       opts);
@@ -252,7 +255,6 @@ TEST(RecordJoinerTest, MemoryBudgetBoundsTheIndex) {
   wo.seed = 53;
   const auto stream = WorkloadGenerator(wo).Generate(30000);
   RecordJoinerOptions opts;
-  opts.direct_index = false;
   opts.max_index_bytes = kBudget;
   RecordJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 800),
                       WindowSpec::Unbounded(), opts);
@@ -274,6 +276,202 @@ TEST(LocalJoinerStatsTest, FiltersActuallyFire) {
   EXPECT_GT(s.length_filtered, 0u);
   EXPECT_GT(s.candidates, 0u);
   EXPECT_GE(s.verify.full_verifications, s.candidates);
+}
+
+// --- Posting index -----------------------------------------------------------
+
+using TestIndex = PostingIndex<uint64_t>;
+constexpr TokenId kMaxToken = std::numeric_limits<TokenId>::max();
+constexpr int kInitialBits = 4;
+static_assert(TestIndex::kInitialSlots == 1u << kInitialBits);
+
+/// The first `n` tokens whose home is `slot` in the initial slot array.
+std::vector<TokenId> TokensHomedAt(size_t slot, size_t n) {
+  std::vector<TokenId> out;
+  for (TokenId t = 0; out.size() < n; ++t) {
+    if (TestIndex::HomeSlot(t, kInitialBits) == slot) out.push_back(t);
+  }
+  return out;
+}
+
+void ExpectMatchesModel(const TestIndex& index,
+                        const std::map<TokenId, std::vector<uint64_t>>& model) {
+  ASSERT_EQ(index.size(), model.size());
+  for (const auto& [token, list] : model) {
+    const TestIndex::List* got = index.Find(token);
+    ASSERT_NE(got, nullptr) << "token " << token << " lost";
+    EXPECT_EQ(*got, list) << "token " << token;
+  }
+  size_t walked = 0;
+  index.ForEach([&](TokenId token, const std::vector<uint64_t>& list) {
+    ++walked;
+    const auto it = model.find(token);
+    ASSERT_NE(it, model.end()) << "walk visited absent token " << token;
+    EXPECT_EQ(list, it->second);
+  });
+  EXPECT_EQ(walked, model.size());
+}
+
+// Linear probing's hard cases: one cluster that wraps from the last slot to
+// the first, holding keys from two home slots, then erasures from its middle
+// and from its wrapped end. Backward-shift deletion must keep every
+// remaining key reachable from its home. Eight keys fit the initial slot
+// array at its load factor, so it never grows here.
+TEST(PostingIndexTest, ClusterSurvivesErasuresFromItsMiddleAndWrappedEnd) {
+  const std::vector<TokenId> last = TokensHomedAt(TestIndex::kInitialSlots - 1, 5);
+  const std::vector<TokenId> second = TokensHomedAt(1, 2);
+  ASSERT_EQ(TestIndex::HomeSlot(0, kInitialBits), 0u);
+  // Insertion order interleaves the homes: slots 15, 0, 1, ... fill in turn.
+  const std::vector<TokenId> order = {last[0], last[1], 0,       second[0],
+                                      last[2], last[3], second[1], last[4]};
+  TestIndex index;
+  std::map<TokenId, std::vector<uint64_t>> model;
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (uint64_t k = 0; k <= i % 3; ++k) {
+      index.Append(order[i], 100 * i + k);
+      model[order[i]].push_back(100 * i + k);
+    }
+  }
+  ExpectMatchesModel(index, model);
+
+  const auto erase_all = [&](TokenId token) {
+    while (!model[token].empty()) {
+      EXPECT_EQ(index.EraseFront(token), model[token].front());
+      model[token].erase(model[token].begin());
+    }
+    model.erase(token);
+    EXPECT_EQ(index.Find(token), nullptr);
+    ExpectMatchesModel(index, model);
+  };
+  erase_all(second[0]);  // middle of the cluster
+  erase_all(last[4]);    // the wrapped end
+  erase_all(last[0]);    // the cluster's first slot, before the wrap
+  // Erase-by-id from the middle of a list, then the list's last posting.
+  ASSERT_EQ(model[last[3]].size(), 3u);
+  EXPECT_TRUE(index.Erase(last[3], model[last[3]][1]));
+  model[last[3]].erase(model[last[3]].begin() + 1);
+  EXPECT_FALSE(index.Erase(last[3], 999999));
+  EXPECT_FALSE(index.Erase(last[0], 0));  // no list at all
+  ExpectMatchesModel(index, model);
+  erase_all(0);
+  erase_all(last[3]);
+  for (const TokenId t : {last[1], last[2], second[1]}) erase_all(t);
+  EXPECT_EQ(index.size(), 0u);
+}
+
+// Growth re-homes every list but moves each whole: contents and order hold.
+TEST(PostingIndexTest, GrowthKeepsEveryListAndItsOrder) {
+  TestIndex index;
+  std::map<TokenId, std::vector<uint64_t>> model;
+  const size_t initial_bytes = index.MemoryBytes();
+  for (uint64_t round = 0; round < 3; ++round) {
+    for (TokenId t = 0; t < 1000; ++t) {
+      const TokenId token = t * 2654435761u;  // spread over the 32-bit range
+      index.Append(token, round * 1000 + t);
+      model[token].push_back(round * 1000 + t);
+    }
+  }
+  ExpectMatchesModel(index, model);
+  EXPECT_GT(index.MemoryBytes(), initial_bytes);
+}
+
+// A randomized differential run against an ordered map: appends, head
+// erasures, erasures by posting and lookups over keys drawn from the whole
+// 32-bit range (both ends included). The key pool is small enough that
+// lists keep emptying, vacating their slots, and coming back.
+TEST(PostingIndexTest, MatchesAnOrderedMapUnderRandomOperations) {
+  std::mt19937_64 rng(20);
+  std::vector<TokenId> pool = {0, 1, kMaxToken, kMaxToken - 1};
+  while (pool.size() < 600) pool.push_back(static_cast<TokenId>(rng()));
+  TestIndex index;
+  std::map<TokenId, std::vector<uint64_t>> model;
+  uint64_t next_posting = 0;
+  for (int op = 0; op < 100000; ++op) {
+    const TokenId token = pool[rng() % pool.size()];
+    std::vector<uint64_t>& list = model[token];
+    switch (rng() % 8) {
+      case 0:
+      case 1:
+      case 2:  // append
+        index.Append(token, next_posting);
+        list.push_back(next_posting++);
+        break;
+      case 3:
+      case 4:  // erase the head
+        if (!list.empty()) {
+          ASSERT_EQ(index.EraseFront(token), list.front()) << "op " << op;
+          list.erase(list.begin());
+        }
+        break;
+      case 5: {  // erase by posting, present or not
+        const bool present = !list.empty() && rng() % 4 != 0;
+        const uint64_t posting = present ? list[rng() % list.size()] : next_posting;
+        ASSERT_EQ(index.Erase(token, posting), present) << "op " << op;
+        if (present) list.erase(std::find(list.begin(), list.end(), posting));
+        break;
+      }
+      default: {  // lookup
+        const TestIndex::List* got = index.Find(token);
+        if (list.empty()) {
+          ASSERT_EQ(got, nullptr) << "op " << op;
+        } else {
+          ASSERT_NE(got, nullptr) << "op " << op;
+          ASSERT_EQ(*got, list) << "op " << op;
+        }
+      }
+    }
+    if (list.empty()) model.erase(token);
+    if (op % 5000 == 0) ExpectMatchesModel(index, model);
+  }
+  ExpectMatchesModel(index, model);
+}
+
+// Token ids at both ends of the 32-bit range are indexed, found by a probe
+// and evicted with their record. Every record here is stored and probed
+// under Jaccard 0.5 with a one-record window, so each store evicts its
+// predecessor (and, for the bundle joiner, retires its bundle).
+void ExpectExtremeTokensJoinAndLeave(LocalJoiner& joiner) {
+  std::vector<ResultPair> pairs;
+  const auto cb = [&pairs](const ResultPair& p) { pairs.push_back(p); };
+  joiner.Process(MakeRecord(0, 0, {0, kMaxToken}), true, true, cb);
+  joiner.Process(MakeRecord(1, 1, {0, kMaxToken}), true, true, cb);  // found via both
+  joiner.Process(MakeRecord(2, 2, {kMaxToken}), true, true, cb);     // found via 2^32-1
+  joiner.Process(MakeRecord(3, 3, {0}), true, true, cb);  // token 0's postings are gone
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0].probe_seq, 1u);
+  EXPECT_EQ(pairs[0].partner_seq, 0u);
+  EXPECT_EQ(pairs[1].probe_seq, 2u);
+  EXPECT_EQ(pairs[1].partner_seq, 1u);
+  EXPECT_EQ(joiner.StoredCount(), 1u);
+  EXPECT_EQ(joiner.stats().evictions, 3u);
+  EXPECT_EQ(joiner.stats().dead_postings_purged, 5u);  // 2 + 2 + 1
+}
+
+TEST(RecordJoinerTest, ExtremeTokenIdsAreIndexedProbedAndEvicted) {
+  RecordJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 500), WindowSpec::ByCount(1));
+  ExpectExtremeTokensJoinAndLeave(joiner);
+}
+
+TEST(BundleJoinerTest, ExtremeTokenIdsAreIndexedProbedAndEvicted) {
+  BundleJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 500), WindowSpec::ByCount(1));
+  ExpectExtremeTokensJoinAndLeave(joiner);
+}
+
+// The index is sized by the tokens it holds, not by the largest token id:
+// one record holding a token near 2^20 costs a few slots, where a table
+// indexed by token id would hold 2^20 list headers (24 MiB).
+TEST(LocalJoinerMemoryTest, OneLargeTokenIdCostsLittle) {
+  const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);
+  const RecordPtr r = MakeRecord(0, 0, {(1u << 20) - 5, (1u << 20) + 7});
+  const auto cb = [](const ResultPair&) {};
+  RecordJoiner record(sim, WindowSpec::Unbounded());
+  BundleJoiner bundle(sim, WindowSpec::Unbounded());
+  record.Process(r, true, true, cb);
+  bundle.Process(r, true, true, cb);
+  EXPECT_EQ(record.StoredCount(), 1u);
+  EXPECT_EQ(bundle.StoredCount(), 1u);
+  EXPECT_LT(record.MemoryBytes(), 1u << 20);
+  EXPECT_LT(bundle.MemoryBytes(), 1u << 20);
 }
 
 }  // namespace

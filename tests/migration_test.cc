@@ -86,6 +86,35 @@ TEST(MigrationBlobTest, EverySingleBitFlipIsRejected) {
   }
 }
 
+// The same battery over a blob carrying ~4 KiB of joiner state, the size
+// the checksum has to cover in a real handoff.
+TEST(MigrationBlobTest, EveryFlipAndTruncationOf4KiBStateIsRejected) {
+  stream::MigrationState st = SampleState();
+  st.bolt_state.clear();
+  uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (int i = 0; i < 4096; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    st.bolt_state.push_back(static_cast<char>(x >> 56));
+  }
+  std::string blob;
+  stream::EncodeMigrationState(st, &blob);
+  stream::MigrationState out;
+  for (size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_FALSE(stream::DecodeMigrationState(blob.data(), len, &out).ok())
+        << "truncation to " << len << " bytes was accepted";
+  }
+  for (size_t i = 0; i < blob.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      blob[i] = static_cast<char>(blob[i] ^ (1 << bit));
+      EXPECT_FALSE(stream::DecodeMigrationState(blob.data(), blob.size(), &out).ok())
+          << "bit " << bit << " of byte " << i << " accepted";
+      blob[i] = static_cast<char>(blob[i] ^ (1 << bit));
+    }
+  }
+  ASSERT_TRUE(stream::DecodeMigrationState(blob.data(), blob.size(), &out).ok());
+  EXPECT_EQ(out.bolt_state, st.bolt_state);
+}
+
 TEST(MigrationBlobTest, TrailingBytesAreRejected) {
   std::string blob;
   stream::EncodeMigrationState(SampleState(), &blob);

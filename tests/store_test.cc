@@ -109,6 +109,68 @@ TEST(CheckpointFileFormat, RejectsEverySingleBitFlip) {
   }
 }
 
+/// `n` reproducible pseudo-random bytes: a payload the size of a real
+/// checkpoint or spill record, with no runs a checksum could lean on.
+std::string PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng());
+  return out;
+}
+
+// The checksum must catch every single-bit flip and every truncation of a
+// ~4 KiB payload (three bytes past 4 KiB, so its partial last block is
+// covered too). Only the kind byte and the epoch lie outside it (a flip
+// there may decode), and then the payload must come back intact.
+TEST(CheckpointFileFormat, RejectsEveryFlipAndTruncationOf4KiBPayload) {
+  const std::string payload = PseudoRandomBytes(4099, 1);
+  std::string image;
+  EncodeCheckpointFile(CheckpointKind::kDelta, 9, payload, &image);
+  CheckpointKind kind;
+  uint64_t epoch;
+  std::string out;
+  for (size_t len = 0; len < image.size(); ++len) {
+    EXPECT_FALSE(DecodeCheckpointFile(image.data(), len, &kind, &epoch, &out).ok())
+        << "truncation to " << len << " bytes accepted";
+  }
+  constexpr size_t kKindByte = 6, kEpochEnd = 15;  // magic u32, version u16, kind, epoch u64
+  for (size_t i = 0; i < image.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      image[i] = static_cast<char>(image[i] ^ (1 << bit));
+      out.clear();
+      const bool ok = DecodeCheckpointFile(image.data(), image.size(), &kind, &epoch, &out).ok();
+      image[i] = static_cast<char>(image[i] ^ (1 << bit));
+      if (i >= kKindByte && i < kEpochEnd) {
+        if (ok) EXPECT_EQ(out, payload) << "byte " << i << " bit " << bit;
+      } else {
+        EXPECT_FALSE(ok) << "flip of byte " << i << " bit " << bit << " accepted";
+      }
+    }
+  }
+}
+
+TEST(SegmentFrameFormat, RejectsEveryFlipAndTruncationOf4KiBPayload) {
+  const std::string payload = PseudoRandomBytes(4099, 2);
+  std::string frame;
+  AppendSegmentFrame(payload, &frame);
+  std::string out;
+  size_t end = 0;
+  for (size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(ReadSegmentFrame(frame.data(), len, 0, &out, &end).ok())
+        << "truncation to " << len << " bytes accepted";
+  }
+  for (size_t i = 0; i < frame.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      frame[i] = static_cast<char>(frame[i] ^ (1 << bit));
+      EXPECT_FALSE(ReadSegmentFrame(frame.data(), frame.size(), 0, &out, &end).ok())
+          << "flip of byte " << i << " bit " << bit << " accepted";
+      frame[i] = static_cast<char>(frame[i] ^ (1 << bit));
+    }
+  }
+  ASSERT_TRUE(ReadSegmentFrame(frame.data(), frame.size(), 0, &out, &end).ok());
+  EXPECT_EQ(out, payload);
+}
+
 TEST(SegmentFrameFormat, SequentialScanAndTornTail) {
   std::string file;
   std::vector<size_t> offsets;

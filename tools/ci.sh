@@ -136,8 +136,8 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
                 net_wire_test net_transport_test net_smoke_test
                 wire_codec_equivalence_test wire_borrow_test
                 store_test
-                local_joiner_test checkpoint_test fuzz_equivalence_test
-                two_stream_joiner_test
+                local_joiner_test bundle_joiner_test checkpoint_test
+                fuzz_equivalence_test two_stream_joiner_test
                 dssj_cli dssj_worker)
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
@@ -231,17 +231,18 @@ PYEOF
   echo "== undefined behavior sanitizer =="
   # UBSan is cheap enough to cover the overload/shedding surface on top of
   # the concurrency set (shed accounting does a lot of size_t arithmetic),
-  # and the joiner suites' slot and filter-bound arithmetic.
+  # the joiner suites' slot, probe-run and filter-bound arithmetic, and the
+  # store suite, whose checksum does unaligned word loads and shifts.
   UBSAN_TARGETS=("${TSAN_SAFE_TARGETS[@]}" overload_test
-                 net_wire_test wire_borrow_test
-                 local_joiner_test checkpoint_test fuzz_equivalence_test
-                 two_stream_joiner_test)
+                 net_wire_test wire_borrow_test store_test
+                 local_joiner_test bundle_joiner_test checkpoint_test
+                 fuzz_equivalence_test two_stream_joiner_test)
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
   cmake --build build-ubsan -j --target "${UBSAN_TARGETS[@]}"
   (cd build-ubsan && UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest -L 'tsan_safe|overload|joiner' --output-on-failure)
+    ctest -L 'tsan_safe|overload|joiner|store' --output-on-failure)
 
   echo "== wire fuzz (UBSan) =="
   # Varint shifting, zigzag casts, and length-prefix arithmetic are the
