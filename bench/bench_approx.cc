@@ -1,56 +1,18 @@
-// Experiment E11 (extension) — the MinHash-LSH approximate joiner's
-// recall/cost trade-off against the exact record joiner, plus the PPJoin+
-// suffix-filter extension. Not a figure of the paper (listed as future
-// work); included as the repository's ablation of the approximate mode.
+// Experiment E11 (extension) — the exact record joiner's anchor cell and
+// the PPJoin+ suffix-filter ablation. Not a figure of the paper (listed as
+// future work).
 
 #include <memory>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "core/minhash_joiner.h"
 #include "core/record_joiner.h"
 
 namespace dssj::bench {
 namespace {
 
 constexpr size_t kRecords = 20000;
-
-uint64_t ExactResultCount(const std::vector<RecordPtr>& stream, const SimilaritySpec& sim) {
-  static std::map<int64_t, uint64_t> cache;
-  auto it = cache.find(sim.threshold_permille());
-  if (it == cache.end()) {
-    RecordJoiner joiner(sim, WindowSpec::ByCount(15000));
-    it = cache.emplace(sim.threshold_permille(), SingleNodeJoin(stream, joiner).size()).first;
-  }
-  return it->second;
-}
-
-void BM_MinHashRecall(benchmark::State& state) {
-  const int bands = static_cast<int>(state.range(0));
-  const auto& stream = CachedDupStream(0.4, kRecords);
-  const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);
-  MinHashJoinerOptions options;
-  options.bands = bands;
-  uint64_t found = 0;
-  std::unique_ptr<MinHashJoiner> joiner;
-  for (auto _ : state) {
-    found = 0;
-    joiner = std::make_unique<MinHashJoiner>(sim, WindowSpec::ByCount(15000), options);
-    for (const RecordPtr& r : stream) {
-      joiner->Process(r, true, true, [&found](const ResultPair&) { ++found; });
-    }
-  }
-  const uint64_t truth = ExactResultCount(stream, sim);
-  state.counters["recall"] =
-      truth > 0 ? static_cast<double>(found) / static_cast<double>(truth) : 1.0;
-  state.counters["candidates"] = static_cast<double>(joiner->stats().candidates);
-  state.counters["rec_per_s"] = benchmark::Counter(
-      static_cast<double>(kRecords) * state.iterations(), benchmark::Counter::kIsRate);
-}
-
-BENCHMARK(BM_MinHashRecall)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ExactAnchor(benchmark::State& state) {
   const auto& stream = CachedDupStream(0.4, kRecords);

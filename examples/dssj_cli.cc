@@ -37,10 +37,9 @@
 //   ./build/examples/dssj_cli /tmp/docs.txt --threshold=500
 //
 // Two-process example (coordinator + one worker on localhost):
-//   ./build/examples/dssj_cli /tmp/docs.txt \
-//       --transport=tcp --connect=127.0.0.1:9101,127.0.0.1:9102 &
-//   ./build/examples/dssj_worker --rank=1 \
-//       --transport=tcp --connect=127.0.0.1:9101,127.0.0.1:9102
+//   CLUSTER=--connect=127.0.0.1:9101,127.0.0.1:9102
+//   ./build/examples/dssj_cli /tmp/docs.txt --transport=tcp $CLUSTER &
+//   ./build/examples/dssj_worker --rank=1 --transport=tcp $CLUSTER
 
 #include <cstdio>
 #include <memory>

@@ -4,10 +4,9 @@
 // SAME join flags as the coordinator (the topology plan is derived from
 // them on every rank) plus --rank=i:
 //
-//   ./build/examples/dssj_cli corpus.txt \
-//       --transport=tcp --connect=127.0.0.1:9101,127.0.0.1:9102 &
-//   ./build/examples/dssj_worker --rank=1 \
-//       --transport=tcp --connect=127.0.0.1:9101,127.0.0.1:9102
+//   CLUSTER=--connect=127.0.0.1:9101,127.0.0.1:9102
+//   ./build/examples/dssj_cli corpus.txt --transport=tcp $CLUSTER &
+//   ./build/examples/dssj_worker --rank=1 --transport=tcp $CLUSTER
 //
 // Workers never read the corpus — the source task lives on rank 0 — so no
 // file argument is needed. The exit status reports the local run outcome

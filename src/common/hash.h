@@ -34,8 +34,9 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
   return Mix64(seed ^ (v + 0x9E3779B97F4A7C15ULL + (seed << 6) + (seed >> 2)));
 }
 
-/// 64-bit integrity checksum of checkpoint files, spill frames and
-/// migration blobs: detects torn writes and flipped bits, not tampering.
+/// 64-bit integrity checksum of the store frame (store/format.h), which
+/// carries checkpoint chains, spill records and migration blobs: detects
+/// torn writes and flipped bits, not tampering.
 /// Reads 8-byte words (unaligned, via memcpy) into four independent
 /// multiply-xorshift lanes, word k into lane k mod 4, so the lanes' multiply
 /// chains overlap; the last partial block is zero-padded, and the length and

@@ -51,8 +51,7 @@ struct JoinerStats {
   uint64_t postings_scanned = 0;
   /// Postings removed from the index. The record and bundle joiners remove
   /// a record's (bundle's) postings when it leaves the index, by eviction,
-  /// spill or retirement; the MinHash joiner purges dead ones lazily, when
-  /// a probe scans them.
+  /// spill or retirement.
   uint64_t dead_postings_purged = 0;
   uint64_t candidates = 0;         ///< distinct candidates reaching verification
   uint64_t length_filtered = 0;    ///< pruned by the partner-length bound

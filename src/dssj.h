@@ -28,7 +28,6 @@
 #include "core/bundle_joiner.h"
 #include "core/join_topology.h"
 #include "core/local_joiner.h"
-#include "core/minhash_joiner.h"
 #include "core/partition.h"
 #include "core/record_joiner.h"
 #include "core/repartition.h"

@@ -351,6 +351,10 @@ bool TcpTransport::SendControl(int rank, const stream::ControlFrame& frame) {
     case stream::ControlKind::kAck:
       AppendAckFrame(frame.migration_id, frame.task_id, worker, &out.bytes);
       break;
+    case stream::ControlKind::kFinish:
+      // No frame carries it: a worker synthesizes kFinish from the
+      // coordinator's DONE, so there is nothing to send.
+      return false;
   }
   return GetSender(rank)->queue->Push(std::move(out)) != 0;
 }

@@ -98,7 +98,7 @@ const char* WireCodecName(WireCodec codec);
 bool ParseWireCodec(const std::string& name, WireCodec* out);
 
 inline constexpr uint32_t kWireMagic = 0x314a5344;  // "DSJ1"
-inline constexpr uint16_t kWireVersion = 4;
+inline constexpr uint16_t kWireVersion = 5;
 
 /// Hard ceiling on a single frame's `length` field. A peer announcing more
 /// is malformed (or malicious) and the connection is failed rather than

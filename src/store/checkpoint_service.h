@@ -1,6 +1,6 @@
 // The dedicated checkpoint thread: task threads freeze a cheap view at a
 // sequence boundary and Submit() it here; this thread runs the encoder,
-// writes the base or delta file through the task's StateStore, and
+// writes the base or appends the delta through the task's StateStore, and
 // advances the task's durable epoch. Task threads poll DurableEpoch() to
 // learn how far they may truncate their replay logs, and Barrier() before
 // any operation that must observe a quiescent store (crash recovery,

@@ -1,11 +1,15 @@
-// On-disk framing of the tiered state store (docs/INTERNALS.md §13). Three
-// file species live in a task's store directory, all carrying the same
-// magic + version + Checksum64 + varint-length discipline as the
-// stream/migration.cc blobs, so every truncation or bit flip is rejected
-// with a clean Status instead of a crash or silent corruption:
+// The one checksummed frame (docs/INTERNALS.md §13): magic, Checksum64 of
+// the payload, varint payload length, payload. It carries checkpoint
+// chains, spilled records and migration blobs. The magic names what the
+// payload is, so a frame of one kind never parses as another, and every
+// truncation or bit flip is rejected with a clean Status instead of a crash
+// or silent corruption. Frames carry no version: a chain file never outlives
+// the incarnation that wrote it, and a migration blob crosses processes only
+// after HELLO has matched net::kWireVersion. Files of the store:
 //
-//   base_<epoch>.ckpt   one checkpoint-file frame; full state image
-//   delta_<epoch>.ckpt  one checkpoint-file frame; dirty sets since epoch-1
+//   chain_<epoch>.ckpt  one task's checkpoint chain: a frame naming the base
+//                       epoch, a frame holding the base image, then one
+//                       frame per delta in epoch order (appended in place)
 //   seg_<id>.spill      append-only sequence of segment frames, each one
 //                       spilled cold record; readers address frames by
 //                       (segment id, byte offset) handles
@@ -14,48 +18,50 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
 
 namespace dssj::store {
 
-/// Checkpoint-file kind byte.
-enum class CheckpointKind : uint8_t {
-  kBase = 0,
-  kDelta = 1,
+/// Frame magics of the store's two file kinds ("DSSC", "DSSG" little-endian).
+/// stream/migration.cc frames its blobs with a third.
+inline constexpr uint32_t kChainMagic = 0x43535344u;
+inline constexpr uint32_t kSegmentMagic = 0x47535344u;
+
+/// Appends one frame (magic, checksum, varint length, payload) to `out`.
+void AppendFrame(uint32_t magic, std::string_view payload, std::string* out);
+
+/// Validates the frame starting at `offset` within `data[0, size)`: its
+/// magic must be `magic` and its checksum must match before `payload` is
+/// set, as a view into `data`. `frame_end`, if not null, is set to the
+/// offset just past the frame (for sequential scans).
+Status ReadFrame(uint32_t magic, const void* data, size_t size, size_t offset,
+                 std::string_view* payload, size_t* frame_end);
+
+/// One intact frame found by ReadFrames.
+struct Frame {
+  size_t offset = 0;         ///< where the frame starts
+  std::string_view payload;  ///< view into the scanned bytes
 };
 
-/// Serializes one checkpoint file image: header (magic, version, kind,
-/// epoch), Checksum64 of the payload, varint payload length, payload.
-void EncodeCheckpointFile(CheckpointKind kind, uint64_t epoch, const std::string& payload,
-                          std::string* out);
+/// Reads frames from the start of `bytes` up to the first one ReadFrame
+/// rejects: frames are only ever appended, so nothing after a torn or
+/// corrupt frame is reachable. Fills `frames` with the intact ones and
+/// returns the length of that intact prefix.
+size_t ReadFrames(uint32_t magic, std::string_view bytes, std::vector<Frame>* frames);
 
-/// Validates and unwraps a checkpoint file image. Untrusted input is safe:
-/// truncated, bit-flipped, wrong-magic or wrong-version bytes are rejected
-/// with a descriptive Status; `payload` is filled only on OK.
-Status DecodeCheckpointFile(const void* data, size_t size, CheckpointKind* kind,
-                            uint64_t* epoch, std::string* payload);
-
-/// Appends one segment frame (magic, checksum, varint length, payload) to
-/// `out`, returning the payload length for the caller's handle bookkeeping.
-size_t AppendSegmentFrame(const std::string& payload, std::string* out);
-
-/// Reads the segment frame starting at `offset` within a segment file
-/// image. On OK fills `payload` and sets `frame_end` to the offset just
-/// past the frame (for sequential scans).
-Status ReadSegmentFrame(const void* data, size_t size, size_t offset, std::string* payload,
-                        size_t* frame_end);
-
-/// File names within a task store directory. Epochs are zero-padded so a
+/// File names within a store directory. Epochs are zero-padded so a
 /// lexicographic listing is also epoch-ordered.
-std::string BaseFileName(uint64_t epoch);
-std::string DeltaFileName(uint64_t epoch);
+std::string ChainFileName(uint64_t epoch);
 std::string SegmentFileName(uint32_t segment_id);
 
-/// Parses a store file name; returns false for foreign files. `kind` is 0
-/// for base, 1 for delta, 2 for segment; `id` is the epoch or segment id.
-bool ParseStoreFileName(const std::string& name, int* kind, uint64_t* id);
+enum class StoreFileKind : uint8_t { kChain, kSegment };
+
+/// Parses a store file name; returns false for foreign files. `id` is the
+/// chain's base epoch or the segment id.
+bool ParseStoreFileName(const std::string& name, StoreFileKind* kind, uint64_t* id);
 
 /// Whole-file IO. WriteFileAtomic writes to `<path>.tmp` then renames, so
 /// a concurrent crash never leaves a half-written file under the final
@@ -65,9 +71,9 @@ Status ReadFileToString(const std::string& path, std::string* out);
 /// Appends `bytes` to `path`, creating it if missing.
 Status AppendToFile(const std::string& path, const std::string& bytes);
 
-/// Lists the store files in `dir` (file names only, foreign files
-/// skipped). Missing directory yields an empty list and OK.
-Status ListStoreFiles(const std::string& dir, std::vector<std::string>* names);
+/// Lists the ids of the store files of `kind` in `dir`, ascending. A
+/// missing directory yields an empty list and OK.
+Status ListStoreFiles(const std::string& dir, StoreFileKind kind, std::vector<uint64_t>* ids);
 
 /// mkdir -p / rm -rf equivalents used by stores and tests.
 Status EnsureDir(const std::string& dir);

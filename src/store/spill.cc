@@ -11,51 +11,36 @@ Status SpillStore::Open(const std::string& dir, size_t segment_bytes, GcPolicy g
                         std::unique_ptr<SpillStore>* out) {
   DSSJ_RETURN_IF_ERROR(EnsureDir(dir));
   std::unique_ptr<SpillStore> store(new SpillStore(dir, segment_bytes, gc));
-  std::vector<std::string> names;
-  DSSJ_RETURN_IF_ERROR(ListStoreFiles(dir, &names));
-  uint32_t max_id = 0;
-  bool any = false;
-  for (const std::string& name : names) {
-    int kind = 0;
-    uint64_t id = 0;
-    if (!ParseStoreFileName(name, &kind, &id) || kind != 2) continue;
+  std::vector<uint64_t> ids;
+  DSSJ_RETURN_IF_ERROR(ListStoreFiles(dir, StoreFileKind::kSegment, &ids));
+  for (const uint64_t id : ids) {
     const uint32_t seg_id = static_cast<uint32_t>(id);
-    any = true;
-    max_id = std::max(max_id, seg_id);
+    const std::string path = store->SegmentPath(seg_id);
     std::string bytes;
-    DSSJ_RETURN_IF_ERROR(ReadFileToString(dir + "/" + name, &bytes));
-    Segment seg;
-    // Walk frames until the first corrupt one; everything after a torn
-    // frame is unreachable (appends are strictly sequential), so the
-    // file is truncated to the last intact frame boundary.
-    size_t offset = 0;
-    std::string payload;
-    while (offset < bytes.size()) {
-      size_t frame_end = 0;
-      if (!ReadSegmentFrame(bytes.data(), bytes.size(), offset, &payload, &frame_end).ok()) {
-        break;
-      }
-      SpillHandle h;
-      h.segment = seg_id;
-      h.offset = offset;
-      h.length = static_cast<uint32_t>(payload.size());
-      seg.unclaimed_frames.push_back(h);
-      ++seg.unclaimed;
-      offset = frame_end;
-    }
-    if (offset < bytes.size()) {
-      bytes.resize(offset);
-      DSSJ_RETURN_IF_ERROR(WriteFileAtomic(dir + "/" + name, bytes));
-    }
-    seg.file_bytes = offset;
-    seg.sealed = true;  // a new incarnation never appends to inherited segments
-    if (seg.unclaimed == 0) {
-      DSSJ_RETURN_IF_ERROR(RemoveFile(dir + "/" + name));
+    DSSJ_RETURN_IF_ERROR(ReadFileToString(path, &bytes));
+    // Everything after a torn frame is unreachable (appends are strictly
+    // sequential), so the file is truncated to the last intact frame.
+    std::vector<Frame> frames;
+    const size_t intact = ReadFrames(kSegmentMagic, bytes, &frames);
+    if (frames.empty()) {
+      DSSJ_RETURN_IF_ERROR(RemoveFile(path));
       continue;
     }
+    Segment seg;
+    for (const Frame& f : frames) {
+      const uint32_t length = static_cast<uint32_t>(f.payload.size());
+      seg.unclaimed_frames.push_back({seg_id, f.offset, length});
+    }
+    seg.unclaimed = frames.size();
+    seg.file_bytes = intact;
+    if (intact < bytes.size()) {
+      bytes.resize(intact);
+      DSSJ_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
+    }
+    seg.sealed = true;  // a new incarnation never appends to inherited segments
     store->segments_.emplace(seg_id, std::move(seg));
   }
-  store->active_ = any ? max_id + 1 : 0;
+  store->active_ = ids.empty() ? 0 : static_cast<uint32_t>(ids.back()) + 1;
   *out = std::move(store);
   return Status::OK();
 }
@@ -73,7 +58,7 @@ Status SpillStore::Append(const std::string& payload, SpillHandle* handle) {
     return Append(payload, handle);
   }
   std::string frame;
-  AppendSegmentFrame(payload, &frame);
+  AppendFrame(kSegmentMagic, payload, &frame);
   Segment& active_seg = segments_[active_];
   const uint64_t offset = active_seg.file_bytes;
   DSSJ_RETURN_IF_ERROR(AppendToFile(SegmentPath(active_), frame));
@@ -93,11 +78,13 @@ Status SpillStore::Read(const SpillHandle& handle, std::string* payload) const {
   }
   std::string bytes;
   DSSJ_RETURN_IF_ERROR(ReadFileToString(SegmentPath(handle.segment), &bytes));
-  DSSJ_RETURN_IF_ERROR(ReadSegmentFrame(bytes.data(), bytes.size(), handle.offset, payload,
-                                        /*frame_end=*/nullptr));
-  if (payload->size() != handle.length) {
+  std::string_view view;
+  DSSJ_RETURN_IF_ERROR(ReadFrame(kSegmentMagic, bytes.data(), bytes.size(), handle.offset,
+                                 &view, /*frame_end=*/nullptr));
+  if (view.size() != handle.length) {
     return Status::InvalidArgument("spill frame length disagrees with handle");
   }
+  payload->assign(view);
   return Status::OK();
 }
 

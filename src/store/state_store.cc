@@ -1,158 +1,101 @@
 #include "store/state_store.h"
 
-#include <algorithm>
+#include <cstring>
+#include <string_view>
 
 #include "store/format.h"
 
 namespace dssj::store {
 namespace {
 
-using Entry = StateStore::Entry;
-
-// Epoch-ascending, bases before deltas at equal epoch (though the writer
-// never produces both for one epoch).
-bool EntryBefore(const Entry& a, const Entry& b) {
-  if (a.epoch != b.epoch) return a.epoch < b.epoch;
-  return a.kind < b.kind;
-}
-
-std::string EntryPath(const std::string& dir, const Entry& entry) {
-  return dir + "/" + (entry.kind == 0 ? BaseFileName(entry.epoch) : DeltaFileName(entry.epoch));
-}
-
-// Checkpoint files in the directory, in chain order.
-Status ListCheckpoints(const std::string& dir, std::vector<Entry>* out) {
-  std::vector<std::string> names;
-  DSSJ_RETURN_IF_ERROR(ListStoreFiles(dir, &names));
-  out->clear();
-  for (const std::string& name : names) {
-    int kind = 0;
-    uint64_t id = 0;
-    if (!ParseStoreFileName(name, &kind, &id) || kind > 1) continue;
-    out->push_back({kind, id, {}});
-  }
-  std::sort(out->begin(), out->end(), EntryBefore);
-  return Status::OK();
-}
-
-// Reads + validates one checkpoint file. Any corruption (torn write, bit
-// flip, foreign bytes) comes back as a non-OK Status, never a crash.
-Status LoadCheckpoint(const std::string& dir, const Entry& entry, std::string* payload) {
-  std::string bytes;
-  DSSJ_RETURN_IF_ERROR(ReadFileToString(EntryPath(dir, entry), &bytes));
-  CheckpointKind kind = CheckpointKind::kBase;
-  uint64_t epoch = 0;
-  DSSJ_RETURN_IF_ERROR(DecodeCheckpointFile(bytes.data(), bytes.size(), &kind, &epoch, payload));
-  const CheckpointKind want = entry.kind == 0 ? CheckpointKind::kBase : CheckpointKind::kDelta;
-  if (kind != want || epoch != entry.epoch) {
-    return Status::InvalidArgument("checkpoint file header disagrees with file name");
-  }
-  return Status::OK();
-}
-
-// The composition rule of both chain kinds. Try bases newest-first; extend
-// the first intact one with the contiguous run of intact deltas at epochs
-// base+1, base+2, ... — the first gap or corrupt delta ends the chain
-// (later deltas would skip state and are unusable). `load(entry, &payload)`
-// returns false for an entry that cannot be read intact.
-template <typename Load>
-void Compose(const std::vector<Entry>& entries, const Load& load, RecoveredChain* out) {
-  *out = RecoveredChain{};
-  for (size_t b = entries.size(); b-- > 0;) {
-    std::string base;
-    if (entries[b].kind != 0 || !load(entries[b], &base)) continue;
-    out->valid = true;
-    out->epoch = entries[b].epoch;
-    out->base = std::move(base);
-    for (size_t d = b + 1; d < entries.size(); ++d) {
-      std::string delta;
-      if (entries[d].kind != 1 || entries[d].epoch != out->epoch + 1 ||
-          !load(entries[d], &delta)) {
-        break;
-      }
-      out->deltas.push_back(std::move(delta));
-      ++out->epoch;
-    }
-    return;
-  }
-}
-
-// Adds `entry` to an in-memory chain, replacing a checkpoint of the same
-// kind and epoch the way a file rename would.
-void Put(std::vector<Entry>* chain, Entry entry) {
-  const auto it = std::lower_bound(chain->begin(), chain->end(), entry, EntryBefore);
-  if (it != chain->end() && it->epoch == entry.epoch && it->kind == entry.kind) {
-    *it = std::move(entry);
-  } else {
-    chain->insert(it, std::move(entry));
-  }
+// Composes the chain image of a base written at `epoch`: the base, then the
+// deltas up to the first frame that fails its check. Returns false, leaving
+// `out` as it was, when the epoch or base frame is not intact or the image
+// names another epoch.
+bool ParseChain(std::string_view image, uint64_t epoch, RecoveredChain* out) {
+  std::vector<Frame> frames;
+  ReadFrames(kChainMagic, image, &frames);
+  uint64_t named = 0;
+  if (frames.size() < 2 || frames[0].payload.size() != sizeof(named)) return false;
+  std::memcpy(&named, frames[0].payload.data(), sizeof(named));
+  if (named != epoch) return false;
+  out->valid = true;
+  out->epoch = epoch + frames.size() - 2;
+  out->base.assign(frames[1].payload);
+  out->deltas.clear();
+  for (size_t i = 2; i < frames.size(); ++i) out->deltas.emplace_back(frames[i].payload);
+  return true;
 }
 
 }  // namespace
 
+std::string StateStore::ChainPath(uint64_t epoch) const {
+  return dir_ + "/" + ChainFileName(epoch);
+}
+
 Status StateStore::WriteBase(uint64_t epoch, const std::string& payload) {
-  // Everything older than this base is unreachable by any recovery
-  // composition; reclaim it now so the chain stays O(interval) entries.
-  const auto older = [epoch](const Entry& e) { return e.epoch < epoch; };
-  if (dir_.empty()) {
-    Put(&memory_, {0, epoch, payload});
-    std::erase_if(memory_, older);
-    return Status::OK();
-  }
-  DSSJ_RETURN_IF_ERROR(EnsureDir(dir_));
+  char epoch_bytes[sizeof(epoch)];
+  std::memcpy(epoch_bytes, &epoch, sizeof(epoch));
   std::string image;
-  EncodeCheckpointFile(CheckpointKind::kBase, epoch, payload, &image);
-  DSSJ_RETURN_IF_ERROR(WriteFileAtomic(dir_ + "/" + BaseFileName(epoch), image));
-  std::vector<Entry> files;
-  DSSJ_RETURN_IF_ERROR(ListCheckpoints(dir_, &files));
-  for (const Entry& f : files) {
-    if (older(f)) DSSJ_RETURN_IF_ERROR(RemoveFile(EntryPath(dir_, f)));
+  AppendFrame(kChainMagic, std::string_view(epoch_bytes, sizeof(epoch_bytes)), &image);
+  AppendFrame(kChainMagic, payload, &image);
+  if (dir_.empty()) {
+    memory_ = std::move(image);
+  } else {
+    DSSJ_RETURN_IF_ERROR(EnsureDir(dir_));
+    DSSJ_RETURN_IF_ERROR(WriteFileAtomic(ChainPath(epoch), image));
+    // The previous chain can no longer take part in any recovery.
+    if (has_chain_ && base_epoch_ != epoch) {
+      DSSJ_RETURN_IF_ERROR(RemoveFile(ChainPath(base_epoch_)));
+    }
   }
+  has_chain_ = true;
+  base_epoch_ = epoch;
+  next_epoch_ = epoch + 1;
   return Status::OK();
 }
 
 Status StateStore::WriteDelta(uint64_t epoch, const std::string& payload) {
-  if (dir_.empty()) {
-    Put(&memory_, {1, epoch, payload});
-    return Status::OK();
+  if (!has_chain_ || epoch != next_epoch_) {
+    return Status::FailedPrecondition("delta epoch " + std::to_string(epoch) +
+                                      " does not extend the chain");
   }
-  DSSJ_RETURN_IF_ERROR(EnsureDir(dir_));
-  std::string image;
-  EncodeCheckpointFile(CheckpointKind::kDelta, epoch, payload, &image);
-  return WriteFileAtomic(dir_ + "/" + DeltaFileName(epoch), image);
+  if (dir_.empty()) {
+    AppendFrame(kChainMagic, payload, &memory_);
+  } else {
+    std::string frame;
+    AppendFrame(kChainMagic, payload, &frame);
+    DSSJ_RETURN_IF_ERROR(AppendToFile(ChainPath(base_epoch_), frame));
+  }
+  ++next_epoch_;
+  return Status::OK();
 }
 
 Status StateStore::Recover(RecoveredChain* out) const {
+  *out = RecoveredChain{};
   if (dir_.empty()) {
-    Compose(
-        memory_,
-        [](const Entry& e, std::string* payload) {
-          *payload = e.payload;
-          return true;
-        },
-        out);
+    ParseChain(memory_, base_epoch_, out);
     return Status::OK();
   }
-  std::vector<Entry> files;
-  *out = RecoveredChain{};
-  DSSJ_RETURN_IF_ERROR(ListCheckpoints(dir_, &files));
-  Compose(
-      files,
-      [this](const Entry& e, std::string* payload) {
-        return LoadCheckpoint(dir_, e, payload).ok();
-      },
-      out);
+  std::vector<uint64_t> epochs;
+  DSSJ_RETURN_IF_ERROR(ListStoreFiles(dir_, StoreFileKind::kChain, &epochs));
+  for (size_t i = epochs.size(); i-- > 0;) {
+    std::string image;
+    if (ReadFileToString(ChainPath(epochs[i]), &image).ok() &&
+        ParseChain(image, epochs[i], out)) {
+      break;
+    }
+  }
   return Status::OK();
 }
 
 Status StateStore::Truncate() {
-  memory_.clear();
+  has_chain_ = false;
+  memory_ = std::string();
   if (dir_.empty()) return Status::OK();
-  std::vector<Entry> files;
-  DSSJ_RETURN_IF_ERROR(ListCheckpoints(dir_, &files));
-  for (const Entry& f : files) {
-    DSSJ_RETURN_IF_ERROR(RemoveFile(EntryPath(dir_, f)));
-  }
+  std::vector<uint64_t> epochs;
+  DSSJ_RETURN_IF_ERROR(ListStoreFiles(dir_, StoreFileKind::kChain, &epochs));
+  for (const uint64_t epoch : epochs) DSSJ_RETURN_IF_ERROR(RemoveFile(ChainPath(epoch)));
   return Status::OK();
 }
 

@@ -1,9 +1,11 @@
-// Per-task checkpoint chain: full base images plus the deltas written
-// since the newest base, kept as files in one directory or in memory.
-// Recovery composes the newest *valid* base with the longest contiguous
-// run of valid deltas after it (docs/INTERNALS.md §13) — a torn or
-// bit-flipped file terminates the chain cleanly instead of failing
-// recovery outright.
+// Per-task checkpoint chain: one base image plus the deltas written since,
+// kept as one byte image (store/format.h): a frame naming the base epoch,
+// the base frame, then one frame per delta in epoch order. On disk the
+// image is the file chain_<base epoch>.ckpt, written whole at each base and
+// appended to by each delta; without a directory it is a string in memory.
+// Recovery parses both the same way (docs/INTERNALS.md §13): a torn or
+// bit-flipped frame ends the chain at the last intact frame instead of
+// failing recovery outright.
 #ifndef DSSJ_STORE_STATE_STORE_H_
 #define DSSJ_STORE_STATE_STORE_H_
 
@@ -28,11 +30,10 @@ struct RecoveredChain {
 };
 
 /// Owns one task's checkpoint chain. Built with a directory, the chain
-/// lives there as checksummed files; built with an empty directory, it
-/// lives in memory. Both keep the same checkpoints (WriteBase drops every
-/// older one) and compose them by the same rule. Not thread-safe: the
-/// checkpoint service thread makes the writes, and the task thread calls
-/// Recover / Truncate only after a service Barrier.
+/// lives there as a checksummed file; built with an empty directory, it
+/// lives in memory as the same bytes. Not thread-safe: the checkpoint
+/// service thread makes the writes, and the task thread calls Recover /
+/// Truncate only after a service Barrier.
 class StateStore {
  public:
   explicit StateStore(std::string dir) : dir_(std::move(dir)) {}
@@ -40,33 +41,34 @@ class StateStore {
   /// The chain directory; empty for an in-memory chain.
   const std::string& dir() const { return dir_; }
 
-  /// Writes a full base image for `epoch` (on disk: atomic tmp+rename),
-  /// then drops every base and delta with a smaller epoch — they can no
-  /// longer participate in any recovery composition.
+  /// Starts a new chain with a full base image for `epoch`. On disk the
+  /// chain file is written tmp+rename, and only then is the previous chain
+  /// file removed, so a crash in between leaves a chain to recover from.
   Status WriteBase(uint64_t epoch, const std::string& payload);
 
-  /// Writes a delta for `epoch` (on disk: atomic tmp+rename).
+  /// Appends the delta for `epoch` to the current chain. `epoch` must be
+  /// the chain's next epoch; anything else fails, as a failed write does.
+  /// A failed append leaves at most a partial frame, which Recover ignores.
   Status WriteDelta(uint64_t epoch, const std::string& payload);
 
-  /// Composes the newest valid base + contiguous valid delta chain.
-  /// Corrupt or missing files never fail the call: a bad delta truncates
-  /// the chain just before it, a bad base falls back to the previous base.
-  /// Returns non-OK only for IO errors that make the directory unreadable.
+  /// Composes the newest intact chain: its base and its deltas up to the
+  /// first torn or corrupt frame. A chain file whose first frames are bad,
+  /// or whose epoch disagrees with its name, falls back to an older chain
+  /// file still on disk. Returns non-OK only for IO errors that make the
+  /// directory unreadable.
   Status Recover(RecoveredChain* out) const;
 
-  /// Removes every checkpoint (fresh incarnation start).
+  /// Removes the chain (fresh incarnation start).
   Status Truncate();
 
-  /// One checkpoint of the chain; chains order entries by (epoch, kind).
-  struct Entry {
-    int kind = 0;  // 0 base, 1 delta
-    uint64_t epoch = 0;
-    std::string payload;  // in-memory chain only (files hold their own)
-  };
-
  private:
+  std::string ChainPath(uint64_t epoch) const;
+
   std::string dir_;
-  std::vector<Entry> memory_;  ///< the in-memory chain (empty dir_ only)
+  bool has_chain_ = false;  ///< a base was written since the last Truncate
+  uint64_t base_epoch_ = 0;
+  uint64_t next_epoch_ = 0;  ///< the epoch WriteDelta accepts
+  std::string memory_;       ///< the chain image (empty dir_ only)
 };
 
 }  // namespace dssj::store

@@ -1,15 +1,13 @@
 #include "stream/migration.h"
 
-#include "common/hash.h"
 #include "common/serialize.h"
+#include "store/format.h"
 
 namespace dssj::stream {
 
 namespace {
 
 constexpr uint32_t kMigrationMagic = 0x4247494d;  // "MIGB"
-// Bumped with the blob layout or its checksum function, as store/format.cc's.
-constexpr uint16_t kMigrationVersion = 2;
 
 }  // namespace
 
@@ -35,34 +33,19 @@ void EncodeMigrationState(const MigrationState& state, std::string* out) {
       w.WriteVarint(seq);
     }
   }
-  BinaryWriter w(out);
-  w.WriteU32(kMigrationMagic);
-  w.WriteU16(kMigrationVersion);
-  w.WriteU64(Checksum64(payload.data(), payload.size()));
-  out->append(payload);
+  store::AppendFrame(kMigrationMagic, payload, out);
 }
 
 Status DecodeMigrationState(const void* data, size_t size, MigrationState* out) {
-  SafeBinaryReader r(static_cast<const char*>(data), size);
-  uint32_t magic = 0;
-  uint16_t version = 0;
-  uint64_t checksum = 0;
-  if (!r.ReadU32(&magic) || magic != kMigrationMagic) {
-    return Status::InvalidArgument("migration blob: bad magic");
-  }
-  if (!r.ReadU16(&version)) return Status::InvalidArgument("migration blob: truncated header");
-  if (version != kMigrationVersion) {
-    return Status::InvalidArgument("migration blob: unsupported version " +
-                                   std::to_string(version));
-  }
-  if (!r.ReadU64(&checksum)) return Status::InvalidArgument("migration blob: truncated header");
-  // Checksum the whole payload before trusting any of it: a single flipped
-  // bit anywhere past the header is rejected here rather than surfacing as
-  // a silently different state.
-  if (Checksum64(static_cast<const char*>(data) + (size - r.remaining()), r.remaining()) !=
-      checksum) {
-    return Status::InvalidArgument("migration blob: checksum mismatch");
-  }
+  // The frame's checksum covers the whole payload, so a single flipped bit
+  // anywhere is rejected here rather than surfacing as a silently
+  // different state.
+  std::string_view payload;
+  size_t frame_end = 0;
+  const Status framed = store::ReadFrame(kMigrationMagic, data, size, 0, &payload, &frame_end);
+  if (!framed.ok()) return Status::InvalidArgument("migration blob: " + framed.message());
+  if (frame_end != size) return Status::InvalidArgument("migration blob: trailing bytes");
+  SafeBinaryReader r(payload.data(), payload.size());
   MigrationState s;
   uint64_t remaining_eos = 0;
   uint8_t has_state = 0;

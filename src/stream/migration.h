@@ -65,14 +65,14 @@ struct MigrationState {
   std::vector<std::pair<uint32_t, uint64_t>> next_seq;
 };
 
-/// Serializes `state` into a self-describing blob: magic + version +
-/// Checksum64 of the payload + payload. Deterministic for a given state.
+/// Serializes `state` into one store frame (store/format.h) with the
+/// migration magic. Deterministic for a given state.
 void EncodeMigrationState(const MigrationState& state, std::string* out);
 
 /// Decodes a blob produced by EncodeMigrationState. Untrusted input is
 /// safe: truncated, corrupted (checksum mismatch, non-canonical varints) or
-/// wrong-version blobs are rejected with a descriptive Status and no reads
-/// past the buffer — never a crash or a partially filled `out`.
+/// foreign blobs and trailing bytes are rejected with a descriptive Status
+/// and no reads past the buffer — never a crash or a partially filled `out`.
 Status DecodeMigrationState(const void* data, size_t size, MigrationState* out);
 
 }  // namespace dssj::stream

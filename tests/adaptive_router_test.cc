@@ -59,7 +59,9 @@ TEST(AdaptiveLengthRouterTest, ReplansUnderDriftAndStoresExactlyOnce) {
       EXPECT_TRUE(t.probe);
       stores += t.store ? 1 : 0;
     }
-    if (!targets.empty()) EXPECT_EQ(stores, 1);
+    if (!targets.empty()) {
+      EXPECT_EQ(stores, 1);
+    }
   }
   EXPECT_GT(router.replans(), 0u) << "drift never triggered a replan";
   EXPECT_LE(router.live_epochs(), FastAdapt().max_epochs);

@@ -73,29 +73,6 @@ TEST(TwoStreamBoundaryTest, SuffixFilterModePreservesResults) {
   EXPECT_GT(a.size(), 0u);
 }
 
-TEST(MinHashBoundaryTest, WorksForCosineAndDice) {
-  WorkloadOptions wo;
-  wo.seed = 92;
-  wo.token_universe = 800;
-  wo.duplicate_fraction = 0.5;
-  wo.mutation_rate = 0.05;
-  const auto stream = WorkloadGenerator(wo).Generate(1500);
-  for (const SimilarityFunction fn :
-       {SimilarityFunction::kCosine, SimilarityFunction::kDice}) {
-    const SimilaritySpec sim(fn, 900);
-    MinHashJoiner approx(sim, WindowSpec::Unbounded());
-    BruteForceJoiner oracle(sim, WindowSpec::Unbounded());
-    const size_t found = SingleNodeJoin(stream, approx).size();
-    const size_t truth = SingleNodeJoin(stream, oracle).size();
-    ASSERT_GT(truth, 20u);
-    // High-similarity pairs are found with near-certainty regardless of the
-    // accept predicate (signatures estimate Jaccard, which lower-bounds
-    // cosine/dice similarity orderings at these levels).
-    EXPECT_GE(static_cast<double>(found), 0.9 * static_cast<double>(truth))
-        << SimilarityFunctionName(fn);
-  }
-}
-
 TEST(BundleBoundaryTest, LongIdenticalRunFormsOneBundle) {
   BundleJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 900),
                       WindowSpec::Unbounded());

@@ -525,8 +525,8 @@ TEST_F(StoreEquivalence, BundleJoinerIgnoresSpillGracefully) {
   EXPECT_GT(got.result_count, 0u);
 }
 
-// After a healthy run every task directory must hold exactly one live
-// chain (newest base + trailing deltas) — no tmp files, no stale epochs.
+// After a healthy run every task directory must hold exactly one chain
+// file (newest base + trailing deltas) — no tmp files, no stale chains.
 TEST_F(StoreEquivalence, StoreDirHygieneAfterRun) {
   ScopedTempDir tmp;
   options_.store_dir = tmp.path();
@@ -541,17 +541,16 @@ TEST_F(StoreEquivalence, StoreDirHygieneAfterRun) {
     const std::string t = e.path().filename().string();
     if (t.rfind("task_", 0) != 0) continue;
     ++task_dirs;
-    int bases = 0;
+    std::vector<std::string> names;
     for (const auto& f : std::filesystem::directory_iterator(e.path())) {
-      const std::string name = f.path().filename().string();
-      EXPECT_EQ(name.find(".tmp"), std::string::npos) << "tmp litter: " << t << "/" << name;
-      int kind = 0;
-      uint64_t id = 0;
-      ASSERT_TRUE(store::ParseStoreFileName(name, &kind, &id))
-          << "foreign file in store dir: " << t << "/" << name;
-      if (kind == 0) ++bases;
+      names.push_back(f.path().filename().string());
     }
-    EXPECT_LE(bases, 1) << "stale base epochs in " << t;
+    ASSERT_EQ(names.size(), 1u) << "task dir " << t << " holds " << names.size() << " files";
+    store::StoreFileKind kind = store::StoreFileKind::kSegment;
+    uint64_t id = 0;
+    EXPECT_TRUE(store::ParseStoreFileName(names[0], &kind, &id) &&
+                kind == store::StoreFileKind::kChain)
+        << "not a chain file: " << t << "/" << names[0];
   }
   EXPECT_GT(task_dirs, 0u);
 }

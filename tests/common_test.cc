@@ -199,8 +199,9 @@ TEST(HashTest, Fnv1a64KnownVectorsAndSpread) {
   EXPECT_EQ(Fnv1a64(std::string_view("abc")), Fnv1a64("abc", 3));
 }
 
-// Pins the checksum of every checkpoint file, spill frame and migration
-// blob: a change here must come with new version numbers in those formats.
+// Pins the checksum of every store frame (checkpoint chains, spill segments,
+// migration blobs): a change here must bump net::kWireVersion, because
+// migration blobs cross processes and no frame carries a version.
 // The cases cover the empty input, a lone partial block, whole blocks and
 // a block plus a tail.
 TEST(HashTest, Checksum64KnownAnswers) {

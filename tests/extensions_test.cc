@@ -1,8 +1,7 @@
 // Tests of the extension features: the PPJoin+ suffix filter inside
-// RecordJoiner and the MinHash-LSH approximate joiner.
+// RecordJoiner.
 
 #include <algorithm>
-#include <set>
 #include <tuple>
 #include <vector>
 
@@ -10,7 +9,6 @@
 
 #include "core/brute_force_joiner.h"
 #include "core/join_topology.h"
-#include "core/minhash_joiner.h"
 #include "core/record_joiner.h"
 #include "workload/generator.h"
 
@@ -77,72 +75,6 @@ TEST(SuffixFilterTest, DepthSweepStaysCorrect) {
     RecordJoiner joiner(sim, WindowSpec::Unbounded(), options);
     EXPECT_EQ(Canonical(SingleNodeJoin(stream, joiner)), expected) << "depth " << depth;
   }
-}
-
-// --- MinHash-LSH approximate joiner ------------------------------------------
-
-TEST(MinHashJoinerTest, PerfectPrecision) {
-  const auto stream = MakeStream(44, 2000, 0.5);
-  const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);
-  MinHashJoiner approx(sim, WindowSpec::Unbounded());
-  BruteForceJoiner reference(sim, WindowSpec::Unbounded());
-  const auto approx_pairs = Canonical(SingleNodeJoin(stream, approx));
-  const auto exact_pairs = Canonical(SingleNodeJoin(stream, reference));
-  std::set<std::pair<uint64_t, uint64_t>> exact_set;
-  for (const ResultPair& p : exact_pairs) exact_set.insert({p.probe_seq, p.partner_seq});
-  for (const ResultPair& p : approx_pairs) {
-    EXPECT_TRUE(exact_set.count({p.probe_seq, p.partner_seq}))
-        << "false positive " << p.probe_seq << "," << p.partner_seq;
-  }
-  EXPECT_LE(approx_pairs.size(), exact_pairs.size());
-}
-
-TEST(MinHashJoinerTest, HighRecallAtHighSimilarity) {
-  // At threshold 0.9 with 16 bands × 4 rows, P(candidate) >= 1-(1-0.9^4)^16
-  // ≈ 0.9998; recall should be near-perfect.
-  const auto stream = MakeStream(45, 3000, 0.5);
-  const SimilaritySpec sim(SimilarityFunction::kJaccard, 900);
-  MinHashJoiner approx(sim, WindowSpec::Unbounded());
-  BruteForceJoiner reference(sim, WindowSpec::Unbounded());
-  const size_t found = SingleNodeJoin(stream, approx).size();
-  const size_t truth = SingleNodeJoin(stream, reference).size();
-  ASSERT_GT(truth, 50u) << "vacuous stream";
-  EXPECT_GE(static_cast<double>(found), 0.95 * static_cast<double>(truth));
-}
-
-TEST(MinHashJoinerTest, MoreBandsMoreRecall) {
-  const auto stream = MakeStream(46, 3000, 0.5);
-  const SimilaritySpec sim(SimilarityFunction::kJaccard, 700);
-  MinHashJoinerOptions few, many;
-  few.bands = 2;
-  many.bands = 32;
-  MinHashJoiner a(sim, WindowSpec::Unbounded(), few);
-  MinHashJoiner b(sim, WindowSpec::Unbounded(), many);
-  const size_t recall_few = SingleNodeJoin(stream, a).size();
-  const size_t recall_many = SingleNodeJoin(stream, b).size();
-  EXPECT_LT(recall_few, recall_many);
-}
-
-TEST(MinHashJoinerTest, WindowEvictionWorks) {
-  MinHashJoiner joiner(SimilaritySpec(SimilarityFunction::kJaccard, 900),
-                       WindowSpec::ByCount(2));
-  std::vector<ResultPair> pairs;
-  const auto cb = [&pairs](const ResultPair& p) { pairs.push_back(p); };
-  joiner.Process(MakeRecord(0, 0, {1, 2, 3, 4}), true, true, cb);
-  joiner.Process(MakeRecord(1, 1, {10, 20, 30}), true, true, cb);
-  joiner.Process(MakeRecord(2, 2, {40, 50, 60}), true, true, cb);  // evicts seq 0
-  EXPECT_EQ(joiner.StoredCount(), 2u);
-  joiner.Process(MakeRecord(3, 3, {1, 2, 3, 4}), false, true, cb);
-  EXPECT_TRUE(pairs.empty()) << "matched an evicted record";
-  EXPECT_EQ(joiner.stats().evictions, 1u);
-}
-
-TEST(MinHashJoinerTest, DeterministicAcrossInstances) {
-  const auto stream = MakeStream(47, 1000, 0.4);
-  const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);
-  MinHashJoiner a(sim, WindowSpec::Unbounded());
-  MinHashJoiner b(sim, WindowSpec::Unbounded());
-  EXPECT_EQ(Canonical(SingleNodeJoin(stream, a)), Canonical(SingleNodeJoin(stream, b)));
 }
 
 }  // namespace

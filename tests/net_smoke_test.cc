@@ -75,7 +75,7 @@ std::string WriteGarbageCorpus(const std::string& path, int lines) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     return static_cast<uint32_t>(state >> 33);
   };
-  const auto word = [&next] { return "w" + std::to_string(next() % 400); };
+  const auto word = [&next] { return std::string("w").append(std::to_string(next() % 400)); };
   std::vector<std::string> all;
   all.reserve(lines);
   for (int i = 0; i < lines; ++i) {
@@ -87,10 +87,11 @@ std::string WriteGarbageCorpus(const std::string& path, int lines) {
         line += c == '\n' ? ' ' : c;
       }
     } else if (i >= 3 && i % 3 == 0) {
-      line = all[i - 3] + ' ' + word();
+      line = all[i - 3];
+      line.append(1, ' ').append(word());
     } else {
       const int n = 3 + static_cast<int>(next() % 8);
-      for (int w = 0; w < n; ++w) line += (w > 0 ? " " : "") + word();
+      for (int w = 0; w < n; ++w) line.append(w > 0 ? " " : "").append(word());
     }
     all.push_back(std::move(line));
   }

@@ -291,5 +291,22 @@ TEST_F(TcpClusterTest, RemoteFailurePropagatesToCoordinator) {
   EXPECT_FALSE(run.workers[0].ok);
 }
 
+// kFinish has no wire frame, so sending it to a remote rank must fail
+// without queueing anything: no sender starts dialing that rank.
+TEST_F(TcpClusterTest, FinishToARemoteRankIsNotSent) {
+  const std::string cluster = ClusterOrSkip(2);
+  if (cluster.empty()) GTEST_SKIP() << "no localhost sockets available";
+  net::TcpTransportOptions options;
+  options.cluster = net::ParseClusterSpec(cluster).value();
+  net::TcpTransport transport(std::move(options));
+  transport.Start(stream::TransportPlan{},
+                  [](int, std::vector<stream::Envelope>&& batch) { return batch.size(); },
+                  [](const std::string&) {});
+  stream::ControlFrame finish;
+  finish.kind = stream::ControlKind::kFinish;
+  EXPECT_FALSE(transport.SendControl(1, finish));
+  EXPECT_EQ(transport.Stats().connect_attempts, 0u) << "a sender was started for rank 1";
+}
+
 }  // namespace
 }  // namespace dssj

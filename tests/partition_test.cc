@@ -148,7 +148,9 @@ TEST(JoinCostModelTest, IntervalCostIsMonotoneUnderExtension) {
   for (size_t a = 0; a < 20; ++a) {
     for (size_t b = a; b + 1 <= h.MaxLength(); ++b) {
       EXPECT_LE(model.IntervalCost(a, b), model.IntervalCost(a, b + 1));
-      if (a > 0) EXPECT_LE(model.IntervalCost(a, b), model.IntervalCost(a - 1, b));
+      if (a > 0) {
+        EXPECT_LE(model.IntervalCost(a, b), model.IntervalCost(a - 1, b));
+      }
     }
   }
 }

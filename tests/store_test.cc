@@ -1,14 +1,17 @@
-// Unit coverage of the tiered state store (docs/INTERNALS.md §13): file
-// framing, the base+delta checkpoint chain (on disk and in memory), the
-// spill segment tier, and the checkpoint service thread. The torn-write suites truncate and
-// bit-flip files at fuzzed offsets and assert recovery always degrades to
-// an older consistent chain with a clean Status — never a crash, never a
-// silently corrupt payload.
+// Unit coverage of the tiered state store (docs/INTERNALS.md §13): the
+// frame, the base+delta checkpoint chain (on disk and in memory), the spill
+// segment tier, and the checkpoint service thread. The torn-write suites
+// truncate and bit-flip files at swept or fuzzed offsets and assert
+// recovery always degrades to a shorter consistent chain with a clean
+// Status — never a crash, never a silently corrupt payload.
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,61 +55,15 @@ void WriteAll(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(WriteFileAtomic(path, bytes).ok()) << path;
 }
 
+/// Every file in `dir`, sorted (none when the directory is missing).
 std::vector<std::string> List(const std::string& dir) {
   std::vector<std::string> names;
-  EXPECT_TRUE(ListStoreFiles(dir, &names).ok());
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
+    names.push_back(e.path().filename().string());
+  }
   std::sort(names.begin(), names.end());
   return names;
-}
-
-// --- Checkpoint file framing --------------------------------------------
-
-TEST(CheckpointFileFormat, RoundTripsKindEpochPayload) {
-  const std::string payload = "the quick brown fox\0with embedded nul";
-  std::string image;
-  EncodeCheckpointFile(CheckpointKind::kDelta, 41, payload, &image);
-  CheckpointKind kind = CheckpointKind::kBase;
-  uint64_t epoch = 0;
-  std::string out;
-  ASSERT_TRUE(DecodeCheckpointFile(image.data(), image.size(), &kind, &epoch, &out).ok());
-  EXPECT_EQ(kind, CheckpointKind::kDelta);
-  EXPECT_EQ(epoch, 41u);
-  EXPECT_EQ(out, payload);
-}
-
-TEST(CheckpointFileFormat, RejectsEveryTruncationCleanly) {
-  std::string image;
-  EncodeCheckpointFile(CheckpointKind::kBase, 7, std::string(300, 'x'), &image);
-  for (size_t len = 0; len < image.size(); ++len) {
-    CheckpointKind kind;
-    uint64_t epoch;
-    std::string payload;
-    const Status st = DecodeCheckpointFile(image.data(), len, &kind, &epoch, &payload);
-    EXPECT_FALSE(st.ok()) << "truncation to " << len << " bytes accepted";
-  }
-}
-
-TEST(CheckpointFileFormat, RejectsEverySingleBitFlip) {
-  std::string image;
-  EncodeCheckpointFile(CheckpointKind::kBase, 3, "checksummed payload bytes", &image);
-  for (size_t i = 0; i < image.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string flipped = image;
-      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
-      CheckpointKind kind;
-      uint64_t epoch;
-      std::string payload;
-      const Status st =
-          DecodeCheckpointFile(flipped.data(), flipped.size(), &kind, &epoch, &payload);
-      // A flip in the header's epoch field still checks out only if the
-      // payload checksum covers it — it does not, so tolerate a decode
-      // that "succeeds" only when kind+epoch+payload all survived intact.
-      if (st.ok()) {
-        EXPECT_EQ(payload, "checksummed payload bytes")
-            << "bit flip at byte " << i << " bit " << bit << " corrupted the payload silently";
-      }
-    }
-  }
 }
 
 /// `n` reproducible pseudo-random bytes: a payload the size of a real
@@ -118,56 +75,27 @@ std::string PseudoRandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
-// The checksum must catch every single-bit flip and every truncation of a
-// ~4 KiB payload (three bytes past 4 KiB, so its partial last block is
-// covered too). Only the kind byte and the epoch lie outside it (a flip
-// there may decode), and then the payload must come back intact.
-TEST(CheckpointFileFormat, RejectsEveryFlipAndTruncationOf4KiBPayload) {
-  const std::string payload = PseudoRandomBytes(4099, 1);
-  std::string image;
-  EncodeCheckpointFile(CheckpointKind::kDelta, 9, payload, &image);
-  CheckpointKind kind;
-  uint64_t epoch;
-  std::string out;
-  for (size_t len = 0; len < image.size(); ++len) {
-    EXPECT_FALSE(DecodeCheckpointFile(image.data(), len, &kind, &epoch, &out).ok())
-        << "truncation to " << len << " bytes accepted";
-  }
-  constexpr size_t kKindByte = 6, kEpochEnd = 15;  // magic u32, version u16, kind, epoch u64
-  for (size_t i = 0; i < image.size(); ++i) {
-    for (int bit = 0; bit < 8; ++bit) {
-      image[i] = static_cast<char>(image[i] ^ (1 << bit));
-      out.clear();
-      const bool ok = DecodeCheckpointFile(image.data(), image.size(), &kind, &epoch, &out).ok();
-      image[i] = static_cast<char>(image[i] ^ (1 << bit));
-      if (i >= kKindByte && i < kEpochEnd) {
-        if (ok) EXPECT_EQ(out, payload) << "byte " << i << " bit " << bit;
-      } else {
-        EXPECT_FALSE(ok) << "flip of byte " << i << " bit " << bit << " accepted";
-      }
-    }
-  }
-}
+// --- Frame format -------------------------------------------------------
 
 TEST(SegmentFrameFormat, RejectsEveryFlipAndTruncationOf4KiBPayload) {
   const std::string payload = PseudoRandomBytes(4099, 2);
   std::string frame;
-  AppendSegmentFrame(payload, &frame);
-  std::string out;
+  AppendFrame(kSegmentMagic, payload, &frame);
+  std::string_view out;
   size_t end = 0;
   for (size_t len = 0; len < frame.size(); ++len) {
-    EXPECT_FALSE(ReadSegmentFrame(frame.data(), len, 0, &out, &end).ok())
+    EXPECT_FALSE(ReadFrame(kSegmentMagic, frame.data(), len, 0, &out, &end).ok())
         << "truncation to " << len << " bytes accepted";
   }
   for (size_t i = 0; i < frame.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       frame[i] = static_cast<char>(frame[i] ^ (1 << bit));
-      EXPECT_FALSE(ReadSegmentFrame(frame.data(), frame.size(), 0, &out, &end).ok())
+      EXPECT_FALSE(ReadFrame(kSegmentMagic, frame.data(), frame.size(), 0, &out, &end).ok())
           << "flip of byte " << i << " bit " << bit << " accepted";
       frame[i] = static_cast<char>(frame[i] ^ (1 << bit));
     }
   }
-  ASSERT_TRUE(ReadSegmentFrame(frame.data(), frame.size(), 0, &out, &end).ok());
+  ASSERT_TRUE(ReadFrame(kSegmentMagic, frame.data(), frame.size(), 0, &out, &end).ok());
   EXPECT_EQ(out, payload);
 }
 
@@ -176,14 +104,15 @@ TEST(SegmentFrameFormat, SequentialScanAndTornTail) {
   std::vector<size_t> offsets;
   for (int i = 0; i < 5; ++i) {
     offsets.push_back(file.size());
-    AppendSegmentFrame(std::string(static_cast<size_t>(10 + i * 7), static_cast<char>('a' + i)),
-                       &file);
+    AppendFrame(kSegmentMagic,
+                std::string(static_cast<size_t>(10 + i * 7), static_cast<char>('a' + i)),
+                &file);
   }
   size_t off = 0;
   for (int i = 0; i < 5; ++i) {
-    std::string payload;
+    std::string_view payload;
     size_t end = 0;
-    ASSERT_TRUE(ReadSegmentFrame(file.data(), file.size(), off, &payload, &end).ok());
+    ASSERT_TRUE(ReadFrame(kSegmentMagic, file.data(), file.size(), off, &payload, &end).ok());
     EXPECT_EQ(payload, std::string(static_cast<size_t>(10 + i * 7), static_cast<char>('a' + i)));
     off = end;
   }
@@ -191,27 +120,36 @@ TEST(SegmentFrameFormat, SequentialScanAndTornTail) {
   // A torn tail: every truncation point inside the last frame must reject
   // that frame but leave the earlier ones readable.
   for (size_t len = offsets.back(); len < file.size(); ++len) {
-    std::string payload;
+    std::string_view payload;
     size_t end = 0;
-    EXPECT_FALSE(ReadSegmentFrame(file.data(), len, offsets.back(), &payload, &end).ok());
-    ASSERT_TRUE(ReadSegmentFrame(file.data(), len, offsets[3], &payload, &end).ok());
+    EXPECT_FALSE(
+        ReadFrame(kSegmentMagic, file.data(), len, offsets.back(), &payload, &end).ok());
+    ASSERT_TRUE(ReadFrame(kSegmentMagic, file.data(), len, offsets[3], &payload, &end).ok());
   }
 }
 
+// The magic is the frame's type: a frame of one kind never reads as another.
+TEST(FrameFormat, MagicSeparatesFrameKinds) {
+  std::string frame;
+  AppendFrame(kChainMagic, "payload", &frame);
+  std::string_view out;
+  EXPECT_FALSE(ReadFrame(kSegmentMagic, frame.data(), frame.size(), 0, &out, nullptr).ok());
+  ASSERT_TRUE(ReadFrame(kChainMagic, frame.data(), frame.size(), 0, &out, nullptr).ok());
+  EXPECT_EQ(out, "payload");
+}
+
 TEST(StoreFileNames, ParseRoundTrip) {
-  int kind = -1;
+  StoreFileKind kind = StoreFileKind::kSegment;
   uint64_t id = 0;
-  ASSERT_TRUE(ParseStoreFileName(BaseFileName(123), &kind, &id));
-  EXPECT_EQ(kind, 0);
+  ASSERT_TRUE(ParseStoreFileName(ChainFileName(123), &kind, &id));
+  EXPECT_EQ(kind, StoreFileKind::kChain);
   EXPECT_EQ(id, 123u);
-  ASSERT_TRUE(ParseStoreFileName(DeltaFileName(7), &kind, &id));
-  EXPECT_EQ(kind, 1);
-  EXPECT_EQ(id, 7u);
   ASSERT_TRUE(ParseStoreFileName(SegmentFileName(9), &kind, &id));
-  EXPECT_EQ(kind, 2);
+  EXPECT_EQ(kind, StoreFileKind::kSegment);
   EXPECT_EQ(id, 9u);
   EXPECT_FALSE(ParseStoreFileName("README.md", &kind, &id));
-  EXPECT_FALSE(ParseStoreFileName("base_.ckpt", &kind, &id));
+  EXPECT_FALSE(ParseStoreFileName("chain_.ckpt", &kind, &id));
+  EXPECT_FALSE(ParseStoreFileName(ChainFileName(4) + ".tmp", &kind, &id));
 }
 
 // --- StateStore chain composition ---------------------------------------
@@ -248,18 +186,25 @@ TEST_P(StateStoreChainTest, ComposesNewestBasePlusContiguousDeltas) {
   EXPECT_EQ(chain.epoch, 5u);
   EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D4", "D5"}));
   if (!on_disk()) return;
-  // WriteBase(3) must have reclaimed the epoch<3 files.
-  const std::vector<std::string> names = List(store.dir());
-  EXPECT_EQ(names, (std::vector<std::string>{BaseFileName(3), DeltaFileName(4),
-                                             DeltaFileName(5)}));
+  // WriteBase(3) must have removed the epoch-0 chain; its deltas were
+  // appended to the one chain file.
+  EXPECT_EQ(List(store.dir()), (std::vector<std::string>{ChainFileName(3)}));
 }
 
-TEST_P(StateStoreChainTest, GapInTheDeltasEndsTheChain) {
+// A delta must extend the current chain: one without a base, past a gap or
+// rewriting an epoch fails (the service then wedges the task), and the
+// chain through the last good epoch still recovers.
+TEST_P(StateStoreChainTest, DeltaThatDoesNotExtendTheChainFails) {
   StateStore store(StoreDir());
+  RecoveredChain chain;
+  EXPECT_FALSE(store.WriteDelta(1, "D1").ok());  // no base
+  ASSERT_TRUE(store.Recover(&chain).ok());
+  EXPECT_FALSE(chain.valid);
   ASSERT_TRUE(store.WriteBase(0, "B0").ok());
   ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
-  ASSERT_TRUE(store.WriteDelta(3, "D3").ok());  // epoch 2 never landed
-  RecoveredChain chain;
+  EXPECT_FALSE(store.WriteDelta(3, "D3").ok());     // epoch 2 never landed
+  EXPECT_FALSE(store.WriteDelta(1, "stale").ok());  // epoch 1 rewritten
+  EXPECT_FALSE(store.WriteDelta(0, "D0").ok());     // the base's own epoch
   ASSERT_TRUE(store.Recover(&chain).ok());
   ASSERT_TRUE(chain.valid);
   EXPECT_EQ(chain.base, "B0");
@@ -267,24 +212,10 @@ TEST_P(StateStoreChainTest, GapInTheDeltasEndsTheChain) {
   EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D1"}));
 }
 
-TEST_P(StateStoreChainTest, RewrittenEpochReplacesTheOldCheckpoint) {
-  StateStore store(StoreDir());
-  ASSERT_TRUE(store.WriteBase(0, "B0").ok());
-  ASSERT_TRUE(store.WriteDelta(1, "stale").ok());
-  ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
-  RecoveredChain chain;
-  ASSERT_TRUE(store.Recover(&chain).ok());
-  ASSERT_TRUE(chain.valid);
-  EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D1"}));
-}
-
 TEST_P(StateStoreChainTest, EmptyChainIsNotValid) {
   StateStore store(StoreDir());
   RecoveredChain chain;
   ASSERT_TRUE(store.Recover(&chain).ok());  // on disk: missing dir
-  EXPECT_FALSE(chain.valid);
-  ASSERT_TRUE(store.WriteDelta(1, "D1").ok());  // deltas without a base
-  ASSERT_TRUE(store.Recover(&chain).ok());
   EXPECT_FALSE(chain.valid);
 }
 
@@ -334,16 +265,43 @@ TEST_P(StateStoreChainTest, ServiceDurableEpochAdvancesInOrder) {
   service.Stop();
 }
 
+/// The frames of an intact chain image, in order: the epoch frame, the
+/// base, then the deltas.
+std::vector<Frame> ChainFrames(const std::string& image) {
+  std::vector<Frame> frames;
+  EXPECT_EQ(ReadFrames(kChainMagic, image, &frames), image.size());
+  return frames;
+}
+
+/// The image of a chain whose base was written at `epoch`, built by hand.
+std::string ChainImage(uint64_t epoch, const std::vector<std::string>& payloads) {
+  std::string image;
+  const std::string_view named(reinterpret_cast<const char*>(&epoch), sizeof(epoch));
+  AppendFrame(kChainMagic, named, &image);
+  for (const std::string& p : payloads) AppendFrame(kChainMagic, p, &image);
+  return image;
+}
+
+TEST(StateStoreTest, HandBuiltImageMatchesTheWrittenChain) {
+  ScopedTempDir tmp;
+  StateStore store(tmp.Sub("task"));
+  ASSERT_TRUE(store.WriteBase(7, "B7").ok());
+  ASSERT_TRUE(store.WriteDelta(8, "D8").ok());
+  EXPECT_EQ(ReadAll(store.dir() + "/" + ChainFileName(7)), ChainImage(7, {"B7", "D8"}));
+}
+
 TEST(StateStoreTest, CorruptNewestDeltaTruncatesChain) {
   ScopedTempDir tmp;
   StateStore store(tmp.Sub("task"));
   ASSERT_TRUE(store.WriteBase(0, "B0").ok());
   ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
   ASSERT_TRUE(store.WriteDelta(2, "D2").ok());
-  const std::string d2 = store.dir() + "/" + DeltaFileName(2);
-  std::string bytes = ReadAll(d2);
-  bytes.resize(bytes.size() / 2);  // torn write
-  WriteAll(d2, bytes);
+  const std::string path = store.dir() + "/" + ChainFileName(0);
+  std::string bytes = ReadAll(path);
+  const std::vector<Frame> frames = ChainFrames(bytes);
+  ASSERT_EQ(frames.size(), 4u);
+  bytes.resize(frames[3].offset + (bytes.size() - frames[3].offset) / 2);  // torn append
+  WriteAll(path, bytes);
   RecoveredChain chain;
   ASSERT_TRUE(store.Recover(&chain).ok());
   ASSERT_TRUE(chain.valid);
@@ -359,10 +317,13 @@ TEST(StateStoreTest, CorruptMiddleDeltaStopsBeforeIt) {
   ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
   ASSERT_TRUE(store.WriteDelta(2, "D2").ok());
   ASSERT_TRUE(store.WriteDelta(3, "D3").ok());
-  const std::string d2 = store.dir() + "/" + DeltaFileName(2);
-  std::string bytes = ReadAll(d2);
-  bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-  WriteAll(d2, bytes);
+  const std::string path = store.dir() + "/" + ChainFileName(0);
+  std::string bytes = ReadAll(path);
+  const std::vector<Frame> frames = ChainFrames(bytes);
+  ASSERT_EQ(frames.size(), 5u);
+  const size_t d2 = frames[3].offset + 13;  // inside D2's payload
+  bytes[d2] = static_cast<char>(bytes[d2] ^ 0x10);
+  WriteAll(path, bytes);
   RecoveredChain chain;
   ASSERT_TRUE(store.Recover(&chain).ok());
   ASSERT_TRUE(chain.valid);
@@ -376,13 +337,12 @@ TEST(StateStoreTest, CorruptBaseFallsBackToOlderBase) {
   StateStore store(tmp.Sub("task"));
   ASSERT_TRUE(store.WriteBase(0, "B0").ok());
   ASSERT_TRUE(store.WriteDelta(1, "D1").ok());
-  // Write the newer base WITHOUT the GC (simulate by writing the file by
-  // hand) so the older chain is still on disk to fall back to — matching
-  // the real crash window between base write and GC.
-  std::string image;
-  EncodeCheckpointFile(CheckpointKind::kBase, 2, "B2", &image);
-  image[image.size() / 2] = static_cast<char>(image[image.size() / 2] ^ 0x01);
-  WriteAll(store.dir() + "/" + BaseFileName(2), image);
+  // Write the newer chain file by hand, so the older chain is still on disk
+  // to fall back to — matching the real crash window between the new
+  // chain's rename and the old chain's removal — and damage its base.
+  std::string image = ChainImage(2, {"B2"});
+  image[image.size() - 1] = static_cast<char>(image[image.size() - 1] ^ 0x01);
+  WriteAll(store.dir() + "/" + ChainFileName(2), image);
   RecoveredChain chain;
   ASSERT_TRUE(store.Recover(&chain).ok());
   ASSERT_TRUE(chain.valid);
@@ -390,17 +350,88 @@ TEST(StateStoreTest, CorruptBaseFallsBackToOlderBase) {
   EXPECT_EQ(chain.deltas, (std::vector<std::string>{"D1"}));
 }
 
+// The epoch inside a chain file must match its name; a file that names
+// another epoch is rejected like a corrupt one.
+TEST(StateStoreTest, EpochThatDisagreesWithTheNameIsRejected) {
+  ScopedTempDir tmp;
+  StateStore store(tmp.Sub("task"));
+  ASSERT_TRUE(store.WriteBase(3, "B3").ok());
+  WriteAll(store.dir() + "/" + ChainFileName(4), ChainImage(9, {"B9"}));
+  RecoveredChain chain;
+  ASSERT_TRUE(StateStore(store.dir()).Recover(&chain).ok());
+  ASSERT_TRUE(chain.valid);
+  EXPECT_EQ(chain.base, "B3");
+  EXPECT_EQ(chain.epoch, 3u);
+  ASSERT_TRUE(RemoveFile(store.dir() + "/" + ChainFileName(3)).ok());
+  ASSERT_TRUE(StateStore(store.dir()).Recover(&chain).ok());
+  EXPECT_FALSE(chain.valid);
+}
+
 TEST(StateStoreTest, CorruptOnlyBaseIsCleanNotFatal) {
   ScopedTempDir tmp;
   StateStore store(tmp.Sub("task"));
   ASSERT_TRUE(store.WriteBase(0, "B0").ok());
-  WriteAll(store.dir() + "/" + BaseFileName(0), "garbage");
+  WriteAll(store.dir() + "/" + ChainFileName(0), "garbage");
   RecoveredChain chain;
   ASSERT_TRUE(store.Recover(&chain).ok());
   EXPECT_FALSE(chain.valid);
 }
 
-/// Fuzz: a chain of several epochs, then truncate or bit-flip one file at
+// Every prefix truncation and every single-bit flip of a base + 3-delta
+// chain file recovers exactly the longest intact prefix of frames: nothing
+// when the epoch or base frame is hit, else the base and the deltas before
+// the damaged frame — never a payload that was not written.
+TEST(StateStoreTest, EveryTruncationAndBitFlipRecoversTheIntactPrefix) {
+  ScopedTempDir tmp;
+  StateStore store(tmp.Sub("task"));
+  const std::vector<std::string> payloads = {PseudoRandomBytes(300, 3), "delta-1",
+                                             PseudoRandomBytes(40, 4), "delta-3"};
+  ASSERT_TRUE(store.WriteBase(5, payloads[0]).ok());
+  for (uint64_t e = 6; e <= 8; ++e) ASSERT_TRUE(store.WriteDelta(e, payloads[e - 5]).ok());
+  const std::string path = store.dir() + "/" + ChainFileName(5);
+  std::string image = ReadAll(path);
+  const std::vector<Frame> frames = ChainFrames(image);
+  ASSERT_EQ(frames.size(), 5u);
+  // Recovers after damage to `path`; `intact` frames survive.
+  const auto expect_prefix = [&](size_t intact, const std::string& what) {
+    RecoveredChain chain;
+    ASSERT_TRUE(store.Recover(&chain).ok()) << what;
+    if (intact < 2) {
+      EXPECT_FALSE(chain.valid) << what;
+      return;
+    }
+    ASSERT_TRUE(chain.valid) << what;
+    EXPECT_EQ(chain.epoch, 5 + intact - 2) << what;
+    EXPECT_EQ(chain.base, payloads[0]) << what;
+    EXPECT_EQ(chain.deltas,
+              std::vector<std::string>(payloads.begin() + 1, payloads.begin() + (intact - 1)))
+        << what;
+  };
+  // The number of frames that start before `offset`.
+  const auto frames_before = [&](size_t offset) {
+    size_t n = 0;
+    while (n < frames.size() && frames[n].offset < offset) ++n;
+    return n;
+  };
+  for (size_t len = 0; len < image.size(); ++len) {
+    WriteAll(path, image.substr(0, len));
+    // Frames wholly inside the prefix survive; the one it cuts does not.
+    expect_prefix(frames_before(len + 1) - 1, "truncation to " + std::to_string(len));
+  }
+  for (size_t i = 0; i < image.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      image[i] = static_cast<char>(image[i] ^ (1 << bit));
+      WriteAll(path, image);
+      image[i] = static_cast<char>(image[i] ^ (1 << bit));
+      expect_prefix(frames_before(i + 1) - 1,
+                    "flip of byte " + std::to_string(i) + " bit " + std::to_string(bit));
+    }
+  }
+  WriteAll(path, image);
+  expect_prefix(frames.size(), "intact image");
+}
+
+/// Fuzz: a chain of several epochs, then truncate or bit-flip its file at
 /// a random offset. Recovery must always return OK with either the full
 /// chain (payload-epoch prefix intact) or a shorter consistent prefix —
 /// and every recovered payload must be one of the originals, bit-exact.
@@ -418,9 +449,10 @@ TEST(StateStoreTest, TornWriteFuzz) {
       ASSERT_TRUE(store.WriteDelta(e, p).ok());
       payloads.push_back(std::move(p));
     }
-    // Pick a victim file and damage it.
+    // Damage the chain file.
     const std::vector<std::string> names = List(store.dir());
-    const std::string victim = store.dir() + "/" + names[rng() % names.size()];
+    ASSERT_EQ(names, (std::vector<std::string>{ChainFileName(0)}));
+    const std::string victim = store.dir() + "/" + names[0];
     std::string bytes = ReadAll(victim);
     ASSERT_FALSE(bytes.empty());
     if (rng() % 2 == 0) {
@@ -432,7 +464,7 @@ TEST(StateStoreTest, TornWriteFuzz) {
     WriteAll(victim, bytes);
     RecoveredChain chain;
     ASSERT_TRUE(store.Recover(&chain).ok()) << "iter " << iter;
-    if (!chain.valid) continue;  // base was the victim
+    if (!chain.valid) continue;  // the epoch or base frame was the victim
     ASSERT_LE(chain.epoch, 4u);
     EXPECT_EQ(chain.base, payloads[0]);
     ASSERT_EQ(chain.deltas.size(), static_cast<size_t>(chain.epoch));
@@ -608,7 +640,7 @@ TEST(CheckpointServiceTest, FailedWriteWedgesAndSkipsLaterJobs) {
     job.task_id = 7;
     job.epoch = e;
     job.is_base = true;
-    job.blob.encode = [](std::string* out) { *out = "x"; };
+    job.blob.encode = [](std::string* out) { out->assign(1, 'x'); };
     job.store = &store;
     job.on_complete = [&completions, &failures](bool ok, uint64_t, uint64_t) {
       ++completions;
@@ -637,14 +669,14 @@ TEST(CheckpointServiceTest, TasksAreIndependent) {
   j1.task_id = 1;
   j1.epoch = 0;
   j1.is_base = true;
-  j1.blob.encode = [](std::string* out) { *out = "x"; };
+  j1.blob.encode = [](std::string* out) { out->assign(1, 'x'); };
   j1.store = &bad;
   service.Submit(std::move(j1));
   CheckpointJob j2;
   j2.task_id = 2;
   j2.epoch = 0;
   j2.is_base = true;
-  j2.blob.encode = [](std::string* out) { *out = "y"; };
+  j2.blob.encode = [](std::string* out) { out->assign(1, 'y'); };
   j2.store = &good;
   service.Submit(std::move(j2));
   service.Barrier(1);
@@ -668,7 +700,7 @@ TEST(CheckpointServiceTest, SubmitAfterStopIsSkipped) {
   job.task_id = 3;
   job.epoch = 0;
   job.is_base = true;
-  job.blob.encode = [](std::string* out) { *out = "x"; };
+  job.blob.encode = [](std::string* out) { out->assign(1, 'x'); };
   job.store = &store;
   job.on_complete = [&](bool success, uint64_t, uint64_t) {
     reported = true;

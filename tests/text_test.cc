@@ -372,10 +372,14 @@ TEST(ShardedCorpusTest, ShardLineRangesConcatenateAndAlign) {
     EXPECT_EQ(ranges.back().second, data.size());
     for (size_t s = 0; s < ranges.size(); ++s) {
       EXPECT_LE(ranges[s].first, ranges[s].second);
-      if (s > 0) EXPECT_EQ(ranges[s].first, ranges[s - 1].second);
+      if (s > 0) {
+        EXPECT_EQ(ranges[s].first, ranges[s - 1].second);
+      }
       // Every non-degenerate boundary starts right after a newline.
       const size_t start = ranges[s].first;
-      if (start > 0 && start < data.size()) EXPECT_EQ(data[start - 1], '\n');
+      if (start > 0 && start < data.size()) {
+        EXPECT_EQ(data[start - 1], '\n');
+      }
     }
   }
   EXPECT_TRUE(ShardLineRanges("", 4).size() == 4u);

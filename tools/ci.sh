@@ -3,7 +3,7 @@
 # concurrency-heavy tests + the benchmark self-test and a Release-mode perf
 # smoke test.
 #
-#   tools/ci.sh                # debug tests + sanitizers + benches
+#   tools/ci.sh                # tests + warning-free build + sanitizers + benches
 #   tools/ci.sh --no-bench     # skip the perfbench self-test and release bench
 #   tools/ci.sh --no-sanitize  # skip the TSan/ASan/UBSan builds
 set -euo pipefail
@@ -21,6 +21,13 @@ done
 
 echo "== tier-1 verify =="
 cmake -B build -S . && cmake --build build -j && (cd build && ctest --output-on-failure -j)
+
+echo "== warning-free build =="
+# A fresh tree in which any compiler warning fails the build, for every
+# target: -Wswitch is what catches a ControlKind or frame type a switch
+# forgot, and -Wdangling-else an assertion that an unbraced if swallows.
+cmake -B build-werror -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build build-werror -j
 
 echo "== overload scenarios =="
 (cd build && ctest -L overload --output-on-failure)
@@ -53,18 +60,20 @@ echo "== elastic migration scenarios =="
 (cd build && ctest -R migration_test --repeat until-fail:50 --output-on-failure)
 
 echo "== tiered state store =="
-# Durable-state surface (docs/INTERNALS.md §13): checkpoint/segment file
-# formats with torn-write + bit-flip fuzz, spill GC life cycle, checkpoint
-# service ordering/wedging, and the recovery-equivalence suite (sync full
-# vs async base+delta vs spilled windows, kills landing mid-checkpoint).
+# Durable-state surface (docs/INTERNALS.md §13): the one frame, chain files
+# and segment files with torn-write + bit-flip sweeps and fuzz, spill GC
+# life cycle, checkpoint service ordering/wedging, and the
+# recovery-equivalence suite (sync full vs async base+delta vs spilled
+# windows, kills landing mid-checkpoint).
 (cd build && ctest -L store --output-on-failure)
 
 echo "== torn-write fuzz repetition (N=20) =="
 # The fuzz seeds inside store_test are fixed for reproducibility; repeated
 # runs re-explore the corruption space (truncation point, flipped bit, and
-# file choice all re-randomize per iteration within a run, so repetition
-# multiplies coverage). A failure here means a corrupt chain was read back
-# as valid — the worst silent failure the store can have.
+# the damaged chain or segment file all re-randomize per iteration within
+# a run, so repetition multiplies coverage). A failure here means a corrupt
+# chain was read back as valid — the worst silent failure the store can
+# have.
 (cd build && ctest -R store_test --repeat until-fail:20 --output-on-failure)
 
 echo "== store tmpdir hygiene =="
@@ -211,11 +220,11 @@ PYEOF
 
   echo "== tiered state store (ASan) =="
   # The store suite's failure modes are exactly ASan's beat: torn-write
-  # fuzz walks ReadCheckpoint/segment parsers over truncated and bit-flipped
-  # files (out-of-bounds reads on corrupt varints), and the spill read-back
-  # path hands borrowed frame bytes across the probe boundary. Includes the
-  # recovery-equivalence suite so restore-time buffer handling runs
-  # instrumented too.
+  # fuzz walks the frame parser over truncated and bit-flipped chain and
+  # segment files (out-of-bounds reads on corrupt varints), and the spill
+  # read-back path hands borrowed frame bytes across the probe boundary.
+  # Includes the recovery-equivalence suite so restore-time buffer handling
+  # runs instrumented too.
   (cd build-asan && ASAN_OPTIONS="detect_leaks=1" \
     ctest -L store --output-on-failure)
 
