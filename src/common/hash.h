@@ -3,23 +3,8 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string_view>
 
 namespace dssj {
-
-/// 64-bit FNV-1a over arbitrary bytes. Deterministic across platforms, used
-/// for token partitioning and hash groupings (not for adversarial input).
-inline uint64_t Fnv1a64(const void* data, size_t len) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
-inline uint64_t Fnv1a64(std::string_view s) { return Fnv1a64(s.data(), s.size()); }
 
 /// Strong 64-bit integer mixer (SplitMix64 finalizer). Good avalanche; used
 /// to spread sequential ids across hash partitions.
@@ -27,11 +12,6 @@ inline uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
-}
-
-/// Combines a hash with another value, boost-style but with a 64-bit mixer.
-inline uint64_t HashCombine(uint64_t seed, uint64_t v) {
-  return Mix64(seed ^ (v + 0x9E3779B97F4A7C15ULL + (seed << 6) + (seed >> 2)));
 }
 
 /// 64-bit integrity checksum of the store frame (store/format.h), which

@@ -256,7 +256,11 @@ TcpTransport::TcpTransport(TcpTransportOptions options)
 }
 
 TcpTransport::~TcpTransport() {
-  shutdown_.store(true);
+  {
+    std::lock_guard<std::mutex> lock(reader_mu_);  // a reader may wait on reader_cv_
+    shutdown_.store(true);
+  }
+  reader_cv_.notify_all();
   CloseSenders();
   if (accept_thread_.joinable()) accept_thread_.join();
   JoinReaders();
@@ -270,6 +274,7 @@ void TcpTransport::Start(const stream::TransportPlan& plan, InboundSink sink,
   sink_ = std::move(sink);
   on_failure_ = std::move(on_failure);
   done_.assign(options_.cluster.size(), false);
+  inbound_order_.resize(options_.cluster.size());
 
   Endpoint listen_at = options_.cluster[options_.rank];
   if (!options_.listen_override.empty()) {
@@ -456,8 +461,9 @@ void TcpTransport::SenderLoop(SenderConn* conn) {
     conn->queue->Drain(&discard);
     return;
   }
+  uint32_t connection = 0;  // HELLO's connection index: 0, then +1 per redial
   std::string staged;
-  AppendHelloFrame(static_cast<uint16_t>(options_.rank), &staged);
+  AppendHelloFrame(static_cast<uint16_t>(options_.rank), connection, &staged);
 
   std::vector<OutFrame> batch;
   bool broken = false;
@@ -485,7 +491,7 @@ void TcpTransport::SenderLoop(SenderConn* conn) {
           break;
         }
         reconnects_.fetch_add(1, std::memory_order_relaxed);
-        AppendHelloFrame(static_cast<uint16_t>(options_.rank), &staged);
+        AppendHelloFrame(static_cast<uint16_t>(options_.rank), ++connection, &staged);
         continue;
       }
       staged.append(frame.bytes);
@@ -524,6 +530,7 @@ void TcpTransport::ReaderLoop(int fd) {
   std::string buf;
   size_t off = 0;
   int peer = -1;
+  uint32_t connection = 0;  // valid once peer >= 0
   bool failed = false;
   char chunk[64 * 1024];
   Frame frame;  // reused: ParseFrame keeps envelope capacity across frames
@@ -585,15 +592,23 @@ void TcpTransport::ReaderLoop(int fd) {
           failed = true;
           break;
         }
-        peer = frame.rank;
-        // Reconnect ordering: wait until the previous connection from this
-        // rank has drained to EOF, so frames from one rank never interleave
-        // out of order across a reconnect.
+        // Reconnect ordering: connection k of a rank delivers only after
+        // connection k - 1 of that rank reached EOF, whichever of their
+        // readers parsed its HELLO first, so frames from one rank never
+        // interleave out of order across a reconnect.
         std::unique_lock<std::mutex> lock(reader_mu_);
-        reader_cv_.wait(lock, [&] {
-          return shutdown_.load() || !active_readers_by_rank_[peer];
-        });
-        active_readers_by_rank_[peer] = true;
+        InboundOrder& order = inbound_order_[frame.rank];
+        if (frame.connection < order.next || !order.claimed.insert(frame.connection).second) {
+          lock.unlock();
+          FailRun("HELLO from rank " + std::to_string(frame.rank) + " reuses connection " +
+                  std::to_string(frame.connection));
+          failed = true;
+          break;
+        }
+        peer = frame.rank;
+        connection = frame.connection;
+        reader_cv_.wait(lock, [&] { return shutdown_.load() || order.next == connection; });
+        if (shutdown_.load()) break;
       } else {
         HandleFrame(std::move(frame));
       }
@@ -605,7 +620,11 @@ void TcpTransport::ReaderLoop(int fd) {
   }
   ::close(fd);
   std::lock_guard<std::mutex> lock(reader_mu_);
-  if (peer >= 0) active_readers_by_rank_[peer] = false;
+  if (peer >= 0) {
+    InboundOrder& order = inbound_order_[peer];
+    order.claimed.erase(connection);
+    if (order.next == connection) ++order.next;
+  }
   --live_readers_;
   reader_cv_.notify_all();
 }
@@ -780,8 +799,8 @@ stream::Transport::FinishReport TcpTransport::Finish(const LocalSummary& local,
   {
     std::unique_lock<std::mutex> lock(reader_mu_);
     reader_cv_.wait_until(lock, deadline, [&] { return live_readers_ == 0; });
+    shutdown_.store(true);
   }
-  shutdown_.store(true);
   reader_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   JoinReaders();

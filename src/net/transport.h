@@ -8,6 +8,7 @@
 #include <utility>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,13 +199,21 @@ class TcpTransport final : public stream::Transport {
   std::mutex sender_mu_;  ///< guards senders_ creation
   std::map<int, std::unique_ptr<SenderConn>> senders_;
 
+  /// Delivery order of one peer rank's connections. Every connection opens
+  /// with a HELLO carrying the dialer's connection index; the reader of
+  /// connection k delivers only once connection k - 1 reached EOF, so
+  /// frames from one rank stay in order across reconnects.
+  struct InboundOrder {
+    uint32_t next = 0;           ///< index of the connection allowed to deliver
+    std::set<uint32_t> claimed;  ///< indices whose HELLO a live reader parsed
+  };
+
   /// Reader bookkeeping. A reconnect spawns a fresh reader for the same
-  /// peer rank; the new reader waits for the old one to drain to EOF before
-  /// delivering, so frames from one rank stay in order across reconnects.
+  /// peer rank.
   std::mutex reader_mu_;
   std::condition_variable reader_cv_;
   std::vector<std::thread> reader_threads_;
-  std::map<int, int> active_readers_by_rank_;
+  std::vector<InboundOrder> inbound_order_;  ///< by rank
   int live_readers_ = 0;
 
   /// End-of-run state collected from peers (coordinator side).

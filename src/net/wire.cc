@@ -9,10 +9,9 @@
 namespace dssj::net {
 namespace {
 
-// Per-field tags inside an encoded tuple.
+// Per-field tags inside an encoded tuple. Tags 1 and 2 are unassigned, so
+// a decoder rejects them like any unknown tag.
 constexpr uint8_t kTagInt = 0;
-constexpr uint8_t kTagDouble = 1;
-constexpr uint8_t kTagString = 2;
 constexpr uint8_t kTagPayload = 3;
 constexpr uint8_t kTagNullPayload = 4;
 
@@ -42,7 +41,8 @@ bool SetError(std::string* error, const std::string& what) {
 bool ParseHello(SafeBinaryReader& r, Frame* frame, std::string* error) {
   uint32_t magic = 0;
   uint16_t version = 0;
-  if (!r.ReadU32(&magic) || !r.ReadU16(&version) || !r.ReadU16(&frame->rank)) {
+  if (!r.ReadU32(&magic) || !r.ReadU16(&version) || !r.ReadU16(&frame->rank) ||
+      !r.ReadU32(&frame->connection)) {
     return SetError(error, "truncated HELLO frame");
   }
   if (magic != kWireMagic) return SetError(error, "bad magic in HELLO (not a dssj peer?)");
@@ -194,19 +194,6 @@ void EncodeTuple(WireCodec wire, const stream::Tuple& tuple, const PayloadCodec*
       } else {
         w.WriteI64(*n);
       }
-    } else if (const auto* d = std::get_if<double>(&v)) {
-      uint64_t bits = 0;
-      std::memcpy(&bits, d, sizeof(bits));
-      w.WriteU8(kTagDouble);
-      w.WriteU64(bits);
-    } else if (const auto* s = std::get_if<std::string>(&v)) {
-      w.WriteU8(kTagString);
-      if (delta) {
-        w.WriteVarint(s->size());
-        out->append(*s);
-      } else {
-        w.WriteBytesU32(*s);
-      }
     } else {
       const auto& p = std::get<std::shared_ptr<const void>>(v);
       if (p == nullptr) {
@@ -248,12 +235,13 @@ bool DecodeTuple(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
     payload_bytes = pb;
     num_fields = nf;
   }
-  if (num_fields > r.remaining()) return false;  // >= 1 tag byte per field
+  // Checked before any field: Tuple::Append CHECKs its bound, and wire
+  // bytes must never reach a CHECK.
+  if (num_fields > stream::Tuple::kMaxFields) return false;
   // Decodes straight into *out; on failure the caller discards the whole
   // frame, so partial fills never escape.
   stream::Tuple& tuple = *out;
   tuple = stream::Tuple();
-  tuple.Reserve(static_cast<size_t>(num_fields));
   for (uint64_t i = 0; i < num_fields; ++i) {
     uint8_t tag = 0;
     if (!r.ReadU8(&tag)) return false;
@@ -262,20 +250,6 @@ bool DecodeTuple(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
         int64_t n = 0;
         if (delta ? !r.ReadVarintI64(&n) : !r.ReadI64(&n)) return false;
         tuple.Append(n);
-        break;
-      }
-      case kTagDouble: {
-        uint64_t bits = 0;
-        if (!r.ReadU64(&bits)) return false;
-        double d = 0;
-        std::memcpy(&d, &bits, sizeof(d));
-        tuple.Append(d);
-        break;
-      }
-      case kTagString: {
-        std::string s;
-        if (delta ? !r.ReadBytesVarint(&s) : !r.ReadBytesU32(&s)) return false;
-        tuple.Append(std::move(s));
         break;
       }
       case kTagPayload: {
@@ -304,12 +278,13 @@ bool DecodeTuple(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
   return true;
 }
 
-void AppendHelloFrame(uint16_t rank, std::string* out) {
+void AppendHelloFrame(uint16_t rank, uint32_t connection, std::string* out) {
   const size_t at = BeginFrame(FrameType::kHello, out);
   BinaryWriter w(out);
   w.WriteU32(kWireMagic);
   w.WriteU16(kWireVersion);
   w.WriteU16(rank);
+  w.WriteU32(connection);
   EndFrame(at, out);
 }
 

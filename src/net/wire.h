@@ -24,8 +24,11 @@ namespace dssj::net {
 /// varint and `vz` a zigzag-mapped varint (see SafeBinaryReader::ReadVarint
 /// for the canonicality rule). The body layout per type:
 ///
-///   kHello:   u32 magic, u16 version, u16 sender rank. First frame on every
-///             connection; both sides reject a mismatched magic/version.
+///   kHello:   u32 magic, u16 version, u16 sender rank, u32 connection
+///             index (0 for the sender's first connection to this peer, +1
+///             per redial). First frame on every connection; both sides
+///             reject a mismatched magic/version, and the receiver delivers
+///             a rank's connections in index order.
 ///   kData:    u8 wire codec, i32 source_task, i32 dst_task, u32 count,
 ///             then a tuple section whose layout the codec byte picks (the
 ///             frame is self-describing — receivers never consult local
@@ -98,7 +101,7 @@ const char* WireCodecName(WireCodec codec);
 bool ParseWireCodec(const std::string& name, WireCodec* out);
 
 inline constexpr uint32_t kWireMagic = 0x314a5344;  // "DSJ1"
-inline constexpr uint16_t kWireVersion = 5;
+inline constexpr uint16_t kWireVersion = 6;
 
 /// Hard ceiling on a single frame's `length` field. A peer announcing more
 /// is malformed (or malicious) and the connection is failed rather than
@@ -130,25 +133,24 @@ struct PayloadCodec {
 };
 
 /// Appends one tuple's field encoding (used inside kData bodies). For kRaw:
-/// u32 payload_bytes, u32 num_fields, then per field a u8 tag —
-/// 0 int64, 1 double (u64 bit cast), 2 string (u32 len + bytes),
+/// u32 payload_bytes, u32 num_fields, then per field a u8 tag — 0 int64,
 /// 3 payload via codec (u32 len + bytes), 4 null payload. For kDelta the
 /// same tag stream with varint coding: vu payload_bytes, vu num_fields,
-/// ints as vz, strings/payloads as vu len + bytes (doubles stay 8 raw
-/// bytes — IEEE bits do not varint well). Requires a codec when the tuple
+/// ints as vz, payloads as vu len + bytes. Requires a codec when the tuple
 /// carries a non-null payload field (CHECK otherwise).
 void EncodeTuple(WireCodec wire, const stream::Tuple& tuple, const PayloadCodec* codec,
                  std::string* out);
 
 /// Decodes one EncodeTuple blob from `r`'s current position. Returns false
-/// on truncation, unknown tags, non-canonical varints, or codec failure.
+/// on more than Tuple::kMaxFields fields (before decoding any), truncation,
+/// unknown tags, non-canonical varints, or codec failure.
 /// `arena` is forwarded to the payload codec (see PayloadCodec).
 bool DecodeTuple(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
                  const std::shared_ptr<FrameArena>& arena, stream::Tuple* out);
 
 /// Frame builders. Each appends one complete frame (length prefix included)
 /// to *out, so a send buffer concatenates frames directly.
-void AppendHelloFrame(uint16_t rank, std::string* out);
+void AppendHelloFrame(uint16_t rank, uint32_t connection, std::string* out);
 void AppendDataFrame(WireCodec wire, int32_t source_task, int32_t dst_task,
                      const std::vector<stream::Envelope>& batch, const PayloadCodec* codec,
                      std::string* out);
@@ -183,6 +185,7 @@ void AppendAckFrame(uint32_t migration_id, int32_t task_id, uint16_t new_rank,
 struct Frame {
   FrameType type = FrameType::kHello;
   uint16_t rank = 0;             ///< kHello / kDone / kFail / migration worker
+  uint32_t connection = 0;       ///< kHello: the sender's connection index
   int32_t dst_task = -1;         ///< kData / kEos
   int32_t task_id = -1;          ///< kMetrics / kPrepare / kState / kHandoff / kAck
   uint32_t migration_id = 0;     ///< kPrepare / kState / kHandoff / kAck
@@ -195,6 +198,7 @@ struct Frame {
   void Clear() {
     type = FrameType::kHello;
     rank = 0;
+    connection = 0;
     dst_task = -1;
     task_id = -1;
     migration_id = 0;

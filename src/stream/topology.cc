@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -19,7 +18,6 @@
 #include <sched.h>
 #endif
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/stats.h"
 #include "store/checkpoint_service.h"
@@ -36,18 +34,6 @@ namespace internal_topology {
 // Envelope (the unit travelling through inbound queues and channels) lives
 // in stream/channel.h now that transports frame it onto the wire.
 
-namespace {
-
-uint64_t HashValue(const Value& v) {
-  if (const auto* i = std::get_if<int64_t>(&v)) return Mix64(static_cast<uint64_t>(*i));
-  if (const auto* d = std::get_if<double>(&v)) return Mix64(std::bit_cast<uint64_t>(*d));
-  if (const auto* s = std::get_if<std::string>(&v)) return Fnv1a64(*s);
-  LOG(FATAL) << "FieldsGrouping over an opaque payload field is not supported";
-  return 0;
-}
-
-}  // namespace
-
 /// Sentinel source_task of the PREPARE marker envelope a migration injects
 /// into the frozen task's inbound queue; link_seq carries the migration id.
 /// Markers are split out of the inbox before the link guard (which indexes
@@ -56,7 +42,7 @@ constexpr int kMigrationMarkerTask = -2;
 
 struct Subscription {
   int consumer_comp = -1;
-  Grouping grouping;
+  GroupingType grouping = GroupingType::kShuffle;
 };
 
 struct ComponentSpec {
@@ -68,7 +54,7 @@ struct ComponentSpec {
   std::vector<int> placement;  // explicit worker per task; empty = default
 
   // Declared inputs (bolts): source component name -> grouping.
-  std::vector<std::pair<std::string, Grouping>> inputs;
+  std::vector<std::pair<std::string, GroupingType>> inputs;
 
   // Resolved at Build():
   int first_task = -1;
@@ -701,32 +687,13 @@ class CollectorImpl : public OutputCollector {
       const Subscription& sub = comp_.subs_out[si];
       const ComponentSpec& consumer = *topo_->comps[sub.consumer_comp];
       const int n = consumer.parallelism;
-      switch (sub.grouping.type) {
+      switch (sub.grouping) {
         case GroupingType::kShuffle:
           Deliver(consumer.first_task + static_cast<int>(rr_[si]++ % n), tuple);
           break;
         case GroupingType::kGlobal:
           Deliver(consumer.first_task, tuple);
           break;
-        case GroupingType::kFields: {
-          uint64_t h = 0;
-          for (size_t f : sub.grouping.fields) h = HashCombine(h, HashValue(tuple.field(f)));
-          Deliver(consumer.first_task + static_cast<int>(h % static_cast<uint64_t>(n)), tuple);
-          break;
-        }
-        case GroupingType::kAll:
-          for (int i = 0; i < n; ++i) Deliver(consumer.first_task + i, tuple);
-          break;
-        case GroupingType::kCustom: {
-          targets_.clear();
-          sub.grouping.custom(tuple, n, targets_);
-          for (int idx : targets_) {
-            DCHECK_GE(idx, 0);
-            DCHECK_LT(idx, n);
-            Deliver(consumer.first_task + idx, tuple);
-          }
-          break;
-        }
         case GroupingType::kPartner:
           Deliver(consumer.first_task + task_->local_index, tuple);
           break;
@@ -751,7 +718,7 @@ class CollectorImpl : public OutputCollector {
  private:
   bool HasDirectSubscription(int consumer_comp) const {
     for (const Subscription& sub : comp_.subs_out) {
-      if (sub.consumer_comp == consumer_comp && sub.grouping.type == GroupingType::kDirect) {
+      if (sub.consumer_comp == consumer_comp && sub.grouping == GroupingType::kDirect) {
         return true;
       }
     }
@@ -912,7 +879,6 @@ class CollectorImpl : public OutputCollector {
   const bool tracking_;
   const std::unordered_map<int, std::vector<ResolvedLinkFault>>* link_faults_ = nullptr;
   std::vector<uint64_t> rr_;
-  std::vector<int> targets_;
   uint64_t route_epoch_seen_ = 0;
   std::vector<std::unique_ptr<Channel>> channels_;  ///< by consumer task id
   std::vector<uint64_t> emitted_;    ///< canonical per-link emission counts
@@ -2095,11 +2061,11 @@ using internal_topology::TopologyImpl;
 
 namespace {
 
-void AddInput(ComponentSpec* spec, const std::string& source, Grouping grouping) {
+void AddInput(ComponentSpec* spec, const std::string& source, GroupingType grouping) {
   for (const auto& [name, _] : spec->inputs) {
     CHECK(name != source) << "duplicate subscription of " << spec->name << " to " << source;
   }
-  spec->inputs.emplace_back(source, std::move(grouping));
+  spec->inputs.emplace_back(source, grouping);
 }
 
 /// Pins an executor thread to one core (SetPinThreads). Linux-only; a no-op
@@ -2121,34 +2087,19 @@ void PinThreadToCore(std::thread& thread, unsigned core) {
 }  // namespace
 
 BoltDeclarer& BoltDeclarer::ShuffleGrouping(const std::string& source) {
-  AddInput(spec_, source, Grouping{GroupingType::kShuffle, {}, nullptr});
-  return *this;
-}
-BoltDeclarer& BoltDeclarer::FieldsGrouping(const std::string& source, std::vector<size_t> fields) {
-  CHECK(!fields.empty()) << "FieldsGrouping needs at least one field";
-  AddInput(spec_, source, Grouping{GroupingType::kFields, std::move(fields), nullptr});
-  return *this;
-}
-BoltDeclarer& BoltDeclarer::AllGrouping(const std::string& source) {
-  AddInput(spec_, source, Grouping{GroupingType::kAll, {}, nullptr});
+  AddInput(spec_, source, GroupingType::kShuffle);
   return *this;
 }
 BoltDeclarer& BoltDeclarer::GlobalGrouping(const std::string& source) {
-  AddInput(spec_, source, Grouping{GroupingType::kGlobal, {}, nullptr});
+  AddInput(spec_, source, GroupingType::kGlobal);
   return *this;
 }
 BoltDeclarer& BoltDeclarer::DirectGrouping(const std::string& source) {
-  AddInput(spec_, source, Grouping{GroupingType::kDirect, {}, nullptr});
-  return *this;
-}
-BoltDeclarer& BoltDeclarer::CustomGrouping(const std::string& source,
-                                           CustomPartitioner partitioner) {
-  CHECK(partitioner != nullptr);
-  AddInput(spec_, source, Grouping{GroupingType::kCustom, {}, std::move(partitioner)});
+  AddInput(spec_, source, GroupingType::kDirect);
   return *this;
 }
 BoltDeclarer& BoltDeclarer::PartnerGrouping(const std::string& source) {
-  AddInput(spec_, source, Grouping{GroupingType::kPartner, {}, nullptr});
+  AddInput(spec_, source, GroupingType::kPartner);
   return *this;
 }
 BoltDeclarer& BoltDeclarer::SetPlacement(std::vector<int> workers) {
@@ -2288,7 +2239,7 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
       CHECK(it != t.comp_index.end())
           << comp.name << " subscribes to unknown component " << source;
       CHECK(static_cast<size_t>(it->second) != ci) << "self-loop on " << comp.name;
-      if (grouping.type == GroupingType::kPartner) {
+      if (grouping == GroupingType::kPartner) {
         CHECK_EQ(t.comps[it->second]->parallelism, comp.parallelism)
             << "partner grouping " << source << " -> " << comp.name
             << " requires matching parallelism";

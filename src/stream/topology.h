@@ -18,30 +18,12 @@
 namespace dssj::stream {
 
 /// How a bolt's tasks receive tuples from a producer component. Mirrors
-/// Apache Storm's stream groupings.
+/// the Apache Storm stream groupings the join topology declares.
 enum class GroupingType {
   kShuffle,  ///< round-robin across consumer tasks
-  kFields,   ///< hash of selected fields picks the consumer task
-  kAll,      ///< every consumer task receives a copy (broadcast)
   kGlobal,   ///< all tuples go to consumer task 0
   kDirect,   ///< producer addresses tasks explicitly via EmitDirect
-  kCustom,   ///< user partitioner maps each tuple to a set of tasks
   kPartner,  ///< producer task i feeds consumer task i (parallelisms must match)
-};
-
-/// User partitioner for kCustom: append the consumer-local target indices
-/// for `tuple` (given `num_tasks` consumer tasks) to `targets`. Must be
-/// thread-compatible: one instance may be invoked concurrently from
-/// different producer tasks, so implementations should be stateless or
-/// internally synchronized.
-using CustomPartitioner =
-    std::function<void(const Tuple& tuple, int num_tasks, std::vector<int>& targets)>;
-
-/// A producer→consumer edge specification.
-struct Grouping {
-  GroupingType type = GroupingType::kShuffle;
-  std::vector<size_t> fields;  ///< field indices for kFields
-  CustomPartitioner custom;    ///< partitioner for kCustom
 };
 
 using SpoutFactory = std::function<std::unique_ptr<Spout>()>;
@@ -57,11 +39,8 @@ struct ComponentSpec;
 class BoltDeclarer {
  public:
   BoltDeclarer& ShuffleGrouping(const std::string& source);
-  BoltDeclarer& FieldsGrouping(const std::string& source, std::vector<size_t> fields);
-  BoltDeclarer& AllGrouping(const std::string& source);
   BoltDeclarer& GlobalGrouping(const std::string& source);
   BoltDeclarer& DirectGrouping(const std::string& source);
-  BoltDeclarer& CustomGrouping(const std::string& source, CustomPartitioner partitioner);
   /// One-to-one lane wiring: producer task i delivers only to consumer task
   /// i. Build() rejects the edge unless both components have the same
   /// parallelism. Used by the sharded ingestion front end, where each

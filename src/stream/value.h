@@ -1,49 +1,42 @@
 #ifndef DSSJ_STREAM_VALUE_H_
 #define DSSJ_STREAM_VALUE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <string>
 #include <utility>
 #include <variant>
-#include <vector>
 
 #include "common/logging.h"
 
 namespace dssj::stream {
 
-/// One field of a tuple. Opaque application payloads (e.g., records) travel
-/// as shared_ptr<const void>; within one process that is a pointer copy, and
-/// the communication model charges the payload's declared byte size when the
-/// edge crosses simulated workers.
-using Value = std::variant<int64_t, double, std::string, std::shared_ptr<const void>>;
+/// One field of a tuple: an integer, or an opaque application payload
+/// (e.g., a record) as shared_ptr<const void>. Within one process a payload
+/// is a pointer copy, and the communication model charges the payload's
+/// declared byte size when the edge crosses simulated workers.
+using Value = std::variant<int64_t, std::shared_ptr<const void>>;
 
-/// The unit of data flowing through a topology. A tuple is an ordered list
-/// of fields plus a serialized-size estimate used by the network accounting.
-/// The first kInlineFields fields live inside the tuple, so building,
-/// moving and dropping the shapes the join topology moves (at most four
-/// fields) never touches the heap; wider tuples keep the rest in one heap
-/// vector. Copyable (copies share opaque payloads); a moved-from tuple is
-/// empty.
+/// The unit of data flowing through a topology: at most kMaxFields fields,
+/// all held inside the tuple, plus a serialized-size estimate used by the
+/// network accounting. Four fields cover every shape the join topology
+/// moves (source [record, emit_us], dispatcher [record, flags, emit_us],
+/// lane watermark [lane, frontier], result [4 x int]), so building, moving
+/// and dropping a tuple never touches the heap. Copyable (copies share
+/// opaque payloads); a moved-from tuple is empty.
 class Tuple {
  public:
-  static constexpr size_t kInlineFields = 4;
+  static constexpr size_t kMaxFields = 4;
 
   Tuple() noexcept {}
-  explicit Tuple(std::vector<Value> values) : Tuple() {
-    Reserve(values.size());
-    for (Value& v : values) Append(std::move(v));
-  }
   Tuple(const Tuple& other) : Tuple() { *this = other; }
   Tuple(Tuple&& other) noexcept { StealFrom(other); }
   Tuple& operator=(const Tuple& other) {
     if (this != &other) {
       Clear();
-      Reserve(other.size_);
-      for (size_t i = 0; i < other.size_; ++i) Append(other.field(i));
+      for (size_t i = 0; i < other.size_; ++i) new (Slot(i)) Value(*other.Slot(i));
+      size_ = other.size_;
       payload_bytes_ = other.payload_bytes_;
     }
     return *this;
@@ -60,12 +53,10 @@ class Tuple {
   size_t num_fields() const { return size_; }
   const Value& field(size_t i) const {
     DCHECK_LT(i, size_);
-    return i < kInlineFields ? *Slot(i) : (*overflow_)[i - kInlineFields];
+    return *Slot(i);
   }
 
   int64_t Int(size_t i) const { return std::get<int64_t>(field(i)); }
-  double Double(size_t i) const { return std::get<double>(field(i)); }
-  const std::string& Str(size_t i) const { return std::get<std::string>(field(i)); }
 
   /// Typed view of an opaque payload field. The caller asserts the type; a
   /// mismatched cast is undefined behaviour exactly like static_pointer_cast.
@@ -74,70 +65,45 @@ class Tuple {
     return std::static_pointer_cast<const T>(std::get<std::shared_ptr<const void>>(field(i)));
   }
 
+  /// Appends a field. A fifth field is a programming error; wire decoding
+  /// rejects a wider tuple before it builds one.
   void Append(Value v) {
-    if (size_ < kInlineFields) {
-      new (Slot(size_)) Value(std::move(v));
-    } else {
-      if (overflow_ == nullptr) overflow_ = std::make_unique<std::vector<Value>>();
-      overflow_->push_back(std::move(v));
-    }
+    CHECK_LT(size_, kMaxFields) << "a tuple holds at most " << kMaxFields << " fields";
+    new (Slot(size_)) Value(std::move(v));
     ++size_;
   }
 
-  /// Pre-sizes the heap overflow for a tuple wider than kInlineFields
-  /// (frame decoding knows the count up front); a no-op otherwise.
-  void Reserve(size_t n) {
-    if (n <= kInlineFields) return;
-    if (overflow_ == nullptr) overflow_ = std::make_unique<std::vector<Value>>();
-    overflow_->reserve(n - kInlineFields);
-  }
-
-  /// Declares the wire size of opaque payload fields (bytes). Scalar and
-  /// string fields are sized automatically; call this once per tuple whose
-  /// payloads should count more than a pointer.
+  /// Declares the wire size of opaque payload fields (bytes). Call this once
+  /// per tuple whose payloads should count more than a pointer.
   void set_payload_bytes(size_t bytes) { payload_bytes_ = bytes; }
   size_t payload_bytes() const { return payload_bytes_; }
 
-  /// Estimated bytes on the (simulated) wire: 8 per scalar, 4+len per
-  /// string, declared payload bytes for opaque fields, plus a fixed header.
-  size_t SerializedBytes() const {
-    size_t bytes = 16;  // frame header
-    for (size_t i = 0; i < size_; ++i) {
-      if (const auto* s = std::get_if<std::string>(&field(i))) {
-        bytes += 4 + s->size();
-      } else {
-        bytes += 8;
-      }
-    }
-    return bytes + payload_bytes_;
-  }
+  /// Estimated bytes on the (simulated) wire: a fixed header, 8 per field,
+  /// plus the declared payload bytes.
+  size_t SerializedBytes() const { return 16 + 8 * size_ + payload_bytes_; }
 
  private:
-  Value* Slot(size_t i) { return reinterpret_cast<Value*>(inline_) + i; }
-  const Value* Slot(size_t i) const { return reinterpret_cast<const Value*>(inline_) + i; }
+  Value* Slot(size_t i) { return reinterpret_cast<Value*>(fields_) + i; }
+  const Value* Slot(size_t i) const { return reinterpret_cast<const Value*>(fields_) + i; }
 
   /// Destroys every field; keeps payload_bytes_ (assignment overwrites it).
   void Clear() noexcept {
-    for (size_t i = 0; i < size_ && i < kInlineFields; ++i) Slot(i)->~Value();
-    overflow_.reset();
+    for (size_t i = 0; i < size_; ++i) Slot(i)->~Value();
     size_ = 0;
   }
 
   /// Takes `other`'s fields into this empty tuple and leaves `other` empty.
   void StealFrom(Tuple& other) noexcept {
-    const size_t n = std::min(other.size_, kInlineFields);
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < other.size_; ++i) {
       new (Slot(i)) Value(std::move(*other.Slot(i)));
       other.Slot(i)->~Value();
     }
-    overflow_ = std::move(other.overflow_);
     size_ = other.size_;
     payload_bytes_ = other.payload_bytes_;
     other.size_ = 0;
   }
 
-  alignas(Value) unsigned char inline_[sizeof(Value) * kInlineFields];
-  std::unique_ptr<std::vector<Value>> overflow_;  ///< fields [kInlineFields, size_)
+  alignas(Value) unsigned char fields_[sizeof(Value) * kMaxFields];
   size_t size_ = 0;
   size_t payload_bytes_ = 0;
 };
@@ -220,11 +186,11 @@ class TupleBatch {
 };
 
 /// Builds a tuple from values with terse call sites:
-/// MakeTuple(int64_t{1}, 2.0, std::string("x"), payload_ptr).
+/// MakeTuple(payload_ptr, int64_t{1}).
 template <typename... Args>
 Tuple MakeTuple(Args&&... args) {
+  static_assert(sizeof...(Args) <= Tuple::kMaxFields, "a tuple holds at most four fields");
   Tuple t;
-  t.Reserve(sizeof...(Args));
   (t.Append(Value(std::forward<Args>(args))), ...);
   return t;
 }

@@ -192,13 +192,6 @@ TEST(ZipfTest, SamplesStayInRange) {
 
 // --- Hashing ----------------------------------------------------------------
 
-TEST(HashTest, Fnv1a64KnownVectorsAndSpread) {
-  // FNV-1a reference: empty string hashes to the offset basis.
-  EXPECT_EQ(Fnv1a64(""), 0xCBF29CE484222325ULL);
-  EXPECT_NE(Fnv1a64("a"), Fnv1a64("b"));
-  EXPECT_EQ(Fnv1a64(std::string_view("abc")), Fnv1a64("abc", 3));
-}
-
 // Pins the checksum of every store frame (checkpoint chains, spill segments,
 // migration blobs): a change here must bump net::kWireVersion, because
 // migration blobs cross processes and no frame carries a version.

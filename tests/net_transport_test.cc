@@ -3,8 +3,16 @@
 // multi-process code path minus fork/exec (net_smoke_test covers that).
 // Every run's result set must be byte-identical to the single-process
 // reference, including under scripted link disconnects and task kills.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -15,6 +23,7 @@
 #include "core/brute_force_joiner.h"
 #include "core/join_topology.h"
 #include "net/transport.h"
+#include "net/wire.h"
 #include "workload/generator.h"
 
 namespace dssj {
@@ -306,6 +315,125 @@ TEST_F(TcpClusterTest, FinishToARemoteRankIsNotSent) {
   finish.kind = stream::ControlKind::kFinish;
   EXPECT_FALSE(transport.SendControl(1, finish));
   EXPECT_EQ(transport.Stats().connect_attempts, 0u) << "a sender was started for rank 1";
+}
+
+// A rank-0 transport fed by raw sockets that speak for rank 1, so a test
+// controls exactly when each connection's bytes arrive.
+class RawPeerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::vector<uint16_t> ports = net::PickFreePorts(2);
+    if (ports.empty()) GTEST_SKIP() << "no localhost sockets available";
+    port_ = ports[0];
+    net::TcpTransportOptions options;
+    options.cluster = net::ParseClusterSpec(LocalhostCluster(ports)).value();
+    transport_ = std::make_unique<net::TcpTransport>(std::move(options));
+    stream::TransportPlan plan;
+    plan.num_tasks = 2;
+    plan.task_worker = {0, 1};
+    transport_->Start(
+        plan,
+        [this](int, std::vector<stream::Envelope>&& batch) {
+          std::lock_guard<std::mutex> lock(mu_);
+          for (const stream::Envelope& e : batch) seqs_.push_back(e.link_seq);
+          cv_.notify_all();
+          return batch.size();
+        },
+        [this](const std::string& message) {
+          std::lock_guard<std::mutex> lock(mu_);
+          failure_ = message;
+          cv_.notify_all();
+        });
+  }
+
+  void TearDown() override { transport_.reset(); }
+
+  /// A blocking socket connected to the transport's listener.
+  int Dial() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port_);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  }
+
+  static void Write(int fd, const std::string& bytes) {
+    size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      off += static_cast<size_t>(n);
+    }
+  }
+
+  /// HELLO from rank 1 with `connection`, then one DATA frame from task 1
+  /// to task 0 carrying link_seqs [first, last].
+  static std::string HelloAndData(uint32_t connection, uint64_t first, uint64_t last) {
+    std::string bytes;
+    net::AppendHelloFrame(1, connection, &bytes);
+    std::vector<stream::Envelope> batch;
+    for (uint64_t seq = first; seq <= last; ++seq) {
+      stream::Envelope e;
+      e.tuple = stream::MakeTuple(static_cast<int64_t>(seq));
+      e.source_task = 1;
+      e.link_seq = seq;
+      batch.push_back(std::move(e));
+    }
+    net::AppendDataFrame(net::WireCodec::kDelta, 1, 0, batch, nullptr, &bytes);
+    return bytes;
+  }
+
+  /// Waits until `n` envelopes arrived or the run failed.
+  void AwaitSeqsOrFailure(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(10),
+                 [&] { return seqs_.size() >= n || !failure_.empty(); });
+  }
+
+  uint16_t port_ = 0;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<uint64_t> seqs_;
+  std::string failure_;
+  std::unique_ptr<net::TcpTransport> transport_;  ///< last: its readers use the above
+};
+
+// A redial's reader can parse its HELLO before the reader of the connection
+// it replaces, for example when both connections still sit in the listen
+// backlog as the accept thread starts. Connection B (index 1) speaks first
+// here; its frames must still wait until connection A (index 0) reached
+// EOF, or link_seq 10 overtakes 1-9 and the consumer's link guard aborts on
+// the gap.
+TEST_F(RawPeerTest, DisconnectedConnectionDeliversBeforeItsRedial) {
+  const int a = Dial();
+  const int b = Dial();
+  Write(b, HelloAndData(1, 10, 10));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // B's reader claims first
+  Write(a, HelloAndData(0, 1, 9));
+  ::close(a);
+  ::close(b);
+  AwaitSeqsOrFailure(10);
+  std::lock_guard<std::mutex> lock(mu_);
+  EXPECT_EQ(failure_, "");
+  EXPECT_EQ(seqs_, (std::vector<uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+}
+
+TEST_F(RawPeerTest, ReusedConnectionIndexFailsTheRun) {
+  const int a = Dial();
+  Write(a, HelloAndData(0, 1, 1));
+  AwaitSeqsOrFailure(1);
+  const int b = Dial();
+  Write(b, HelloAndData(0, 2, 2));
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(10), [&] { return !failure_.empty(); });
+    EXPECT_NE(failure_.find("reuses connection 0"), std::string::npos) << failure_;
+    EXPECT_EQ(seqs_, std::vector<uint64_t>{1});
+  }
+  ::close(a);
+  ::close(b);
 }
 
 }  // namespace

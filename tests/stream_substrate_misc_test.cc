@@ -1,7 +1,6 @@
 // Odds-and-ends coverage of the stream substrate not exercised by
-// topology_test: spout parallelism with placement, custom groupings
-// fanning to multiple targets, tuple payloads, and the simulated
-// serialization charge.
+// topology_test: spout parallelism with placement, tuple payloads, and the
+// simulated serialization charge.
 
 #include <atomic>
 #include <memory>
@@ -28,23 +27,6 @@ class OneShotSpout : public Spout {
   int64_t value_;
   bool done_ = false;
 };
-
-TEST(StreamMiscTest, CustomGroupingMayFanOutToSeveralTasks) {
-  std::atomic<int> hits{0};
-  struct CountBolt : public Bolt {
-    explicit CountBolt(std::atomic<int>* hits) : hits_(hits) {}
-    void Execute(Tuple, OutputCollector&) override { hits_->fetch_add(1); }
-    std::atomic<int>* hits_;
-  };
-  TopologyBuilder b;
-  b.SetSpout("src", [] { return std::make_unique<OneShotSpout>(5); });
-  b.SetBolt("sink", [&hits] { return std::make_unique<CountBolt>(&hits); }, 4)
-      .CustomGrouping("src", [](const Tuple&, int n, std::vector<int>& targets) {
-        for (int i = 0; i < n; i += 2) targets.push_back(i);  // tasks 0 and 2
-      });
-  b.Build()->Run();
-  EXPECT_EQ(hits.load(), 2);
-}
 
 TEST(StreamMiscTest, OpaquePayloadTravelsByPointer) {
   const RecordPtr record = MakeRecord(1, 2, {10, 20, 30});
