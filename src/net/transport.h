@@ -153,9 +153,10 @@ class TcpTransport final : public stream::Transport {
     int64_t disconnect_delay_micros = -1;
   };
 
-  /// Sender half of one directed rank pair: a bounded MPMC frame ring (every
-  /// local task sending to the peer is a producer) drained by a thread that
-  /// owns the socket (dial, retry, write, scripted disconnect).
+  /// Sender half of one directed rank pair: a bounded frame ring (every
+  /// local task sending to the peer is a producer) drained by its one
+  /// consumer, a thread that owns the socket (dial, retry, write, scripted
+  /// disconnect).
   struct SenderConn {
     int peer_rank = -1;
     std::unique_ptr<stream::RingQueue<OutFrame>> queue;

@@ -9,17 +9,17 @@
 #include <vector>
 
 #include "stream/migration.h"
-#include "stream/queue.h"
+#include "stream/ring_queue.h"
 #include "stream/value.h"
 
 namespace dssj::stream {
 
 /// A unit travelling over one producer-task → consumer-task link: either a
 /// data tuple or an end-of-stream marker from one upstream task. Within a
-/// process envelopes move through a Queue<Envelope> (a lock-free ring, see
-/// stream/ring_queue.h); across processes
-/// they are framed by the wire format (src/net/wire.h) with every field
-/// except extra_busy_ns preserved end-to-end.
+/// process envelopes move through the consumer's RingQueue<Envelope> (see
+/// stream/ring_queue.h); across processes they are framed by the wire
+/// format (src/net/wire.h) with every field except extra_busy_ns preserved
+/// end-to-end.
 ///
 /// Envelopes parsed from the network may carry *borrowed* payloads: record
 /// token arrays that alias the receive arena holding the raw frame bytes
@@ -46,7 +46,7 @@ struct Envelope {
 /// Producer-side endpoint of one consumer task. The topology routes every
 /// delivery through a Channel so the same collector code drives an
 /// in-process queue, a serializing loopback, or a TCP connection. Semantics
-/// mirror Queue<T>: Push/PushBatch block for backpressure and return
+/// mirror RingQueue: Push/PushBatch block for backpressure and return
 /// the depth after the push (the consumer queue for in-process channels,
 /// the bounded send buffer for remote ones), or 0 when the endpoint is
 /// closed and the items were rejected. Channels are not thread-safe — each
@@ -72,14 +72,14 @@ class Channel {
 /// fast path, byte-for-byte the pre-transport delivery.
 class InprocChannel final : public Channel {
  public:
-  explicit InprocChannel(Queue<Envelope>* queue) : queue_(queue) {}
+  explicit InprocChannel(RingQueue<Envelope>* queue) : queue_(queue) {}
 
   size_t Push(Envelope env) override { return queue_->Push(std::move(env)); }
   size_t PushBatch(std::vector<Envelope>* envs) override { return queue_->PushBatch(envs); }
   bool inproc() const override { return true; }
 
  private:
-  Queue<Envelope>* queue_;
+  RingQueue<Envelope>* queue_;
 };
 
 /// Task → worker(rank) placement handed to a transport at start.

@@ -46,15 +46,12 @@ struct OverloadOptions {
 };
 
 /// Point-in-time health snapshot of one task's inbound queue, taken under
-/// the ring's health-tracker lock (Queue::Health). Tracking is off (and the
-/// numbers stay zero) unless EnableHealthTracking() was called before Submit.
+/// the ring's health-tracker lock (RingQueue::Health). Tracking is off (and
+/// the numbers stay zero) unless EnableHealthTracking() was called before
+/// Submit.
 struct QueueHealth {
   size_t depth = 0;
   size_t capacity = 0;
-  /// Exponentially weighted depth, updated on every queue operation.
-  double depth_ewma = 0.0;
-  /// Cumulative time the queue has spent at capacity (backpressuring).
-  int64_t time_at_capacity_micros = 0;
   /// Length of the *current* continuous at-capacity stretch (0 if not full).
   int64_t at_capacity_stretch_micros = 0;
   /// Age of the oldest queued tuple (0 if empty).

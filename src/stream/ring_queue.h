@@ -16,54 +16,12 @@
 #include "common/logging.h"
 #include "common/stats.h"
 #include "stream/overload.h"
-#include "stream/queue.h"
 
 namespace dssj::stream {
 
-/// Lock-free ring implementations of the Queue<T> contract (queue.h) — the
-/// only link implementations; MakeQueue picks one per link from its
-/// producer count:
-///
-///   SpscRingQueue  1:1 links (single upstream task, no transport threads):
-///                  a classic single-producer single-consumer ring with
-///                  monotonic 64-bit cursors.
-///   RingQueue      fan-in links: a bounded MPMC ring in the style of
-///                  Vyukov's algorithm — every slot carries its own sequence
-///                  number, producers claim slots with a CAS on the enqueue
-///                  cursor and publish by storing the slot sequence.
-///
-/// Both share three design points, spelled out in docs/INTERNALS.md §10:
-///
-///  * Cursor cache-line separation. The enqueue and dequeue cursors live on
-///    their own `alignas(64)` cache lines so a producer advancing its cursor
-///    never invalidates the line the consumer spins on, and vice versa.
-///  * Acquire/release publication. A producer writes the slot, then
-///    release-stores the publication cursor (SPSC) or the slot sequence
-///    (MPMC); the consumer acquire-loads it before touching the slot. No
-///    data ever synchronizes through a lock on the hot path.
-///  * Spin-then-park waiting. An empty consumer (or a full producer) spins
-///    briefly, yields, and finally parks on a condvar that exists only for
-///    parking. The fast path never touches that lock: wakers read an atomic
-///    parked-waiter count (after a seq_cst fence pairing with the waiter's
-///    seq_cst registration) and skip the condvar entirely when nobody is
-///    parked, and only the edge that can strand a waiter (empty→non-empty
-///    for consumers, a dequeue from a full ring for producers) performs the
-///    check at all, and a pending-broadcast flag dedupes repeated wakes of
-///    a notified-but-not-yet-scheduled waiter, so a per-tuple stream into a
-///    backlogged link pays for one wake per drain cycle, not one per push.
-///    On top of that, a TrickleGate watches the consumer's drain sizes and,
-///    when a wait streak identifies the per-tuple trickle regime, swaps the
-///    park for unregistered timed naps so the producer skips the wake
-///    syscall entirely (see TrickleGate for the regime analysis).
-///
-/// Close() must linearize against concurrent pushes without a lock — a
-/// consumer that observed "closed and drained" must be guaranteed no later
-/// Push can still be accepted. Both rings get this by folding the closed
-/// flag into bit 63 of the claim cursor itself: Close() is a `fetch_or` of
-/// kClosedBit, and every claim is a CAS whose expected value has the bit
-/// clear, so no claim can succeed once the bit lands. "Accepted" therefore
-/// means "claimed", and a claimed slot is always published, so a drained
-/// check only has to wait out claims that are already in flight.
+/// Building blocks of RingQueue (below), spelled out in docs/INTERNALS.md
+/// §10: the spin/yield budgets, the parking lot, the trickle gate and the
+/// health tracker.
 namespace ring_detail {
 
 static constexpr uint64_t kClosedBit = 1ull << 63;
@@ -175,8 +133,8 @@ class ParkingLot {
   std::condition_variable cv_;
 };
 
-/// Adaptive consumer-side wait strategy, consulted by both rings at the top
-/// of every wait episode (the ring looked empty). Two regimes:
+/// Adaptive consumer-side wait strategy, consulted at the top of every
+/// wait episode (the ring looked empty). Two regimes:
 ///
 ///  * Bursty links (the common case): the consumer parks on the ParkingLot
 ///    and the producer's empty→non-empty edge wakes it to a backlog. Wakes
@@ -245,9 +203,9 @@ class TrickleGate {
   std::atomic<bool> nap_mode_{false};
 };
 
-/// Queue-health bookkeeping shared by both rings: depth EWMA, time at
-/// capacity, and oldest-tuple age via (count, stamp) runs — one run per
-/// push call, not per item, so the oldest-age probe stays O(1) amortized.
+/// Queue-health bookkeeping: the current at-capacity stretch and the
+/// oldest-tuple age via (count, stamp) runs — one run per claimed run of
+/// slots, not per item, so the oldest-age probe stays O(1) amortized.
 /// Inert — one dead atomic branch per operation — until Enable(); when
 /// enabled it serializes on its own small mutex, which only overload-
 /// control runs ever turn on. Depths are the caller's racy post-op
@@ -261,7 +219,7 @@ class RingHealthTracker {
     if (!enabled() || added == 0) return;
     std::lock_guard<std::mutex> lock(mu_);
     marks_.push_back(Mark{added, NowMicros()});
-    UpdateClock(depth, capacity);
+    UpdateFullSince(depth, capacity);
   }
 
   void OnDequeued(size_t removed, size_t depth, size_t capacity) {
@@ -277,24 +235,18 @@ class RingHealthTracker {
         removed = 0;
       }
     }
-    UpdateClock(depth, capacity);
+    UpdateFullSince(depth, capacity);
   }
 
   QueueHealth Snapshot(size_t depth, size_t capacity) const {
     QueueHealth h;
     h.depth = depth;
     h.capacity = capacity;
+    if (!enabled()) return h;
+    const int64_t now = NowMicros();
     std::lock_guard<std::mutex> lock(mu_);
-    h.depth_ewma = depth_ewma_;
-    h.time_at_capacity_micros = time_at_capacity_us_;
-    if (enabled()) {
-      const int64_t now = NowMicros();
-      if (!marks_.empty()) h.oldest_age_micros = now - marks_.front().enqueued_us;
-      if (full_since_us_ != 0) {
-        h.at_capacity_stretch_micros = now - full_since_us_;
-        h.time_at_capacity_micros += h.at_capacity_stretch_micros;
-      }
-    }
+    if (!marks_.empty()) h.oldest_age_micros = now - marks_.front().enqueued_us;
+    if (full_since_us_ != 0) h.at_capacity_stretch_micros = now - full_since_us_;
     return h;
   }
 
@@ -304,206 +256,252 @@ class RingHealthTracker {
     int64_t enqueued_us;
   };
 
-  void UpdateClock(size_t depth, size_t capacity) {
-    constexpr double kAlpha = 0.05;
-    depth_ewma_ += kAlpha * (static_cast<double>(depth) - depth_ewma_);
-    if (depth >= capacity) {
-      if (full_since_us_ == 0) full_since_us_ = NowMicros();
-    } else if (full_since_us_ != 0) {
-      time_at_capacity_us_ += NowMicros() - full_since_us_;
+  void UpdateFullSince(size_t depth, size_t capacity) {
+    if (depth < capacity) {
       full_since_us_ = 0;
+    } else if (full_since_us_ == 0) {
+      full_since_us_ = NowMicros();
     }
   }
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   std::deque<Mark> marks_;
-  double depth_ewma_ = 0.0;
   int64_t full_since_us_ = 0;
-  int64_t time_at_capacity_us_ = 0;
 };
 
 }  // namespace ring_detail
 
-/// Single-producer single-consumer lock-free ring. The topology uses it for
-/// 1:1 links (exactly one upstream task, no transport threads), where it
-/// degenerates to one CAS (uncontended except against Close) plus one
-/// release store per push and two loads plus one release store per pop.
+/// Bounded blocking FIFO with any number of producer threads and exactly
+/// one consumer thread — every link in the system: each bolt task's
+/// inbound queue (Task::queue, wrapped by InprocChannel) and each TCP
+/// per-peer send queue (TcpTransport::SenderConn::queue).
 ///
-/// Cursors: `claim_` (producer claims space; carries the closed bit),
-/// `head_` (publication — slots below it are readable), `tail_`
-/// (consumption). claim_ == head_ except while the producer is writing
-/// slots, so a drained check waits until they agree.
+/// Contract. Push blocks when full (the topology's backpressure mechanism)
+/// and Pop/PopBatch block when empty. Items are delivered in claim order,
+/// which implies per-producer FIFO — the property the distributed join's
+/// exactly-once rule relies on. A batch larger than the free capacity is
+/// delivered in contiguous runs as space frees up; batch boundaries are
+/// NOT atomic (other producers may interleave between runs), which still
+/// preserves per-producer FIFO. Close() (a supervised task exhausting its
+/// restart budget, a transport shutting down) unblocks every waiter:
+/// producers stop accepting — a blocked Push returns 0 and a blocked
+/// PushBatch leaves the unaccepted remainder in its input vector — while
+/// items accepted before the close stay poppable until the ring drains,
+/// after which PopBatch returns 0.
+///
+/// Single consumer. Pop, PopBatch and Drain must only ever be called by
+/// one thread at a time, each call ordered after the previous consumer's
+/// last one. The consumers are TopologyImpl::RunBoltIncarnation's
+/// PopBatch (one executor thread per task: a local reincarnation reuses
+/// that thread, and an executor adopted through a migration starts only
+/// after the previous host's executor froze the task and stopped popping)
+/// and TcpTransport::SenderLoop's PopBatch and Drain (one sender thread
+/// per peer). Producers, Close, size, closed and Health are safe from any
+/// thread.
+///
+/// Slot-sequence rule. Producers claim a run of positions with one CAS on
+/// `claim_` (bit 63 is the closed bit, so no claim succeeds once Close()
+/// sets it: "accepted" means "claimed", and a claimed slot is always
+/// published), move each item into slot `pos & mask_` and release-store
+/// `pos + 1` into that slot's sequence. The consumer takes position `pos`
+/// when its slot reads `seq == pos + 1`, moves the item out, and stores
+/// `tail_` once per pop. A producer claims only positions below
+/// `tail_ + capacity`, and the ring holds at least `capacity` slots, so the
+/// previous occupant of every claimed slot was already popped: a slot
+/// never needs re-arming (capacity 1 included — the stale sequence `pos`
+/// never equals the awaited `pos + 1`), and "closed and drained" is the
+/// closed bit set with claim == tail.
+///
+/// Waiting spins, yields and then parks on a ParkingLot. Only the edge that
+/// can strand a waiter checks for one: a producer whose run the consumer
+/// may be parked on (empty→non-empty), a pop from a full ring (producers).
+/// The TrickleGate swaps the consumer's park for unregistered naps while
+/// the link trickles single tuples.
 template <typename T>
-class SpscRingQueue final : public Queue<T> {
+class RingQueue {
   static constexpr uint64_t kClosedBit = ring_detail::kClosedBit;
   static constexpr uint64_t kPosMask = ring_detail::kPosMask;
 
  public:
-  explicit SpscRingQueue(size_t capacity)
+  explicit RingQueue(size_t capacity)
       : capacity_(capacity),
-        ring_size_(ring_detail::RoundUpPow2(capacity)),
-        mask_(ring_size_ - 1),
-        slots_(ring_size_) {
+        mask_(ring_detail::RoundUpPow2(capacity) - 1),
+        slots_(mask_ + 1) {
     CHECK_GE(capacity, 1u);
   }
 
-  SpscRingQueue(const SpscRingQueue&) = delete;
-  SpscRingQueue& operator=(const SpscRingQueue&) = delete;
+  RingQueue(const RingQueue&) = delete;
+  RingQueue& operator=(const RingQueue&) = delete;
 
-  size_t Push(T item) override {
+  /// Blocks until there is room, then enqueues. Returns the depth right
+  /// after the push (>= 1, for high-watermark accounting), or 0 when the
+  /// queue was closed and the item rejected.
+  size_t Push(T item) {
     uint64_t pos;
-    if (!ClaimOrPark(1, &pos)) return 0;
-    slots_[pos & mask_] = std::move(item);
-    head_.store(pos + 1, std::memory_order_release);
-    WakeConsumerOnEmptyEdge(pos);
-    const size_t depth = DepthAfter(pos + 1);
-    health_.OnEnqueued(1, depth, capacity_);
-    return depth;
+    if (ClaimOrPark(1, &pos) == 0) return 0;
+    Publish(pos, std::move(item));
+    return Published(pos, 1);
   }
 
-  size_t PushBatch(std::vector<T>* items) override {
+  /// Enqueues every element of `*items` in order, draining the vector;
+  /// blocks for backpressure. If the queue closes mid-batch the unaccepted
+  /// remainder is left in `*items` (in order). Returns the depth right
+  /// after the last accepted element.
+  size_t PushBatch(std::vector<T>* items) {
     const size_t n = items->size();
     if (n == 0) return size();
     size_t i = 0;
     size_t depth = 0;
     while (i < n) {
-      uint64_t pos;
-      const size_t want = n - i;
-      size_t got = ClaimUpTo(want, &pos);
-      if (got == 0) {
-        if (!ClaimOrPark(1, &pos)) break;  // closed: leave the remainder
-        got = 1;
-      }
-      const uint64_t first = pos;
-      for (size_t k = 0; k < got; ++k) {
-        slots_[pos & mask_] = std::move((*items)[i++]);
-        // Publish per item so a chunk blocked on a full ring has already
-        // handed everything written so far to the consumer.
-        head_.store(++pos, std::memory_order_release);
-      }
-      WakeConsumerOnEmptyEdge(first);
-      depth = DepthAfter(pos);
-      health_.OnEnqueued(got, depth, capacity_);
+      uint64_t first;
+      const size_t got = ClaimOrPark(n - i, &first);
+      if (got == 0) break;  // closed: leave the remainder
+      // Publishing per slot lets the consumer take the front of a run
+      // while its tail is still being written.
+      for (size_t k = 0; k < got; ++k) Publish(first + k, std::move((*items)[i++]));
+      depth = Published(first, got);
     }
     items->erase(items->begin(), items->begin() + static_cast<ptrdiff_t>(i));
     return depth;
   }
 
-  T Pop() override {
+  /// Blocks until an item is available, then dequeues it. Must not be
+  /// called on a closed-and-drained queue (use PopBatch when the queue may
+  /// close).
+  T Pop() {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    WaitForItem(tail);
-    CHECK(head_.load(std::memory_order_acquire) != tail) << "Pop on a closed, drained queue";
-    T item = std::move(slots_[tail & mask_]);
+    AwaitItem(tail);
+    CHECK(Ready(tail)) << "Pop on a closed, drained queue";
+    T item = std::move(slots_[tail & mask_].value);
     FinishPop(tail, 1);
     return item;
   }
 
-  size_t PopBatch(std::vector<T>* out, size_t max_items) override {
+  /// Blocks until at least one item is available, then appends up to
+  /// `max_items` to `*out`. Returns the number popped — 0 only when the
+  /// queue is closed and drained.
+  size_t PopBatch(std::vector<T>* out, size_t max_items) {
     CHECK_GE(max_items, 1u);
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    WaitForItem(tail);
-    const uint64_t head = head_.load(std::memory_order_acquire);
-    if (head == tail) return 0;  // closed and drained
-    const size_t n = std::min<uint64_t>(max_items, head - tail);
-    for (size_t k = 0; k < n; ++k) out->push_back(std::move(slots_[(tail + k) & mask_]));
-    FinishPop(tail, n);
-    return n;
+    AwaitItem(tail);
+    return Take(tail, max_items, out);
   }
 
-  size_t Drain(std::vector<T>* out) override {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const uint64_t head = head_.load(std::memory_order_acquire);
-    const size_t n = head - tail;
-    if (n == 0) return 0;
-    for (size_t k = 0; k < n; ++k) out->push_back(std::move(slots_[(tail + k) & mask_]));
-    FinishPop(tail, n);
-    return n;
+  /// Non-blocking: appends every published item to `*out`. Returns the
+  /// number drained (possibly zero).
+  size_t Drain(std::vector<T>* out) {
+    return Take(tail_.load(std::memory_order_relaxed), SIZE_MAX, out);
   }
 
-  bool TryPop(T* out) override {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (head_.load(std::memory_order_acquire) == tail) return false;
-    *out = std::move(slots_[tail & mask_]);
-    FinishPop(tail, 1);
-    return true;
-  }
-
-  void Close() override {
+  /// Stops accepting new items and wakes every blocked producer and the
+  /// consumer. Items already accepted remain poppable. Idempotent.
+  void Close() {
     claim_.fetch_or(kClosedBit, std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     producers_.Wake();
-    consumers_.Wake();
+    consumer_.Wake();
   }
 
-  bool closed() const override {
-    return (claim_.load(std::memory_order_acquire) & kClosedBit) != 0;
-  }
+  bool closed() const { return (claim_.load(std::memory_order_acquire) & kClosedBit) != 0; }
 
-  size_t size() const override {
-    const uint64_t head = head_.load(std::memory_order_acquire);
+  /// Claimed and not yet popped, in-flight claims included.
+  size_t size() const {
     const uint64_t tail = tail_.load(std::memory_order_acquire);
-    return head >= tail ? head - tail : 0;
+    const uint64_t claim = claim_.load(std::memory_order_acquire) & kPosMask;
+    return claim > tail ? static_cast<size_t>(claim - tail) : 0;
   }
 
-  size_t capacity() const override { return capacity_; }
+  size_t capacity() const { return capacity_; }
 
-  void EnableHealthTracking() override { health_.Enable(); }
+  /// Turns on queue-health tracking (at-capacity stretch, oldest item
+  /// age). Must be called before any concurrent use (the topology does it
+  /// at Build time); queues without it pay only a dead branch per
+  /// operation.
+  void EnableHealthTracking() { health_.Enable(); }
 
-  QueueHealth Health() const override { return health_.Snapshot(size(), capacity_); }
+  /// Point-in-time health snapshot (zeros unless tracking is enabled).
+  /// QueueHealth::force_shed is not set here — the topology wrapper owns
+  /// that bit.
+  QueueHealth Health() const { return health_.Snapshot(size(), capacity_); }
 
  private:
-  /// Claims up to `want` slots without blocking. Returns 0 when the ring is
-  /// full or closed; on success *first is the first claimed position.
-  size_t ClaimUpTo(size_t want, uint64_t* first) {
+  struct Slot {
+    std::atomic<uint64_t> seq{0};
+    T value{};
+  };
+
+  /// Claims up to `want` positions without blocking. Returns 0 when the
+  /// ring is full or closed; otherwise *first is the first claimed position.
+  size_t TryClaim(size_t want, uint64_t* first) {
     for (;;) {
-      const uint64_t raw = claim_.load(std::memory_order_seq_cst);
-      if (raw & kClosedBit) return 0;
-      const uint64_t pos = raw;
-      const uint64_t tail = tail_.load(std::memory_order_acquire);
-      if (pos - tail >= capacity_) return 0;
-      const size_t room = capacity_ - static_cast<size_t>(pos - tail);
-      const size_t take = std::min(want, room);
-      uint64_t expected = raw;
-      // The CAS only ever races Close()'s fetch_or (single producer), and
-      // it is exactly what makes Close linearizable: once the bit is set no
-      // claim can succeed, so "accepted" == "claimed before the bit".
-      if (claim_.compare_exchange_strong(expected, raw + take, std::memory_order_seq_cst)) {
-        *first = pos;
+      uint64_t raw = claim_.load(std::memory_order_seq_cst);
+      if ((raw & kClosedBit) != 0) return 0;
+      // Acquire: the claimed slots' previous occupants were moved out
+      // before the consumer stored this tail.
+      const uint64_t used = raw - tail_.load(std::memory_order_acquire);
+      if (static_cast<int64_t>(used) < 0) continue;  // raw is stale: the tail passed it
+      if (used >= capacity_) return 0;
+      const size_t take = std::min<uint64_t>(want, capacity_ - used);
+      if (claim_.compare_exchange_weak(raw, raw + take, std::memory_order_seq_cst)) {
+        *first = raw;
         return take;
       }
     }
   }
 
-  /// Claims `want` slots, parking while the ring is full. Returns false
-  /// when the queue closed instead.
-  bool ClaimOrPark(size_t want, uint64_t* first) {
+  /// Claims up to `want` positions, parking while the ring is full.
+  /// Returns 0 when the queue closed instead.
+  size_t ClaimOrPark(size_t want, uint64_t* first) {
     for (;;) {
-      if (ClaimUpTo(want, first) != 0) return true;
-      if (closed()) return false;
+      if (const size_t got = TryClaim(want, first)) return got;
+      if (closed()) return 0;
+      // Claim before tail: "full" then means full at the instant the tail
+      // was read, which the pop that moves that tail sees and wakes us for
+      // (a tail past a stale claim reads as room).
       producers_.Await([this] {
         const uint64_t raw = claim_.load(std::memory_order_seq_cst);
-        if (raw & kClosedBit) return true;
-        return raw - tail_.load(std::memory_order_seq_cst) < capacity_;
+        if ((raw & kClosedBit) != 0) return true;
+        const uint64_t used = raw - tail_.load(std::memory_order_seq_cst);
+        return static_cast<int64_t>(used) < 0 || used < capacity_;
       });
     }
   }
 
-  /// Empty→non-empty edge: wake a parked consumer only when the consumer
-  /// had already caught up to `first` (tail_ >= first), i.e. it can have
-  /// observed the ring empty and parked. Earlier pushes handled earlier
-  /// parks, so this is the only edge that can strand it.
-  void WakeConsumerOnEmptyEdge(uint64_t first) {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (tail_.load(std::memory_order_relaxed) >= first) consumers_.Wake();
+  void Publish(uint64_t pos, T&& item) {
+    Slot& slot = slots_[pos & mask_];
+    slot.value = std::move(item);
+    slot.seq.store(pos + 1, std::memory_order_release);
   }
 
-  void WaitForItem(uint64_t tail) {
-    if (head_.load(std::memory_order_acquire) != tail) return;
+  /// After publishing the run [first, first + n): wakes a parked consumer
+  /// only when it had already caught up to `first` (tail_ >= first) — it
+  /// can then be parked on a slot of this run. A consumer parked on an
+  /// earlier slot is woken by that slot's producer. Records the run's
+  /// health and returns the depth after it.
+  size_t Published(uint64_t first, size_t n) {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    const uint64_t tail = tail_.load(std::memory_order_relaxed);
+    if (tail >= first) consumer_.Wake();
+    const uint64_t end = first + n;
+    const size_t depth = end > tail ? static_cast<size_t>(end - tail) : 1;
+    health_.OnEnqueued(n, depth, capacity_);
+    return depth;
+  }
+
+  bool Ready(uint64_t pos) const {
+    return slots_[pos & mask_].seq.load(std::memory_order_acquire) == pos + 1;
+  }
+
+  /// Returns once position `tail` is published or the ring is closed and
+  /// drained.
+  void AwaitItem(uint64_t tail) {
+    if (Ready(tail)) return;
     auto pred = [this, tail] {
-      if (head_.load(std::memory_order_seq_cst) != tail) return true;
+      if (slots_[tail & mask_].seq.load(std::memory_order_seq_cst) == tail + 1) return true;
       const uint64_t raw = claim_.load(std::memory_order_seq_cst);
-      // Closed and drained only once in-flight claims have published.
+      // Closed and drained only once every claim has been popped; in-flight
+      // claims still publish.
       return (raw & kClosedBit) != 0 && (raw & kPosMask) == tail;
     };
     if (trickle_.ShouldNap()) {
@@ -513,342 +511,53 @@ class SpscRingQueue final : public Queue<T> {
       }
       trickle_.OnNapBarren();
     }
-    consumers_.Await(pred);
+    consumer_.Await(pred);
+  }
+
+  /// Moves out the published run starting at `tail`, at most `max_items`.
+  size_t Take(uint64_t tail, size_t max_items, std::vector<T>* out) {
+    size_t n = 0;
+    while (n < max_items && Ready(tail + n)) {
+      out->push_back(std::move(slots_[(tail + n) & mask_].value));
+      ++n;
+    }
+    if (n > 0) FinishPop(tail, n);
+    return n;
   }
 
   void FinishPop(uint64_t tail, size_t n) {
     trickle_.OnPopped(n);
     tail_.store(tail + n, std::memory_order_release);
-    // Full→non-full edge: only a dequeue from a full ring can unblock a
-    // parked producer.
+    // Full→non-full edge: only a pop from a full ring can unblock a parked
+    // producer.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if ((claim_.load(std::memory_order_relaxed) & kPosMask) - tail >= capacity_) {
       producers_.Wake();
     }
-    health_.OnDequeued(n, DepthAfter(head_.load(std::memory_order_relaxed)), capacity_);
-  }
-
-  size_t DepthAfter(uint64_t head) const {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    return head > tail ? static_cast<size_t>(head - tail) : 1;
+    health_.OnDequeued(n, size(), capacity_);
   }
 
   const size_t capacity_;
-  const size_t ring_size_;
   const uint64_t mask_;
-  std::vector<T> slots_;
+  std::vector<Slot> slots_;
 
-  /// Producer side: claim cursor (closed bit lives here) and publication
-  /// cursor, on their own line away from the consumer's tail.
+  /// Producer side: the claim cursor (closed bit in bit 63), on its own
+  /// line away from the consumer's tail.
   alignas(64) std::atomic<uint64_t> claim_{0};
-  std::atomic<uint64_t> head_{0};
-  /// Consumer side.
+  /// Consumer side: every position below tail_ has been popped.
   alignas(64) std::atomic<uint64_t> tail_{0};
   ring_detail::TrickleGate trickle_;  // consumer-side, shares the tail line
 
   alignas(64) ring_detail::ParkingLot producers_;
-  ring_detail::ParkingLot consumers_;
+  ring_detail::ParkingLot consumer_;
   ring_detail::RingHealthTracker health_;
 };
 
-/// Bounded lock-free MPMC ring (Vyukov-style slot sequencing) with the
-/// blocking Queue<T> contract on top. The topology uses it for fan-in
-/// links — several producer tasks (or transport threads) feeding one
-/// consumer task — but it is safe for any number of consumers too, which
-/// the stress tests exercise.
-///
-/// Every slot carries a sequence number: `seq == pos` means free for the
-/// producer claiming position pos, `seq == pos + 1` means published for the
-/// consumer expecting position pos, and a consumed slot is re-armed to
-/// `pos + ring_size_` for its next lap. Producers claim with a CAS on the
-/// enqueue cursor (which also carries the closed bit) and publish with a
-/// release store of the slot sequence; claim order is consumption order, so
-/// each producer's items stay FIFO — the invariant the exactly-once rule
-/// needs. The logical capacity check (`pos - dequeue >= capacity`) runs
-/// against the claim ticket before the CAS, so occupancy never exceeds the
-/// configured capacity even though the ring itself is rounded up to a power
-/// of two (and to at least 2, so a published slot from the previous lap can
-/// never alias a free one).
+/// perfbench/probes.cc builds its hop probes through this name; every link
+/// is a RingQueue, so `spsc_safe` is ignored.
+enum class QueueImpl { kRing };
 template <typename T>
-class RingQueue final : public Queue<T> {
-  static constexpr uint64_t kClosedBit = ring_detail::kClosedBit;
-  static constexpr uint64_t kPosMask = ring_detail::kPosMask;
-
- public:
-  explicit RingQueue(size_t capacity)
-      : capacity_(capacity),
-        ring_size_(std::max<size_t>(2, ring_detail::RoundUpPow2(capacity))),
-        mask_(ring_size_ - 1),
-        cells_(ring_size_) {
-    CHECK_GE(capacity, 1u);
-    for (size_t i = 0; i < ring_size_; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  RingQueue(const RingQueue&) = delete;
-  RingQueue& operator=(const RingQueue&) = delete;
-
-  size_t Push(T item) override {
-    uint64_t pos;
-    Cell* cell;
-    if (!ClaimOrPark(&pos, &cell)) return 0;
-    cell->value = std::move(item);
-    cell->seq.store(pos + 1, std::memory_order_release);
-    WakeConsumerOnEmptyEdge(pos);
-    const size_t depth = DepthAfter(pos + 1);
-    health_.OnEnqueued(1, depth, capacity_);
-    return depth;
-  }
-
-  size_t PushBatch(std::vector<T>* items) override {
-    const size_t n = items->size();
-    if (n == 0) return size();
-    size_t i = 0;
-    size_t depth = 0;
-    size_t accepted_run = 0;
-    uint64_t last_pos = 0;
-    while (i < n) {
-      uint64_t pos;
-      Cell* cell;
-      if (!ClaimOrPark(&pos, &cell)) break;  // closed: leave the remainder
-      cell->value = std::move((*items)[i++]);
-      cell->seq.store(pos + 1, std::memory_order_release);
-      WakeConsumerOnEmptyEdge(pos);
-      last_pos = pos;
-      ++accepted_run;
-    }
-    if (accepted_run > 0) {
-      depth = DepthAfter(last_pos + 1);
-      health_.OnEnqueued(accepted_run, depth, capacity_);
-    }
-    items->erase(items->begin(), items->begin() + static_cast<ptrdiff_t>(i));
-    return depth;
-  }
-
-  T Pop() override {
-    T item{};
-    const int got = PopOne(&item, /*blocking=*/true);
-    CHECK_EQ(got, 1) << "Pop on a closed, drained queue";
-    return item;
-  }
-
-  size_t PopBatch(std::vector<T>* out, size_t max_items) override {
-    CHECK_GE(max_items, 1u);
-    for (;;) {
-      uint64_t first = 0;
-      const size_t n = PopAvailable(out, max_items, &first);
-      if (n > 0) {
-        FinishPop(first, n);
-        return n;
-      }
-      if (DrainedAndClosed()) return 0;
-      AwaitItem();
-    }
-  }
-
-  size_t Drain(std::vector<T>* out) override {
-    uint64_t first = 0;
-    const size_t n = PopAvailable(out, kPosMask, &first);
-    if (n > 0) FinishPop(first, n);
-    return n;
-  }
-
-  bool TryPop(T* out) override { return PopOne(out, /*blocking=*/false) == 1; }
-
-  void Close() override {
-    enqueue_pos_.fetch_or(kClosedBit, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    producers_.Wake();
-    consumers_.Wake();
-  }
-
-  bool closed() const override {
-    return (enqueue_pos_.load(std::memory_order_acquire) & kClosedBit) != 0;
-  }
-
-  size_t size() const override {
-    const uint64_t enq = enqueue_pos_.load(std::memory_order_acquire) & kPosMask;
-    const uint64_t deq = dequeue_pos_.load(std::memory_order_acquire);
-    return enq > deq ? static_cast<size_t>(enq - deq) : 0;
-  }
-
-  size_t capacity() const override { return capacity_; }
-
-  void EnableHealthTracking() override { health_.Enable(); }
-
-  QueueHealth Health() const override { return health_.Snapshot(size(), capacity_); }
-
- private:
-  struct Cell {
-    std::atomic<uint64_t> seq{0};
-    T value{};
-  };
-
-  /// One non-blocking claim attempt. Returns +1 on success, 0 when the ring
-  /// is full (or the claimable slot is still being consumed — backpressure
-  /// either way), -1 when closed.
-  int TryClaim(uint64_t* out_pos, Cell** out_cell) {
-    for (;;) {
-      const uint64_t raw = enqueue_pos_.load(std::memory_order_seq_cst);
-      if (raw & kClosedBit) return -1;
-      const uint64_t pos = raw;
-      if (pos - dequeue_pos_.load(std::memory_order_seq_cst) >= capacity_) return 0;
-      Cell& cell = cells_[pos & mask_];
-      const uint64_t seq = cell.seq.load(std::memory_order_acquire);
-      const int64_t dif = static_cast<int64_t>(seq - pos);
-      if (dif == 0) {
-        uint64_t expected = raw;
-        if (enqueue_pos_.compare_exchange_weak(expected, raw + 1,
-                                               std::memory_order_seq_cst)) {
-          *out_pos = pos;
-          *out_cell = &cell;
-          return 1;
-        }
-      } else if (dif < 0) {
-        // Previous-lap occupant not fully consumed yet: full in practice.
-        return 0;
-      }
-      // Another producer claimed pos first (dif > 0 or CAS failure): retry.
-    }
-  }
-
-  bool ClaimOrPark(uint64_t* out_pos, Cell** out_cell) {
-    for (;;) {
-      const int r = TryClaim(out_pos, out_cell);
-      if (r == 1) return true;
-      if (r == -1) return false;
-      producers_.Await([this] {
-        const uint64_t raw = enqueue_pos_.load(std::memory_order_seq_cst);
-        if (raw & kClosedBit) return true;
-        const uint64_t pos = raw;
-        if (pos - dequeue_pos_.load(std::memory_order_seq_cst) >= capacity_) return false;
-        const uint64_t seq = cells_[pos & mask_].seq.load(std::memory_order_seq_cst);
-        return static_cast<int64_t>(seq - pos) >= 0;
-      });
-    }
-  }
-
-  /// Empty→non-empty edge (see SpscRingQueue): only the publisher of the
-  /// slot the consumer is about to park on can strand it, and for that
-  /// publisher dequeue_pos has caught up to its position.
-  void WakeConsumerOnEmptyEdge(uint64_t pos) {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (dequeue_pos_.load(std::memory_order_relaxed) >= pos) consumers_.Wake();
-  }
-
-  /// Claims and moves out up to max_items published slots. Stops at the
-  /// first unpublished (or empty) position. *first is the first position
-  /// consumed (valid when the return value is > 0).
-  size_t PopAvailable(std::vector<T>* out, size_t max_items, uint64_t* first) {
-    size_t got = 0;
-    while (got < max_items) {
-      uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-      Cell& cell = cells_[pos & mask_];
-      const uint64_t seq = cell.seq.load(std::memory_order_acquire);
-      const int64_t dif = static_cast<int64_t>(seq - (pos + 1));
-      if (dif < 0) break;  // empty or still being published
-      if (dif > 0) continue;  // another consumer advanced dequeue_pos; reload
-      uint64_t expected = pos;
-      if (!dequeue_pos_.compare_exchange_weak(expected, pos + 1,
-                                              std::memory_order_seq_cst)) {
-        continue;
-      }
-      out->push_back(std::move(cell.value));
-      cell.seq.store(pos + ring_size_, std::memory_order_release);
-      if (got == 0) *first = pos;
-      ++got;
-    }
-    return got;
-  }
-
-  int PopOne(T* out, bool blocking) {
-    for (;;) {
-      uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-      Cell& cell = cells_[pos & mask_];
-      const uint64_t seq = cell.seq.load(std::memory_order_acquire);
-      const int64_t dif = static_cast<int64_t>(seq - (pos + 1));
-      if (dif == 0) {
-        uint64_t expected = pos;
-        if (!dequeue_pos_.compare_exchange_weak(expected, pos + 1,
-                                                std::memory_order_seq_cst)) {
-          continue;
-        }
-        *out = std::move(cell.value);
-        cell.seq.store(pos + ring_size_, std::memory_order_release);
-        FinishPop(pos, 1);
-        return 1;
-      }
-      if (dif > 0) continue;
-      if (!blocking) return 0;
-      if (DrainedAndClosed()) return 0;
-      AwaitItem();
-    }
-  }
-
-  bool DrainedAndClosed() const {
-    const uint64_t raw = enqueue_pos_.load(std::memory_order_seq_cst);
-    if (!(raw & kClosedBit)) return false;
-    // All claims consumed? In-flight claims will still publish, so wait
-    // for them (a claimed item was accepted).
-    return dequeue_pos_.load(std::memory_order_seq_cst) == (raw & kPosMask);
-  }
-
-  void AwaitItem() {
-    auto pred = [this] {
-      const uint64_t pos = dequeue_pos_.load(std::memory_order_seq_cst);
-      const uint64_t seq = cells_[pos & mask_].seq.load(std::memory_order_seq_cst);
-      if (static_cast<int64_t>(seq - (pos + 1)) >= 0) return true;  // consumable
-      return DrainedAndClosed();
-    };
-    if (trickle_.ShouldNap()) {
-      for (int b = 0; b < ring_detail::TrickleGate::kBarrenNaps; ++b) {
-        ring_detail::TrickleGate::Nap();
-        if (pred()) return;  // productive nap: stay in nap mode
-      }
-      trickle_.OnNapBarren();
-    }
-    consumers_.Await(pred);
-  }
-
-  void FinishPop(uint64_t first, size_t n) {
-    trickle_.OnPopped(n);
-    // Full→non-full edge: a parked producer implies the ring was full over
-    // [its probe, now], which forces enqueue - first >= capacity here.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const uint64_t enq = enqueue_pos_.load(std::memory_order_relaxed) & kPosMask;
-    if (enq - first >= capacity_) producers_.Wake();
-    health_.OnDequeued(n, size(), capacity_);
-  }
-
-  size_t DepthAfter(uint64_t enq_after) const {
-    const uint64_t deq = dequeue_pos_.load(std::memory_order_relaxed);
-    return enq_after > deq ? static_cast<size_t>(enq_after - deq) : 1;
-  }
-
-  const size_t capacity_;
-  const size_t ring_size_;
-  const uint64_t mask_;
-  std::vector<Cell> cells_;
-
-  /// Enqueue cursor (claim tickets + closed bit) and dequeue cursor on
-  /// separate cache lines: producers and consumers never dirty each
-  /// other's line just by advancing their own side.
-  alignas(64) std::atomic<uint64_t> enqueue_pos_{0};
-  alignas(64) std::atomic<uint64_t> dequeue_pos_{0};
-  ring_detail::TrickleGate trickle_;  // consumer-side, shares the dequeue line
-
-  alignas(64) ring_detail::ParkingLot producers_;
-  ring_detail::ParkingLot consumers_;
-  ring_detail::RingHealthTracker health_;
-};
-
-/// Builds the ring for a link with the given number of producer threads
-/// (`spsc_safe` = exactly one producer task and no transport threads can
-/// ever push). kRing is the only QueueImpl.
-template <typename T>
-std::unique_ptr<Queue<T>> MakeQueue(QueueImpl /*impl*/, size_t capacity, bool spsc_safe) {
-  if (spsc_safe) return std::make_unique<SpscRingQueue<T>>(capacity);
+std::unique_ptr<RingQueue<T>> MakeQueue(QueueImpl, size_t capacity, bool /*spsc_safe*/) {
   return std::make_unique<RingQueue<T>>(capacity);
 }
 

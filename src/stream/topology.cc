@@ -25,7 +25,6 @@
 #include "store/state_store.h"
 #include "stream/channel.h"
 #include "stream/migration.h"
-#include "stream/queue.h"
 #include "stream/ring_queue.h"
 
 namespace dssj::stream {
@@ -71,7 +70,7 @@ struct Task {
   int worker = 0;
   /// Hosted (locally executing) bolt tasks only; null for spouts and for
   /// tasks a transport places on another rank.
-  std::unique_ptr<Queue<Envelope>> queue;
+  std::unique_ptr<RingQueue<Envelope>> queue;
   std::unique_ptr<Spout> spout;
   std::unique_ptr<Bolt> bolt;
   /// Allocated for every task, hosted or not: rank 0 folds remote tasks'
@@ -599,6 +598,9 @@ class CollectorImpl : public OutputCollector {
         worker_(topo->CurWorker(task->id)), batch_size_(topo->batch_size),
         tracking_(topo->supervised) {
     rr_.assign(comp_.subs_out.size(), static_cast<uint64_t>(task->local_index));
+    for (size_t si = 0; si < comp_.subs_out.size(); ++si) {
+      if (comp_.subs_out[si].grouping != GroupingType::kDirect) last_emit_sub_ = si;
+    }
     channels_.resize(topo->tasks.size());
     if (batch_size_ > 1) {
       pending_.resize(topo->tasks.size());
@@ -686,19 +688,23 @@ class CollectorImpl : public OutputCollector {
     for (size_t si = 0; si < comp_.subs_out.size(); ++si) {
       const Subscription& sub = comp_.subs_out[si];
       const ComponentSpec& consumer = *topo_->comps[sub.consumer_comp];
-      const int n = consumer.parallelism;
+      int task_id = consumer.first_task;
       switch (sub.grouping) {
         case GroupingType::kShuffle:
-          Deliver(consumer.first_task + static_cast<int>(rr_[si]++ % n), tuple);
+          task_id += static_cast<int>(rr_[si]++ % consumer.parallelism);
           break;
         case GroupingType::kGlobal:
-          Deliver(consumer.first_task, tuple);
           break;
         case GroupingType::kPartner:
-          Deliver(consumer.first_task + task_->local_index, tuple);
+          task_id += task_->local_index;
           break;
         case GroupingType::kDirect:
-          break;  // only EmitDirect reaches direct subscribers
+          continue;  // only EmitDirect reaches direct subscribers
+      }
+      if (si == last_emit_sub_) {
+        Deliver(task_id, std::move(tuple));
+      } else {
+        Deliver(task_id, tuple);
       }
     }
   }
@@ -879,6 +885,9 @@ class CollectorImpl : public OutputCollector {
   const bool tracking_;
   const std::unordered_map<int, std::vector<ResolvedLinkFault>>* link_faults_ = nullptr;
   std::vector<uint64_t> rr_;
+  /// The last subscription Emit delivers to; it takes the tuple itself,
+  /// earlier ones a copy.
+  size_t last_emit_sub_ = 0;
   uint64_t route_epoch_seen_ = 0;
   std::vector<std::unique_ptr<Channel>> channels_;  ///< by consumer task id
   std::vector<uint64_t> emitted_;    ///< canonical per-link emission counts
@@ -2318,12 +2327,7 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
       } else {
         task.bolt = comp.bolt_factory();
         CHECK(task.bolt != nullptr);
-        // An SPSC ring is safe only when exactly one producer-task thread
-        // can ever push and no transport thread delivers inbound batches.
-        // Elastic topologies add the migration driver as a second pusher.
-        const bool spsc_safe =
-            comp.upstream_tasks == 1 && t.transport == nullptr && !t.elastic;
-        task.queue = MakeQueue<Envelope>(QueueImpl::kRing, t.queue_capacity, spsc_safe);
+        task.queue = std::make_unique<RingQueue<Envelope>>(t.queue_capacity);
       }
       t.tasks.push_back(std::move(task));
     }

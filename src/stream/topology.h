@@ -185,9 +185,9 @@ class TopologyBuilder {
   /// one pipeline into its own chain (see SetStore).
   TopologyBuilder& SetSupervision(SupervisorOptions options);
 
-  /// Turns on overload control: bolt inbound queues track health (depth
-  /// EWMA, time at capacity, oldest-tuple age, exported through the task
-  /// metrics and TaskContext::queue_health), and — when
+  /// Turns on overload control: bolt inbound queues track health (depth,
+  /// current stretch at capacity, oldest-tuple age, exported through
+  /// TaskContext::queue_health and the stall dump), and — when
   /// `options.stall_timeout_micros > 0` — a watchdog thread samples
   /// topology progress, failing the run with a per-task state dump (or
   /// forcing shedding, see OverloadOptions::fail_fast) when no task makes

@@ -1,8 +1,8 @@
-// Every co-located link runs on a lock-free ring: SpscRingQueue for 1:1
-// links, the MPMC RingQueue for fan-in. Whatever configuration a topology
-// runs — dataset shape, batch size, fault script, armed shed policy,
-// broadcast fan-in — the ring fabric must deliver exactly the brute-force
-// oracle's pair set. Every test here runs one workload through
+// Every co-located link runs on one lock-free multi-producer,
+// single-consumer RingQueue. Whatever configuration a topology runs —
+// dataset shape, batch size, fault script, armed shed policy, broadcast
+// fan-in — the ring fabric must deliver exactly the brute-force oracle's
+// pair set. Every test here runs one workload through
 // RunDistributedJoin and compares the canonicalized pairs with
 // SingleNodeJoin over a BruteForceJoiner.
 #include <algorithm>

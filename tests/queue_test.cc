@@ -1,16 +1,11 @@
-// The Queue<T> contract (stream/queue.h), run against both ring
-// implementations: blocking at capacity, batch transfers, Drain/TryPop, and
-// the Close protocol. Cases that need several producers run on the MPMC
-// RingQueue only; ring-specific stress (wraparound, randomized batching,
-// close-point sweeps) lives in ring_queue_test.
-#include <algorithm>
+// The RingQueue contract (stream/ring_queue.h): blocking at capacity,
+// batch transfers, Drain, the Close protocol, and per-producer FIFO with
+// several producers feeding the one consumer. Ring-specific stress
+// (wraparound, randomized batch claims, close-point sweeps) lives in
+// ring_queue_test.
 #include <atomic>
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,60 +16,16 @@
 namespace dssj::stream {
 namespace {
 
-struct Spsc {
-  template <typename T>
-  using Q = SpscRingQueue<T>;
-  static constexpr int kProducers = 1;
-  static constexpr int kConsumers = 1;
-};
-
-struct Mpmc {
-  template <typename T>
-  using Q = RingQueue<T>;
-  static constexpr int kProducers = 3;
-  static constexpr int kConsumers = 2;
-};
-
-template <typename Ring, typename T>
-using QueueOf = typename Ring::template Q<T>;
-
-class RingName {
- public:
-  template <typename Ring>
-  static std::string GetName(int /*index*/) {
-    return std::is_same_v<Ring, Spsc> ? "Spsc" : "Mpmc";
-  }
-};
-
-using Rings = ::testing::Types<Spsc, Mpmc>;
-
-template <typename Ring>
-class QueueContractTest : public ::testing::Test {};
-TYPED_TEST_SUITE(QueueContractTest, Rings, RingName);
-
-template <typename Ring>
-class QueueCloseContractTest : public ::testing::Test {};
-TYPED_TEST_SUITE(QueueCloseContractTest, Rings, RingName);
-
-TYPED_TEST(QueueContractTest, FifoSingleThread) {
-  QueueOf<TypeParam, int> q(8);
+TEST(RingQueueContractTest, FifoSingleThread) {
+  RingQueue<int> q(8);
   for (int i = 0; i < 5; ++i) q.Push(i);
   EXPECT_EQ(q.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(q.Pop(), i);
   EXPECT_EQ(q.size(), 0u);
 }
 
-TYPED_TEST(QueueContractTest, TryPopOnEmpty) {
-  QueueOf<TypeParam, int> q(2);
-  int out = -1;
-  EXPECT_FALSE(q.TryPop(&out));
-  q.Push(7);
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out, 7);
-}
-
-TYPED_TEST(QueueContractTest, PushBlocksAtCapacityUntilPop) {
-  QueueOf<TypeParam, int> q(1);
+TEST(RingQueueContractTest, PushBlocksAtCapacityUntilPop) {
+  RingQueue<int> q(1);
   q.Push(1);
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
@@ -89,16 +40,16 @@ TYPED_TEST(QueueContractTest, PushBlocksAtCapacityUntilPop) {
   EXPECT_EQ(q.Pop(), 2);
 }
 
-TYPED_TEST(QueueContractTest, PushBatchDrainsInputAndReportsDepth) {
-  QueueOf<TypeParam, int> q(8);
+TEST(RingQueueContractTest, PushBatchDrainsInputAndReportsDepth) {
+  RingQueue<int> q(8);
   std::vector<int> batch{1, 2, 3};
   EXPECT_EQ(q.PushBatch(&batch), 3u);
   EXPECT_TRUE(batch.empty()) << "PushBatch must drain the input vector";
   for (int i = 1; i <= 3; ++i) EXPECT_EQ(q.Pop(), i);
 }
 
-TYPED_TEST(QueueContractTest, PushBatchLargerThanCapacityBackpressures) {
-  QueueOf<TypeParam, int> q(4);
+TEST(RingQueueContractTest, PushBatchLargerThanCapacityBackpressures) {
+  RingQueue<int> q(4);
   constexpr int kItems = 100;
   std::thread producer([&q] {
     std::vector<int> batch;
@@ -112,8 +63,8 @@ TYPED_TEST(QueueContractTest, PushBatchLargerThanCapacityBackpressures) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TYPED_TEST(QueueContractTest, PopBatchRespectsMaxItemsAndOrder) {
-  QueueOf<TypeParam, int> q(16);
+TEST(RingQueueContractTest, PopBatchRespectsMaxItemsAndOrder) {
+  RingQueue<int> q(16);
   for (int i = 0; i < 10; ++i) q.Push(i);
   std::vector<int> out;
   EXPECT_EQ(q.PopBatch(&out, 4), 4u);
@@ -123,8 +74,8 @@ TYPED_TEST(QueueContractTest, PopBatchRespectsMaxItemsAndOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
 }
 
-TYPED_TEST(QueueContractTest, DrainIsNonBlockingAndEmptiesTheQueue) {
-  QueueOf<TypeParam, int> q(8);
+TEST(RingQueueContractTest, DrainIsNonBlockingAndEmptiesTheQueue) {
+  RingQueue<int> q(8);
   std::vector<int> out;
   EXPECT_EQ(q.Drain(&out), 0u) << "Drain on empty must not block";
   for (int i = 0; i < 5; ++i) q.Push(i);
@@ -133,8 +84,8 @@ TYPED_TEST(QueueContractTest, DrainIsNonBlockingAndEmptiesTheQueue) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TYPED_TEST(QueueCloseContractTest, CloseUnblocksBlockedProducer) {
-  QueueOf<TypeParam, int> q(1);
+TEST(RingQueueCloseContractTest, CloseUnblocksBlockedProducer) {
+  RingQueue<int> q(1);
   q.Push(1);
   std::atomic<bool> returned{false};
   std::thread producer([&] {
@@ -153,8 +104,8 @@ TYPED_TEST(QueueCloseContractTest, CloseUnblocksBlockedProducer) {
   EXPECT_EQ(q.PopBatch(&out, 8), 0u) << "closed and drained: PopBatch returns 0";
 }
 
-TYPED_TEST(QueueCloseContractTest, CloseUnblocksBlockedConsumer) {
-  QueueOf<TypeParam, int> q(4);
+TEST(RingQueueCloseContractTest, CloseUnblocksBlockedConsumer) {
+  RingQueue<int> q(4);
   std::atomic<bool> returned{false};
   std::thread consumer([&] {
     std::vector<int> out;
@@ -168,13 +119,13 @@ TYPED_TEST(QueueCloseContractTest, CloseUnblocksBlockedConsumer) {
   EXPECT_TRUE(returned.load());
 }
 
-TYPED_TEST(QueueCloseContractTest, PushBatchLeavesUnacceptedRemainder) {
-  QueueOf<TypeParam, int> q(2);
+TEST(RingQueueCloseContractTest, PushBatchLeavesUnacceptedRemainder) {
+  RingQueue<int> q(2);
   q.Close();
   std::vector<int> batch{1, 2, 3};
   q.PushBatch(&batch);
   EXPECT_EQ(batch.size(), 3u) << "nothing accepted into a closed queue";
-  QueueOf<TypeParam, int> q2(2);
+  RingQueue<int> q2(2);
   std::vector<int> batch2{1, 2, 3, 4, 5};
   std::thread closer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -189,16 +140,15 @@ TYPED_TEST(QueueCloseContractTest, PushBatchLeavesUnacceptedRemainder) {
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
 }
 
-TYPED_TEST(QueueCloseContractTest, ShutdownRaceLosesNoAcceptedItems) {
-  // The failed-task scenario: producers blocked in PushBatch and consumers
-  // blocked in PopBatch while the queue is closed mid-flight. Every item a
-  // producer reports as accepted must be popped by exactly one consumer;
-  // both sides must unblock. The SPSC ring runs it with one of each.
-  constexpr int kProducers = TypeParam::kProducers;
-  constexpr int kConsumers = TypeParam::kConsumers;
+TEST(RingQueueCloseContractTest, ShutdownRaceLosesNoAcceptedItems) {
+  // The failed-task scenario: producers blocked in PushBatch and the
+  // consumer blocked in PopBatch while the queue is closed mid-flight. Every
+  // item a producer reports as accepted must be popped exactly once, in its
+  // producer's order; both sides must unblock.
+  constexpr int kProducers = 3;
   constexpr int kRounds = 200;
   for (int round = 0; round < kRounds; ++round) {
-    QueueOf<TypeParam, std::pair<int, int>> q(4);
+    RingQueue<std::pair<int, int>> q(4);
     std::vector<int> accepted(kProducers, 0);
     std::vector<std::thread> producers;
     for (int p = 0; p < kProducers; ++p) {
@@ -214,36 +164,30 @@ TYPED_TEST(QueueCloseContractTest, ShutdownRaceLosesNoAcceptedItems) {
         accepted[p] = static_cast<int>(before - batch.size());
       });
     }
-    std::mutex mu;
     std::vector<std::vector<int>> popped(kProducers);
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < kConsumers; ++c) {
-      consumers.emplace_back([&] {
-        std::vector<std::pair<int, int>> out;
-        while (true) {
-          out.clear();
-          if (q.PopBatch(&out, 8) == 0) return;  // closed and drained
-          std::lock_guard<std::mutex> lock(mu);
-          for (const auto& [p, i] : out) popped[p].push_back(i);
-        }
-      });
-    }
+    std::thread consumer([&] {
+      std::vector<std::pair<int, int>> out;
+      while (true) {
+        out.clear();
+        if (q.PopBatch(&out, 8) == 0) return;  // closed and drained
+        for (const auto& [p, i] : out) popped[p].push_back(i);
+      }
+    });
     q.Close();
     for (auto& t : producers) t.join();
-    // Consumers must still drain items accepted before the close.
-    for (auto& t : consumers) t.join();
+    // The consumer must still drain items accepted before the close.
+    consumer.join();
     for (int p = 0; p < kProducers; ++p) {
-      std::sort(popped[p].begin(), popped[p].end());
       ASSERT_EQ(popped[p].size(), static_cast<size_t>(accepted[p]))
           << "round " << round << ": accepted items lost or duplicated";
       for (int i = 0; i < accepted[p]; ++i) {
-        ASSERT_EQ(popped[p][i], i) << "accepted prefix must be contiguous";
+        ASSERT_EQ(popped[p][i], i) << "accepted prefix must arrive whole and in order";
       }
     }
   }
 }
 
-TYPED_TEST(QueueCloseContractTest, CloseDuringChunkedPushBatchWakesLateConsumers) {
+TEST(RingQueueCloseContractTest, CloseDuringChunkedPushBatchWakesLateConsumers) {
   // Wakeup-protocol regression: a producer whose chunked PushBatch is
   // interrupted by Close can exit with items from an earlier chunk still
   // queued, while a consumer only starts waiting *after* Close's broadcast
@@ -253,7 +197,7 @@ TYPED_TEST(QueueCloseContractTest, CloseDuringChunkedPushBatchWakesLateConsumers
   // chunk boundaries.
   constexpr int kRounds = 400;
   for (int round = 0; round < kRounds; ++round) {
-    QueueOf<TypeParam, int> q(2);
+    RingQueue<int> q(2);
     std::atomic<int> accepted{0};
     std::thread producer([&] {
       std::vector<int> batch{0, 1, 2, 3, 4, 5, 6};  // 3.5x capacity: must chunk
@@ -280,49 +224,10 @@ TYPED_TEST(QueueCloseContractTest, CloseDuringChunkedPushBatchWakesLateConsumers
 }
 
 // ---------------------------------------------------------------------------
-// Several producers: the MPMC ring only (fan-in links, TCP send queues).
+// Several producers, one consumer: fan-in links and TCP send queues.
 // ---------------------------------------------------------------------------
 
-TEST(MpmcQueueContractTest, MpmcStressDeliversEverythingExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 20000;
-  RingQueue<std::pair<int, int>> q(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push({p, i});
-    });
-  }
-  std::mutex mu;
-  std::map<int, std::vector<int>> received;  // producer -> sequence seen
-  std::vector<std::thread> consumers;
-  std::atomic<int> remaining{kProducers * kPerProducer};
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (remaining.fetch_sub(1) > 0) {
-        const auto [p, i] = q.Pop();
-        std::lock_guard<std::mutex> lock(mu);
-        received[p].push_back(i);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  for (auto& t : consumers) t.join();
-
-  size_t total = 0;
-  for (auto& [p, seqs] : received) {
-    total += seqs.size();
-    std::sort(seqs.begin(), seqs.end());
-    for (int i = 0; i < static_cast<int>(seqs.size()); ++i) {
-      ASSERT_EQ(seqs[i], i) << "producer " << p << " lost or duplicated an item";
-    }
-  }
-  EXPECT_EQ(total, static_cast<size_t>(kProducers) * kPerProducer);
-}
-
-TEST(MpmcQueueContractTest, PerProducerOrderPreservedWithSingleConsumer) {
+TEST(RingQueueFanInTest, PerProducerOrderPreservedWithSingleConsumer) {
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 10000;
   RingQueue<std::pair<int, int>> q(32);
@@ -341,7 +246,7 @@ TEST(MpmcQueueContractTest, PerProducerOrderPreservedWithSingleConsumer) {
   for (auto& t : producers) t.join();
 }
 
-TEST(MpmcQueueContractTest, PushBatchFromManyProducersPreservesPerProducerFifo) {
+TEST(RingQueueFanInTest, PushBatchFromManyProducersPreservesPerProducerFifo) {
   // The invariant the batched transport layer leans on: whatever interleaving
   // PushBatch chunks produce across producers, each producer's own items
   // arrive in order. Small capacity forces chunking and backpressure.

@@ -96,7 +96,7 @@ class SumBolt final : public Bolt {
   uint64_t count = 0;
 };
 
-// Producer (this thread) -> SpscRingQueue -> relay thread -> RingQueue ->
+// Producer (this thread) -> RingQueue -> relay thread -> RingQueue ->
 // sink thread, which fills one reused TupleBatch and hands it to a bolt.
 // Tuples are built on one thread and destroyed on another, as on every
 // topology link, so a per-thread allocation cache cannot hide a heap block
@@ -108,23 +108,23 @@ TEST(TupleHopAllocTest, CoLocatedHopAllocatesNothing) {
   record->tokens = std::vector<TokenId>{1, 2, 3};
   const std::shared_ptr<const Record> shared = record;
 
-  SpscRingQueue<Envelope> spsc(4 * kBatch);
-  RingQueue<Envelope> mpmc(4 * kBatch);
+  RingQueue<Envelope> first(4 * kBatch);
+  RingQueue<Envelope> second(4 * kBatch);
   std::atomic<uint64_t> sunk{0};
   SumBolt bolt;
 
   std::thread relay([&] {
     std::vector<Envelope> inbox;
     inbox.reserve(kBatch);
-    while (spsc.PopBatch(&inbox, kBatch) > 0) mpmc.PushBatch(&inbox);
-    mpmc.Close();
+    while (first.PopBatch(&inbox, kBatch) > 0) second.PushBatch(&inbox);
+    second.Close();
   });
   std::thread sink([&] {
     std::vector<Envelope> inbox;
     inbox.reserve(kBatch);
     TupleBatch batch;
     NullCollector out;
-    while (mpmc.PopBatch(&inbox, kBatch) > 0) {
+    while (second.PopBatch(&inbox, kBatch) > 0) {
       for (Envelope& env : inbox) batch.push_back(std::move(env.tuple));
       const size_t n = inbox.size();
       inbox.clear();
@@ -144,9 +144,9 @@ TEST(TupleHopAllocTest, CoLocatedHopAllocatesNothing) {
       env.source_task = 0;
       env.link_seq = ++produced;
       pending.push_back(std::move(env));
-      if (pending.size() == kBatch) spsc.PushBatch(&pending);
+      if (pending.size() == kBatch) first.PushBatch(&pending);
     }
-    if (!pending.empty()) spsc.PushBatch(&pending);
+    if (!pending.empty()) first.PushBatch(&pending);
     while (sunk.load(std::memory_order_acquire) < produced) std::this_thread::yield();
   };
 
@@ -156,7 +156,7 @@ TEST(TupleHopAllocTest, CoLocatedHopAllocatesNothing) {
   g_counting.store(true);
   produce(kMeasured);
   g_counting.store(false);
-  spsc.Close();
+  first.Close();
   relay.join();
   sink.join();
 

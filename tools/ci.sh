@@ -28,6 +28,12 @@ echo "== warning-free build =="
 # forgot, and -Wdangling-else an assertion that an unbraced if swallows.
 cmake -B build-werror -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build-werror -j
+# The same in Release (-O3, as perfbench builds src/): GCC's flow-based
+# warnings (-Wrestrict, -Wmaybe-uninitialized, -Warray-bounds) see more
+# after more inlining, so a tree that is clean at the default build type
+# can still warn here.
+cmake -B build-werror-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build build-werror-release -j
 
 echo "== overload scenarios =="
 (cd build && ctest -L overload --output-on-failure)
@@ -139,9 +145,9 @@ if [[ "$RUN_SANITIZE" == "1" ]]; then
     ctest -R 'ingest_lanes_test' --repeat until-fail:5 --output-on-failure)
 
   echo "== ring-queue race repetition (TSan, N=200) =="
-  # The close/wake interleavings in the lock-free rings are the raciest
+  # The close/wake interleavings in the lock-free ring are the raciest
   # code in the repo and a single pass rarely explores them; hammer the
-  # ring stress tests and the Queue<T> contract suite 200 times under TSan
+  # ring stress tests and the RingQueue contract suite 200 times under TSan
   # so a stranded-waiter or missed-close schedule has real odds of
   # surfacing.
   (cd build-tsan && TSAN_OPTIONS="halt_on_error=1" \
