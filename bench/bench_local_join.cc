@@ -8,9 +8,8 @@
 //   --records=N   stream length per benchmark (default 30000; the CI smoke
 //                 run uses 20000 to bound wall time).
 //
-// The *Scalar variants pin the pre-optimization verification kernel
-// (VerifyKernel::kScalar) so the block/SIMD kernel's effect is measurable
-// in one binary.
+// Counters per cell: results, postings_scanned, candidates and
+// merge_steps (token comparisons plus binary searches in verification).
 
 #include <cstdio>
 #include <cstdlib>
@@ -24,20 +23,18 @@
 #include "core/brute_force_joiner.h"
 #include "core/bundle_joiner.h"
 #include "core/record_joiner.h"
-#include "core/verify.h"
 
 namespace dssj::bench {
 namespace {
 
 size_t g_records = 30000;
 
-void RunLocal(benchmark::State& state, LocalAlgorithm algorithm, VerifyKernel kernel) {
+void RunLocal(benchmark::State& state, LocalAlgorithm algorithm) {
   const double dup_fraction = static_cast<double>(state.range(0)) / 100.0;
   const size_t records = g_records;
   const auto& stream = CachedDupStream(dup_fraction, records);
   const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);
   const WindowSpec window = WindowSpec::ByCount(20000);
-  SetVerifyKernel(kernel);
   uint64_t sink = 0;
   std::unique_ptr<LocalJoiner> joiner;
   for (auto _ : state) {
@@ -57,7 +54,6 @@ void RunLocal(benchmark::State& state, LocalAlgorithm algorithm, VerifyKernel ke
                       [&sink](const ResultPair&) { ++sink; });
     }
   }
-  SetVerifyKernel(VerifyKernel::kBlock);
   benchmark::DoNotOptimize(sink);
   const JoinerStats& s = joiner->stats();
   state.SetItemsProcessed(static_cast<int64_t>(records) * state.iterations());
@@ -69,26 +65,14 @@ void RunLocal(benchmark::State& state, LocalAlgorithm algorithm, VerifyKernel ke
       static_cast<double>(records) * state.iterations(), benchmark::Counter::kIsRate);
 }
 
-void BM_RecordJoiner(benchmark::State& state) {
-  RunLocal(state, LocalAlgorithm::kRecord, VerifyKernel::kBlock);
-}
-void BM_BundleJoiner(benchmark::State& state) {
-  RunLocal(state, LocalAlgorithm::kBundle, VerifyKernel::kBlock);
-}
-void BM_RecordJoinerScalar(benchmark::State& state) {
-  RunLocal(state, LocalAlgorithm::kRecord, VerifyKernel::kScalar);
-}
-void BM_BundleJoinerScalar(benchmark::State& state) {
-  RunLocal(state, LocalAlgorithm::kBundle, VerifyKernel::kScalar);
-}
+void BM_RecordJoiner(benchmark::State& state) { RunLocal(state, LocalAlgorithm::kRecord); }
+void BM_BundleJoiner(benchmark::State& state) { RunLocal(state, LocalAlgorithm::kBundle); }
 
 // Duplicate density sweep: 0%, 20%, 40%, 60%, 80%.
 BENCHMARK(BM_RecordJoiner)->Arg(0)->Arg(20)->Arg(40)->Arg(60)->Arg(80)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BundleJoiner)->Arg(0)->Arg(20)->Arg(40)->Arg(60)->Arg(80)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RecordJoinerScalar)->Arg(40)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BundleJoinerScalar)->Arg(40)->Unit(benchmark::kMillisecond);
 
 // Brute force as a scale anchor on a smaller prefix of the stream.
 void BM_BruteForceAnchor(benchmark::State& state) {

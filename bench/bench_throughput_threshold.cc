@@ -13,11 +13,10 @@
 // Usage: bench_throughput_threshold [--emit_json=PATH] [--runs=N]
 //                                   [google-benchmark flags]
 //   --emit_json=PATH  skip the benchmark harness and instead measure the
-//                     hot-path optimizations before/after (batch_size=1 +
-//                     scalar verify kernel vs batch_size=32 + block kernel)
-//                     at threshold 0.8 on the TWEET and DBLP presets, plus
-//                     the local joiners, and write machine-readable JSON
-//                     (median of --runs runs, default 3) to PATH.
+//                     hot-path optimizations before/after (batch_size=1 vs
+//                     batch_size=32) at threshold 0.8 on the TWEET and DBLP
+//                     presets, and write machine-readable JSON (median of
+//                     --runs runs, default 3) to PATH.
 
 #include <algorithm>
 #include <chrono>
@@ -32,9 +31,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "core/bundle_joiner.h"
-#include "core/record_joiner.h"
-#include "core/verify.h"
 #include "store/format.h"
 #include "text/corpus.h"
 #include "text/tokenizer.h"
@@ -213,8 +209,7 @@ struct DistMeasurement {
   uint64_t results = 0;
 };
 
-DistMeasurement MeasureDistributedOnce(DatasetPreset preset, size_t batch_size,
-                                       VerifyKernel kernel) {
+DistMeasurement MeasureDistributedOnce(DatasetPreset preset, size_t batch_size) {
   const size_t n = RecordsFor(preset);
   const auto& stream = CachedStream(preset, n);
   DistributedJoinOptions options = BaseJoinOptions(800, kJoiners);
@@ -223,9 +218,7 @@ DistMeasurement MeasureDistributedOnce(DatasetPreset preset, size_t batch_size,
   options.batch_size = batch_size;
   options.length_partition = PlanLengthPartition(
       stream, options.sim, kJoiners, PartitionMethod::kLoadAwareGreedy);
-  SetVerifyKernel(kernel);
   const DistributedJoinResult r = RunDistributedJoin(stream, options);
-  SetVerifyKernel(VerifyKernel::kBlock);
   return {r.throughput_rps, r.scaled_throughput_rps, r.result_count};
 }
 
@@ -543,37 +536,6 @@ LoadMeasurement MeasureOfferedLoadOnce(const std::vector<RecordPtr>& stream,
   return {r.throughput_rps, r.latency.p99_us, r.result_count, r.shed_probes};
 }
 
-struct LocalMeasurement {
-  double rps = 0.0;
-  uint64_t results = 0;
-};
-
-LocalMeasurement MeasureLocalOnce(LocalAlgorithm algorithm, VerifyKernel kernel,
-                                  size_t records) {
-  const auto& stream = CachedDupStream(0.4, records);
-  const SimilaritySpec sim(SimilarityFunction::kJaccard, 800);
-  const WindowSpec window = WindowSpec::ByCount(20000);
-  SetVerifyKernel(kernel);
-  std::unique_ptr<LocalJoiner> joiner;
-  if (algorithm == LocalAlgorithm::kRecord) {
-    joiner = std::make_unique<RecordJoiner>(sim, window);
-  } else {
-    joiner = std::make_unique<BundleJoiner>(sim, window);
-  }
-  uint64_t sink = 0;
-  const auto begin = std::chrono::steady_clock::now();
-  for (const RecordPtr& r : stream) {
-    joiner->Process(r, /*store=*/true, /*probe=*/true,
-                    [&sink](const ResultPair&) { ++sink; });
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-  SetVerifyKernel(VerifyKernel::kBlock);
-  benchmark::DoNotOptimize(sink);
-  return {seconds > 0.0 ? static_cast<double>(records) / seconds : 0.0,
-          joiner->stats().results};
-}
-
 double Median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const size_t n = v.size();
@@ -606,8 +568,8 @@ int EmitJson(const std::string& path, int runs) {
                "  \"threshold_permille\": 800,\n"
                "  \"joiners\": %d,\n"
                "  \"runs_per_config\": %d,\n"
-               "  \"baseline_config\": {\"batch_size\": 1, \"verify_kernel\": \"scalar\"},\n"
-               "  \"optimized_config\": {\"batch_size\": 32, \"verify_kernel\": \"block\"},\n",
+               "  \"baseline_config\": {\"batch_size\": 1},\n"
+               "  \"optimized_config\": {\"batch_size\": 32},\n",
                kJoiners, runs);
 
   std::fprintf(f, "  \"distributed\": [\n");
@@ -617,13 +579,11 @@ int EmitJson(const std::string& path, int runs) {
     std::vector<double> base_wall, base_scaled, opt_wall, opt_scaled;
     uint64_t base_results = 0, opt_results = 0;
     for (int i = 0; i < runs; ++i) {
-      const DistMeasurement b =
-          MeasureDistributedOnce(preset, 1, VerifyKernel::kScalar);
+      const DistMeasurement b = MeasureDistributedOnce(preset, 1);
       base_wall.push_back(b.wall_rps);
       base_scaled.push_back(b.scaled_rps);
       base_results = b.results;
-      const DistMeasurement o =
-          MeasureDistributedOnce(preset, 32, VerifyKernel::kBlock);
+      const DistMeasurement o = MeasureDistributedOnce(preset, 32);
       opt_wall.push_back(o.wall_rps);
       opt_scaled.push_back(o.scaled_rps);
       opt_results = o.results;
@@ -647,38 +607,6 @@ int EmitJson(const std::string& path, int runs) {
                  PresetName(preset), bw, ow, bw > 0.0 ? ow / bw : 0.0,
                  static_cast<unsigned long long>(base_results),
                  static_cast<unsigned long long>(opt_results));
-  }
-  std::fprintf(f, "  ],\n");
-
-  std::fprintf(f, "  \"local\": [\n");
-  const LocalAlgorithm algos[] = {LocalAlgorithm::kRecord, LocalAlgorithm::kBundle};
-  const char* algo_names[] = {"record", "bundle"};
-  const size_t local_records = 30000;
-  for (size_t a = 0; a < 2; ++a) {
-    std::vector<double> base_rps, opt_rps;
-    uint64_t base_results = 0, opt_results = 0;
-    for (int i = 0; i < runs; ++i) {
-      const LocalMeasurement b =
-          MeasureLocalOnce(algos[a], VerifyKernel::kScalar, local_records);
-      base_rps.push_back(b.rps);
-      base_results = b.results;
-      const LocalMeasurement o =
-          MeasureLocalOnce(algos[a], VerifyKernel::kBlock, local_records);
-      opt_rps.push_back(o.rps);
-      opt_results = o.results;
-    }
-    const double br = Median(base_rps), orr = Median(opt_rps);
-    std::fprintf(f,
-                 "    {\"joiner\": \"%s\", \"dup_fraction\": 0.4, \"records\": %zu,\n"
-                 "     \"baseline\": {\"rec_per_s\": %.1f, \"results\": %llu},\n"
-                 "     \"optimized\": {\"rec_per_s\": %.1f, \"results\": %llu},\n"
-                 "     \"speedup\": %.3f}%s\n",
-                 algo_names[a], local_records, br,
-                 static_cast<unsigned long long>(base_results), orr,
-                 static_cast<unsigned long long>(opt_results),
-                 br > 0.0 ? orr / br : 0.0, a + 1 < 2 ? "," : "");
-    std::fprintf(stderr, "[local %s] scalar %.0f rec/s -> block %.0f rec/s (%.2fx)\n",
-                 algo_names[a], br, orr, br > 0.0 ? orr / br : 0.0);
   }
   std::fprintf(f, "  ],\n");
 

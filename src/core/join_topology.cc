@@ -438,7 +438,7 @@ class JoinerBolt : public stream::Bolt {
     if (options_->shed_policy == stream::ShedPolicy::kNone || !queue_health_) return;
     const stream::QueueHealth h = queue_health_();
     const size_t backlog = h.depth + in_hand;
-    const bool over = h.force_shed || backlog >= shed_threshold_;
+    const bool over = backlog >= shed_threshold_;
     const bool was_over = shed_active_;
     shed_active_ = over || shed_pending_ > 0;
     if (over && !was_over) {
@@ -936,7 +936,6 @@ std::unique_ptr<LocalJoiner> MakeLocalJoiner(const DistributedJoinOptions& optio
   switch (options.local) {
     case LocalAlgorithm::kRecord: {
       RecordJoinerOptions ro;
-      ro.positional_filter = options.positional_filter;
       ro.max_index_bytes = options.max_index_bytes;
       if (prefix_strategy) {
         ro.token_filter =
@@ -1040,7 +1039,6 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   overload.shed_policy = options.shed_policy;
   overload.shed_watermark = options.shed_watermark;
   overload.stall_timeout_micros = options.stall_timeout_micros;
-  overload.fail_fast = options.watchdog_fail_fast;
   if (overload.enabled()) builder.SetOverload(overload);
   if (transport != nullptr) builder.SetTransport(transport);
   const bool pin = transport != nullptr;

@@ -106,7 +106,6 @@ struct DistributedJoinOptions {
 
   /// Local-algorithm tuning.
   BundleJoinerOptions bundle;
-  bool positional_filter = true;
 
   /// Collect every result pair (tests, small runs) or only count them
   /// (throughput benches).
@@ -192,11 +191,10 @@ struct DistributedJoinOptions {
   stream::ShedPolicy shed_policy = stream::ShedPolicy::kNone;
   double shed_watermark = 0.75;
 
-  /// Stall watchdog: when > 0, a monitor thread fails the run (or forces
-  /// shedding, per watchdog_fail_fast) if the topology stops progressing or
-  /// a queued tuple sits undelivered for this long.
+  /// Stall watchdog: when > 0, a monitor thread fails the run with a
+  /// per-task dump if the topology stops progressing or a queued tuple sits
+  /// undelivered for this long.
   int64_t stall_timeout_micros = 0;
-  bool watchdog_fail_fast = true;
 
   /// Per-joiner memory budget in approximate bytes (0 = unlimited),
   /// forwarded to RecordJoinerOptions / BundleJoinerOptions

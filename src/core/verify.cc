@@ -1,44 +1,23 @@
 #include "core/verify.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <immintrin.h>
-#endif
 
 namespace dssj {
+
 namespace {
-
-std::atomic<VerifyKernel> g_verify_kernel{VerifyKernel::kBlock};
-
-/// A side is "skewed" once it is this many times longer than the other;
-/// the kernel then gallops the short side through the long side instead of
-/// merging.
-constexpr size_t kGallopSkew = 16;
-
-/// Below this length the classic merge with a per-iteration early-exit
-/// check beats the block kernel: with `required` close to min(na, nb) —
-/// the common case for high thresholds on short records — the scalar loop
-/// exits after a couple of mismatches, while a block always pays for a full
-/// 4-wide compare round.
-constexpr size_t kShortMerge = 16;
 
 struct MergeResult {
   size_t overlap = 0;
-  uint64_t steps = 0;
+  uint64_t steps = 0;  ///< token comparisons
   bool early = false;
 };
 
-/// The reference merge loop with per-iteration early exit.
-MergeResult ScalarMergeCore(const TokenId* a, size_t na, const TokenId* b, size_t nb,
-                            size_t required) {
+/// The merge loop with a per-comparison early exit: gives up once even
+/// matching every remaining token cannot reach `required` (0: never).
+MergeResult Merge(const TokenId* a, size_t na, const TokenId* b, size_t nb, size_t required) {
   MergeResult res;
   size_t i = 0, j = 0;
   while (i < na && j < nb) {
-    // Early exit: even matching every remaining token cannot reach
-    // `required`.
     if (required > 0 && res.overlap + std::min(na - i, nb - j) < required) {
       res.early = true;
       break;
@@ -57,208 +36,11 @@ MergeResult ScalarMergeCore(const TokenId* a, size_t na, const TokenId* b, size_
   return res;
 }
 
-/// Branchless scalar merge starting at (i, j) with `count` matches already
-/// found. The early-exit bound is evaluated once per 8 steps instead of per
-/// step — the bound computation itself (two subtractions, a min, a compare)
-/// was a measurable share of the old per-iteration loop.
-MergeResult ScalarTail(const TokenId* a, size_t na, const TokenId* b, size_t nb,
-                       size_t i, size_t j, size_t count, size_t required) {
-  MergeResult res{count, 0, false};
-  while (i < na && j < nb) {
-    if (required > 0 && res.overlap + std::min(na - i, nb - j) < required) {
-      res.early = true;
-      return res;
-    }
-    for (int k = 0; k < 8 && i < na && j < nb; ++k) {
-      const TokenId x = a[i];
-      const TokenId y = b[j];
-      res.overlap += (x == y);
-      i += (x <= y);
-      j += (y <= x);
-      ++res.steps;
-    }
-  }
-  return res;
-}
-
-/// 4-token block merge from (i, j): compare a whole block of `a` against
-/// every rotation of a block of `b` (strictly ascending arrays mean each
-/// token matches at most once, so OR-ing the compares counts exactly), then
-/// advance whichever side has the smaller block maximum. SSE2 when
-/// available, with the branchless scalar loop finishing the remainder.
-MergeResult MergeFrom(const TokenId* a, size_t na, const TokenId* b, size_t nb,
-                      size_t i, size_t j, size_t count, size_t required) {
-#if defined(__SSE2__)
-  MergeResult res{count, 0, false};
-  while (i + 4 <= na && j + 4 <= nb) {
-    if (required > 0 && res.overlap + std::min(na - i, nb - j) < required) {
-      res.early = true;
-      return res;
-    }
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + j));
-    __m128i eq = _mm_cmpeq_epi32(va, vb);
-    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1))));
-    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2))));
-    eq = _mm_or_si128(eq, _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3))));
-    res.overlap += static_cast<size_t>(
-        std::popcount(static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)))));
-    ++res.steps;
-    const TokenId amax = a[i + 3];
-    const TokenId bmax = b[j + 3];
-    if (amax <= bmax) i += 4;
-    if (bmax <= amax) j += 4;
-  }
-  MergeResult tail = ScalarTail(a, na, b, nb, i, j, res.overlap, required);
-  tail.steps += res.steps;
-  return tail;
-#else
-  return ScalarTail(a, na, b, nb, i, j, count, required);
-#endif
-}
-
-#if (defined(__x86_64__) || defined(_M_X64)) && (defined(__GNUC__) || defined(__clang__))
-#define DSSJ_AVX2_DISPATCH 1
-/// 8-token AVX2 block merge (runtime-dispatched; compiled for AVX2 via the
-/// target attribute so the translation unit itself stays baseline-ISA).
-__attribute__((target("avx2"))) MergeResult BlockMergeAvx2(const TokenId* a, size_t na,
-                                                           const TokenId* b, size_t nb,
-                                                           size_t required) {
-  size_t i = 0, j = 0;
-  MergeResult res{0, 0, false};
-  const __m256i rot1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  while (i + 8 <= na && j + 8 <= nb) {
-    if (required > 0 && res.overlap + std::min(na - i, nb - j) < required) {
-      res.early = true;
-      return res;
-    }
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    __m256i eq = _mm256_cmpeq_epi32(va, vb);
-    for (int r = 1; r < 8; ++r) {
-      vb = _mm256_permutevar8x32_epi32(vb, rot1);
-      eq = _mm256_or_si256(eq, _mm256_cmpeq_epi32(va, vb));
-    }
-    res.overlap += static_cast<size_t>(
-        std::popcount(static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)))));
-    ++res.steps;
-    const TokenId amax = a[i + 7];
-    const TokenId bmax = b[j + 7];
-    if (amax <= bmax) i += 8;
-    if (bmax <= amax) j += 8;
-  }
-  MergeResult rest = MergeFrom(a, na, b, nb, i, j, res.overlap, required);
-  rest.steps += res.steps;
-  return rest;
-}
-#endif
-
-MergeResult BlockMerge(const TokenId* a, size_t na, const TokenId* b, size_t nb,
-                       size_t required) {
-#if defined(DSSJ_AVX2_DISPATCH)
-  static const bool kHasAvx2 = __builtin_cpu_supports("avx2");
-  if (kHasAvx2 && na >= 8 && nb >= 8) return BlockMergeAvx2(a, na, b, nb, required);
-#endif
-  return MergeFrom(a, na, b, nb, 0, 0, 0, required);
-}
-
-/// Counts matches of a tiny side `s` against the long side `l` with one
-/// resumable bounded binary search per token. For one or two tokens this
-/// beats both the gallop (whose doubling phase re-probes cache lines the
-/// lower_bound touches anyway) and the block kernel (whose tail would walk
-/// `l` linearly) — the shape the bundle joiner's delta-based member
-/// resolution produces constantly: a full-length probe against a one- or
-/// two-token add/remove diff.
-MergeResult SearchIntersect(const TokenId* s, size_t ns, const TokenId* l, size_t nl) {
-  MergeResult res{0, 0, false};
-  const TokenId* from = l;
-  const TokenId* end = l + nl;
-  for (size_t k = 0; k < ns; ++k) {
-    from = std::lower_bound(from, end, s[k]);
-    ++res.steps;
-    if (from == end) break;
-    if (*from == s[k]) {
-      ++res.overlap;
-      ++from;
-    }
-  }
-  return res;
-}
-
-/// Sides at or below this length dispatch to SearchIntersect. Measured on
-/// the bench host: at 1-2 tokens the binary search wins against every other
-/// kernel for any long-side length; from 4 tokens up the block merge (or
-/// the gallop, once the skew passes kGallopSkew/2) is ahead.
-constexpr size_t kTinyIntersect = 2;
-
-/// Counts matches of the short side `s` against the long side `l` by
-/// resumable exponential (galloping) search: each short token brackets its
-/// position by doubling steps from the previous match, then binary-searches
-/// the bracket. O(ns · log(nl / ns)) instead of O(ns + nl).
-MergeResult GallopIntersect(const TokenId* s, size_t ns, const TokenId* l, size_t nl,
-                            size_t required) {
-  MergeResult res{0, 0, false};
-  size_t lo = 0;
-  for (size_t i = 0; i < ns; ++i) {
-    if (required > 0 && res.overlap + (ns - i) < required) {
-      res.early = true;
-      return res;
-    }
-    const TokenId t = s[i];
-    size_t bound = 1;
-    while (lo + bound < nl && l[lo + bound] < t) bound <<= 1;
-    const size_t high = std::min(nl, lo + bound);
-    const TokenId* pos = std::lower_bound(l + lo, l + high, t);
-    ++res.steps;
-    lo = static_cast<size_t>(pos - l);
-    if (lo == nl) return res;  // exhausted the long side: result is exact
-    if (l[lo] == t) {
-      ++res.overlap;
-      ++lo;
-    }
-  }
-  return res;
-}
-
 }  // namespace
-
-void SetVerifyKernel(VerifyKernel kernel) {
-  g_verify_kernel.store(kernel, std::memory_order_relaxed);
-}
-
-VerifyKernel GetVerifyKernel() { return g_verify_kernel.load(std::memory_order_relaxed); }
-
-size_t VerifyOverlapScalar(const TokenId* a, size_t na, const TokenId* b, size_t nb,
-                           size_t required, VerifyCounters* counters) {
-  const MergeResult res = ScalarMergeCore(a, na, b, nb, required);
-  if (counters != nullptr) {
-    counters->merge_steps += res.steps;
-    counters->full_verifications += 1;
-    if (res.early) counters->early_exits += 1;
-  }
-  return res.overlap;
-}
 
 size_t VerifyOverlap(const TokenId* a, size_t na, const TokenId* b, size_t nb,
                      size_t required, VerifyCounters* counters) {
-  if (GetVerifyKernel() == VerifyKernel::kScalar) {
-    return VerifyOverlapScalar(a, na, b, nb, required, counters);
-  }
-  MergeResult res;
-  if (na != 0 && nb != 0) {
-    const size_t shorter = std::min(na, nb);
-    if (required > shorter) {
-      res.early = true;  // even full containment cannot reach `required`
-    } else if (na >= nb * kGallopSkew) {
-      res = GallopIntersect(b, nb, a, na, required);
-    } else if (nb >= na * kGallopSkew) {
-      res = GallopIntersect(a, na, b, nb, required);
-    } else if (shorter <= kShortMerge) {
-      res = ScalarMergeCore(a, na, b, nb, required);
-    } else {
-      res = BlockMerge(a, na, b, nb, required);
-    }
-  }
+  const MergeResult res = Merge(a, na, b, nb, required);
   if (counters != nullptr) {
     counters->merge_steps += res.steps;
     counters->full_verifications += 1;
@@ -274,57 +56,22 @@ size_t VerifyOverlap(TokenSpan a, TokenSpan b, size_t required, VerifyCounters* 
 size_t IntersectCount(const TokenId* probe, size_t nprobe, const TokenId* diff, size_t ndiff,
                       VerifyCounters* counters) {
   MergeResult res;
-  if (GetVerifyKernel() == VerifyKernel::kScalar) {
-    // Reference behaviour: per-token binary search for tiny diffs, plain
-    // merge otherwise.
-    if (ndiff * 8 < nprobe) {
-      const TokenId* from = probe;
-      const TokenId* end = probe + nprobe;
-      for (size_t k = 0; k < ndiff; ++k) {
-        from = std::lower_bound(from, end, diff[k]);
-        res.steps += 1;
-        if (from == end) break;
-        if (*from == diff[k]) {
-          ++res.overlap;
-          ++from;
-        }
-      }
-    } else {
-      size_t i = 0, j = 0;
-      while (i < nprobe && j < ndiff) {
-        ++res.steps;
-        if (probe[i] == diff[j]) {
-          ++res.overlap;
-          ++i;
-          ++j;
-        } else if (probe[i] < diff[j]) {
-          ++i;
-        } else {
-          ++j;
-        }
+  if (ndiff * 8 < nprobe) {
+    // A diff this small against the probe: one resumable binary search per
+    // diff token beats walking the probe.
+    const TokenId* from = probe;
+    const TokenId* end = probe + nprobe;
+    for (size_t k = 0; k < ndiff; ++k) {
+      from = std::lower_bound(from, end, diff[k]);
+      ++res.steps;
+      if (from == end) break;
+      if (*from == diff[k]) {
+        ++res.overlap;
+        ++from;
       }
     }
-  } else if (nprobe != 0 && ndiff != 0) {
-    // Per-shape kernel selection (ISSUE: delta-based member resolution used
-    // to defeat the block kernel globally): the short side and the
-    // long/short ratio pick the cheapest kernel for this call.
-    const TokenId* s = diff;
-    size_t ns = ndiff;
-    const TokenId* l = probe;
-    size_t nl = nprobe;
-    if (ns > nl) {
-      std::swap(s, l);
-      std::swap(ns, nl);
-    }
-    if (ns <= kTinyIntersect) {
-      // Against a short long side the plain merge's dozen branch-free steps
-      // still undercut two binary searches.
-      res = nl <= kShortMerge ? ScalarMergeCore(l, nl, s, ns, 0) : SearchIntersect(s, ns, l, nl);
-    } else if (ns * 8 < nl) {
-      res = GallopIntersect(s, ns, l, nl, 0);
-    } else {
-      res = BlockMerge(probe, nprobe, diff, ndiff, 0);
-    }
+  } else {
+    res = Merge(probe, nprobe, diff, ndiff, /*required=*/0);
   }
   if (counters != nullptr) {
     counters->merge_steps += res.steps;

@@ -10,23 +10,18 @@ namespace dssj {
 
 /// Counters shared by verification routines so benches can attribute cost.
 struct VerifyCounters {
-  uint64_t merge_steps = 0;      ///< kernel loop iterations (blocks/searches)
+  uint64_t merge_steps = 0;  ///< token comparisons plus binary searches
   uint64_t full_verifications = 0;
   uint64_t diff_verifications = 0;
   uint64_t early_exits = 0;
 };
 
-/// Which implementation the verification routines dispatch to. kBlock is
-/// the optimized default: a branch-light 4-token block merge (SIMD when the
-/// CPU supports it) with galloping binary search once the input lengths are
-/// skewed >= 16x. kScalar is the pre-optimization reference loop — kept
-/// callable so equivalence tests and before/after benchmarks can pin it.
+/// Inert: there is one verification kernel, which both values run.
+/// perfbench/probes.cc still times its `core.verify.block_s` and
+/// `core.verify.scalar_s` replays through this call; the benchmark change
+/// that retires those two metrics removes it (as with stream::MakeQueue).
 enum class VerifyKernel { kScalar, kBlock };
-
-/// Process-wide kernel selection (benches/tests; default kBlock). Not
-/// intended to be toggled while joiners are running.
-void SetVerifyKernel(VerifyKernel kernel);
-VerifyKernel GetVerifyKernel();
+inline void SetVerifyKernel(VerifyKernel) {}
 
 /// Merge-counts the overlap of two ascending token arrays with early
 /// termination: returns the exact overlap if it is >= `required`; otherwise
@@ -43,12 +38,6 @@ size_t VerifyOverlap(const TokenId* a, size_t na, const TokenId* b, size_t nb,
 /// (owning or frame-borrowed) and raw spans alike.
 size_t VerifyOverlap(TokenSpan a, TokenSpan b, size_t required,
                      VerifyCounters* counters = nullptr);
-
-/// The reference scalar merge loop (pre-optimization behaviour), exposed so
-/// fuzz tests can cross-check the block/SIMD kernel and benches can measure
-/// the baseline. Identical contract to VerifyOverlap.
-size_t VerifyOverlapScalar(const TokenId* a, size_t na, const TokenId* b, size_t nb,
-                           size_t required, VerifyCounters* counters = nullptr);
 
 /// Counts |probe ∩ diff| where both arrays are ascending. Used by bundle
 /// batch verification: a member's overlap with the probe is derived from

@@ -20,10 +20,9 @@ struct TaskContext {
   int parallelism = 1;     ///< number of tasks of this component
   int worker = 0;          ///< simulated worker id hosting this task
   TaskMetrics* metrics = nullptr;  ///< this task's metric sinks
-  /// Health snapshot of this task's inbound queue, with force_shed set when
-  /// the watchdog demanded shedding. Only wired for bolts under overload
-  /// control (TopologyBuilder::SetOverload); null otherwise. Call from the
-  /// owning executor thread.
+  /// Health snapshot of this task's inbound queue. Only wired for bolts
+  /// under overload control (TopologyBuilder::SetOverload); null otherwise.
+  /// Call from the owning executor thread.
   std::function<QueueHealth()> queue_health;
 };
 

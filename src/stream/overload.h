@@ -36,9 +36,6 @@ struct OverloadOptions {
   /// with work pending, or when a queued tuple is older than this (a
   /// latency-SLO breach under sustained overload). 0 disables the watchdog.
   int64_t stall_timeout_micros = 0;
-  /// Tripped watchdog: fail the topology with a per-task dump (true), or
-  /// force shedding on every bolt and keep running (false).
-  bool fail_fast = true;
 
   bool enabled() const {
     return shed_policy != ShedPolicy::kNone || stall_timeout_micros > 0;
@@ -56,9 +53,6 @@ struct QueueHealth {
   int64_t at_capacity_stretch_micros = 0;
   /// Age of the oldest queued tuple (0 if empty).
   int64_t oldest_age_micros = 0;
-  /// Set by the executor wrapper when the watchdog forced shedding on
-  /// (OverloadOptions::fail_fast == false); not a queue property.
-  bool force_shed = false;
 };
 
 }  // namespace dssj::stream

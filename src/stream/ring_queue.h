@@ -153,9 +153,12 @@ class ParkingLot {
 ///
 /// Transitions are deliberately asymmetric so the gate cannot oscillate:
 /// kTrickleWaits consecutive waits with drains <= kTrickleItems enter nap
-/// mode, and only a *barren* nap (the link went quiet) leaves it — a nap
-/// that woke to a big backlog is the strategy working, not evidence against
-/// it. Purely a wait-strategy heuristic: naps delay a pop by at most
+/// mode, and only a *barren* nap (the link went quiet) or one that finds
+/// the ring full leaves it — a nap that woke to a backlog is the strategy
+/// working, not evidence against it. A full ring is backpressure, not
+/// trickle: a ring of a few slots drains at most its capacity per wait
+/// however fast its producers run, so a pop from a full ring also ends the
+/// streak. Purely a wait-strategy heuristic: naps delay a pop by at most
 /// kNapMicros, they never change what is popped.
 class TrickleGate {
  public:
@@ -164,9 +167,10 @@ class TrickleGate {
   static constexpr int kBarrenNaps = 2;
   static constexpr int kNapMicros = 200;
 
-  /// Consumer popped n items (any pop path).
-  void OnPopped(size_t n) {
-    items_since_wait_.fetch_add(n, std::memory_order_relaxed);
+  /// Consumer popped n items (any pop path); `from_full` when the ring was
+  /// full before the pop, which ends the trickle streak however small n is.
+  void OnPopped(size_t n, bool from_full) {
+    items_since_wait_.fetch_add(from_full ? kTrickleItems + 1 : n, std::memory_order_relaxed);
   }
 
   /// Top of a wait episode: returns true when the consumer should take one
@@ -186,9 +190,10 @@ class TrickleGate {
     return false;
   }
 
-  /// A nap expired with the ring still empty: the link is quiet, so go back
-  /// to parked waits (which cost nothing while idle and wake instantly).
-  void OnNapBarren() {
+  /// A nap expired with the ring still empty (the link is quiet) or found
+  /// it full (producers are blocked on it): go back to parked waits, which
+  /// cost nothing while idle and wake instantly.
+  void LeaveNapMode() {
     nap_mode_.store(false, std::memory_order_relaxed);
     streak_.store(0, std::memory_order_relaxed);
   }
@@ -421,8 +426,6 @@ class RingQueue {
   void EnableHealthTracking() { health_.Enable(); }
 
   /// Point-in-time health snapshot (zeros unless tracking is enabled).
-  /// QueueHealth::force_shed is not set here — the topology wrapper owns
-  /// that bit.
   QueueHealth Health() const { return health_.Snapshot(size(), capacity_); }
 
  private:
@@ -507,9 +510,12 @@ class RingQueue {
     if (trickle_.ShouldNap()) {
       for (int b = 0; b < ring_detail::TrickleGate::kBarrenNaps; ++b) {
         ring_detail::TrickleGate::Nap();
-        if (pred()) return;  // productive nap: stay in nap mode
+        if (pred()) {
+          if (size() >= capacity_) trickle_.LeaveNapMode();
+          return;  // productive nap: stay in nap mode unless the ring filled
+        }
       }
-      trickle_.OnNapBarren();
+      trickle_.LeaveNapMode();
     }
     consumer_.Await(pred);
   }
@@ -526,14 +532,13 @@ class RingQueue {
   }
 
   void FinishPop(uint64_t tail, size_t n) {
-    trickle_.OnPopped(n);
     tail_.store(tail + n, std::memory_order_release);
     // Full→non-full edge: only a pop from a full ring can unblock a parked
     // producer.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if ((claim_.load(std::memory_order_relaxed) & kPosMask) - tail >= capacity_) {
-      producers_.Wake();
-    }
+    const bool from_full = (claim_.load(std::memory_order_relaxed) & kPosMask) - tail >= capacity_;
+    if (from_full) producers_.Wake();
+    trickle_.OnPopped(n, from_full);
     health_.OnDequeued(n, size(), capacity_);
   }
 

@@ -147,14 +147,12 @@ struct TopologyImpl {
 
   // Overload control (SetOverload): queue-health instrumentation is enabled
   // on every bolt queue at Build(), and — when a stall timeout is set — a
-  // watchdog thread samples progress while the topology runs. The watchdog
-  // either fails the run with a per-task dump (fail_fast) or raises
-  // `force_shed`, which TaskContext::queue_health exposes to shedding
-  // bolts. `task_exited` mirrors thread liveness for the dump (one flag per
-  // task, allocated at Build because Task objects are moved into `tasks`).
+  // watchdog thread samples progress while the topology runs, and a trip
+  // fails the run with a per-task dump. `task_exited` mirrors thread
+  // liveness for the dump (one flag per task, allocated at Build because
+  // Task objects are moved into `tasks`).
   bool overload_active = false;
   OverloadOptions overload;
-  std::atomic<bool> force_shed{false};
   std::unique_ptr<std::atomic<uint8_t>[]> task_exited;
   std::thread watchdog;
   std::mutex watchdog_mu;
@@ -502,22 +500,15 @@ void TopologyImpl::RunWatchdog() {
       stalled_us = overdue_us;
     }
     if (trip) {
-      if (overload.fail_fast) {
-        MarkFailed(StallDump(trigger, stalled_us));
-        // Unwedge everything: closed queues reject pushes (producers
-        // unblock) and report drained to consumers (bolts unwind); the
-        // spout loop checks failed and stops emitting.
-        for (Task& task : tasks) {
-          if (task.queue != nullptr) task.queue->Close();
-        }
-        lock.lock();
-        break;
+      MarkFailed(StallDump(trigger, stalled_us));
+      // Unwedge everything: closed queues reject pushes (producers
+      // unblock) and report drained to consumers (bolts unwind); the
+      // spout loop checks failed and stops emitting.
+      for (Task& task : tasks) {
+        if (task.queue != nullptr) task.queue->Close();
       }
-      // Degrade instead of failing: every shedding bolt sees force_shed
-      // through TaskContext::queue_health. Re-arm so recovery is observed
-      // before the next trip.
-      force_shed.store(true, std::memory_order_relaxed);
-      last_progress_us = now;
+      lock.lock();
+      break;
     }
     lock.lock();
   }
@@ -1089,12 +1080,7 @@ bool TopologyImpl::RunBoltIncarnation(Task& task, const MigrationState* restore,
                   task.metrics.get(), /*queue_health=*/nullptr};
   if (overload_active) {
     Task* tp = &task;
-    TopologyImpl* topo = this;
-    ctx.queue_health = [topo, tp]() {
-      QueueHealth h = tp->queue->Health();
-      h.force_shed = topo->force_shed.load(std::memory_order_relaxed);
-      return h;
-    };
+    ctx.queue_health = [tp]() { return tp->queue->Health(); };
   }
   CollectorImpl collector(this, &task);
   TaskMetrics& m = *task.metrics;

@@ -189,10 +189,9 @@ class TopologyBuilder {
   /// current stretch at capacity, oldest-tuple age, exported through
   /// TaskContext::queue_health and the stall dump), and — when
   /// `options.stall_timeout_micros > 0` — a watchdog thread samples
-  /// topology progress, failing the run with a per-task state dump (or
-  /// forcing shedding, see OverloadOptions::fail_fast) when no task makes
-  /// progress with work pending or a queued tuple exceeds the stall
-  /// timeout. The shed policy itself is enforced by bolts that consult
+  /// topology progress, failing the run with a per-task state dump when no
+  /// task makes progress with work pending or a queued tuple exceeds the
+  /// stall timeout. The shed policy itself is enforced by bolts that consult
   /// TaskContext::queue_health (e.g. the distributed join's JoinerBolt);
   /// the substrate never drops tuples on its own.
   TopologyBuilder& SetOverload(OverloadOptions options);

@@ -132,12 +132,12 @@ std::vector<TokenId> RandomSortedTokens(Rng& rng, size_t len, uint32_t universe)
   return t;
 }
 
-/// The block/SIMD/gallop kernel against the scalar reference loop, over
-/// random sorted pairs covering every dispatch path: empty sides, identical
-/// arrays, disjoint ranges, >= 16x length skew (galloping), and general
-/// overlapping pairs — each with and without a `required` early-exit bound.
-TEST(VerifyKernelFuzzTest, BlockKernelMatchesScalarReference) {
-  ASSERT_EQ(GetVerifyKernel(), VerifyKernel::kBlock) << "kBlock is the default";
+/// VerifyOverlap and IntersectCount against OverlapSize (text/record.cc,
+/// an independent merge with no early exit), over random sorted pairs of
+/// every shape: empty sides, identical arrays, disjoint ranges, >= 16x
+/// length skew (IntersectCount's per-token search) and general overlapping
+/// pairs, each with and without a `required` early-exit bound.
+TEST(VerifyKernelFuzzTest, KernelMatchesOverlapSizeReference) {
   Rng rng(987654321);
   for (int iter = 0; iter < 10000; ++iter) {
     std::vector<TokenId> a, b;
@@ -158,7 +158,7 @@ TEST(VerifyKernelFuzzTest, BlockKernelMatchesScalarReference) {
         for (TokenId& w : b) w += 1000;
         break;
       }
-      case 3: {  // skewed >= 16x: exercises the galloping path
+      case 3: {  // skewed >= 16x
         a = RandomSortedTokens(rng, 1 + rng.Uniform(8), 4096);
         b = RandomSortedTokens(rng, 16 * (a.size() + 1) + rng.Uniform(400), 4096);
         if (rng.Bernoulli(0.5)) std::swap(a, b);
@@ -172,30 +172,26 @@ TEST(VerifyKernelFuzzTest, BlockKernelMatchesScalarReference) {
       }
     }
 
-    const size_t exact =
-        VerifyOverlapScalar(a.data(), a.size(), b.data(), b.size(), /*required=*/0);
+    const size_t exact = OverlapSize(a, b);
 
     // required == 0 disables early exit: the kernel must be exact.
     ASSERT_EQ(VerifyOverlap(a.data(), a.size(), b.data(), b.size(), 0), exact)
         << "iter=" << iter << " |a|=" << a.size() << " |b|=" << b.size();
 
-    // With a bound, both kernels must agree on the accept/reject decision,
-    // and an accepted result must be the exact overlap.
+    // With a bound, the kernel must take the reference's accept/reject
+    // decision, and an accepted result must be the exact overlap.
     const size_t required = rng.Uniform(std::max(a.size(), b.size()) + 3);
     const size_t got = VerifyOverlap(a.data(), a.size(), b.data(), b.size(), required);
-    const size_t ref = VerifyOverlapScalar(a.data(), a.size(), b.data(), b.size(), required);
-    ASSERT_EQ(got >= required, ref >= required)
+    ASSERT_EQ(got >= required, exact >= required)
         << "decision diverged: iter=" << iter << " required=" << required;
     if (required > 0 && got >= required) {
       ASSERT_EQ(got, exact) << "accepted result must be exact: iter=" << iter;
     }
 
-    // IntersectCount runs the same kernel with no bound: exact in both modes.
-    SetVerifyKernel(VerifyKernel::kScalar);
-    const size_t scalar_count = IntersectCount(a, b);
-    SetVerifyKernel(VerifyKernel::kBlock);
-    ASSERT_EQ(IntersectCount(a, b), scalar_count) << "iter=" << iter;
-    ASSERT_EQ(scalar_count, exact) << "iter=" << iter;
+    // IntersectCount has no bound: exact on both of its branches, with
+    // either side as the diff.
+    ASSERT_EQ(IntersectCount(a, b), exact) << "iter=" << iter;
+    ASSERT_EQ(IntersectCount(b, a), exact) << "iter=" << iter;
   }
 }
 

@@ -363,11 +363,10 @@ TEST_F(MigrationScenario, TaskKillRacingMigrationIsExact) {
 }
 
 TEST_F(MigrationScenario, WatchdogToleratesQuiescedFreeze) {
-  // The freeze is held far past the stall timeout under fail_fast: without
-  // quiesce-awareness the watchdog would fail the run while producers are
-  // parked and no task progresses.
+  // The freeze is held far past the stall timeout: without quiesce-awareness
+  // the watchdog would fail the run while producers are parked and no task
+  // progresses.
   options_.stall_timeout_micros = 40'000;
-  options_.watchdog_fail_fast = true;
   options_.supervision.migration_freeze_hold_micros = 150'000;
   const DistributedJoinResult clean = RunClean();
   const DistributedJoinResult elastic = RunScheduled("migrate:joiner:1->0@300");

@@ -218,7 +218,6 @@ TEST(StallWatchdogTest, DetectsWedgedBoltAndDumpsTaskState) {
   stream::OverloadOptions overload;
   overload.stall_timeout_micros = 150'000;
   overload.watchdog_interval_micros = 20'000;
-  overload.fail_fast = true;
   builder.SetOverload(overload);
   builder.SetSpout("ints", [] { return std::make_unique<IntSpout>(64); });
   builder.SetBolt("wedge", [release] { return std::make_unique<WedgeBolt>(release); })

@@ -110,21 +110,19 @@ TEST(RingQueueTest, BatchClaimStressPreservesPerProducerFifoExactlyOnce) {
   // consumer takes them through Pop, PopBatch and Drain at random. Every
   // producer's items must arrive exactly once and in order, at every
   // capacity and producer count.
+  constexpr int kPerProducer = 4000;
   for (size_t cap : {1u, 2u, 3u, 5u, 64u}) {
-    // A ring of at most three slots hands over a few items per consumer
-    // wait, which the trickle gate turns into a 200 us nap each: fewer items.
-    const int per_producer = cap <= 3 ? 200 : 4000;
     for (int producers_n = 1; producers_n <= 3; ++producers_n) {
       RingQueue<std::pair<int, int>> q(cap);
       std::vector<std::thread> producers;
       for (int p = 0; p < producers_n; ++p) {
-        producers.emplace_back([&q, p, cap, per_producer] {
+        producers.emplace_back([&q, p, cap] {
           std::mt19937 rng(static_cast<uint32_t>(1000 * cap + 10 * p));
           std::uniform_int_distribution<int> run(1, 40);
           std::vector<std::pair<int, int>> batch;
           int next = 0;
-          while (next < per_producer) {
-            const int len = std::min(run(rng), per_producer - next);
+          while (next < kPerProducer) {
+            const int len = std::min(run(rng), kPerProducer - next);
             if (len % 4 == 0) {  // a run pushed one Push at a time
               for (int k = 0; k < len; ++k) ASSERT_GT(q.Push({p, next++}), 0u);
               continue;
@@ -139,7 +137,7 @@ TEST(RingQueueTest, BatchClaimStressPreservesPerProducerFifoExactlyOnce) {
       std::mt19937 rng(static_cast<uint32_t>(cap * 7 + producers_n));
       std::uniform_int_distribution<int> pick(0, 5);
       std::vector<int> next_expected(producers_n, 0);
-      const size_t total = static_cast<size_t>(producers_n) * per_producer;
+      const size_t total = static_cast<size_t>(producers_n) * kPerProducer;
       size_t got = 0;
       std::vector<std::pair<int, int>> out;
       while (got < total) {
@@ -283,6 +281,40 @@ TEST(RingQueueTest, CloseWhileFullPushBatchRaceLosesNoAcceptedItems) {
     if (round % 2 == 1) {
       EXPECT_EQ(total, 4) << "a closed full ring accepted nothing more";
     }
+  }
+}
+
+TEST(TrickleGateTest, SmallDrainsNapButPopsFromAFullRingDoNot) {
+  using Gate = ring_detail::TrickleGate;
+  Gate gate;
+  // kTrickleWaits waits in a row, each after a drain of at most
+  // kTrickleItems, enter nap mode.
+  for (int w = 1; w < Gate::kTrickleWaits; ++w) {
+    gate.OnPopped(1, /*from_full=*/false);
+    EXPECT_FALSE(gate.ShouldNap()) << "wait " << w;
+  }
+  gate.OnPopped(Gate::kTrickleItems, /*from_full=*/false);
+  EXPECT_TRUE(gate.ShouldNap());
+  // In nap mode every wait naps, whatever it drained, until the ring leaves it.
+  gate.OnPopped(1000, /*from_full=*/false);
+  EXPECT_TRUE(gate.ShouldNap());
+  gate.LeaveNapMode();
+  for (int w = 1; w < Gate::kTrickleWaits; ++w) {
+    gate.OnPopped(1, /*from_full=*/false);
+    EXPECT_FALSE(gate.ShouldNap()) << "leaving nap mode restarts the streak";
+  }
+  // A larger drain ends the streak.
+  gate.OnPopped(Gate::kTrickleItems + 1, /*from_full=*/false);
+  EXPECT_FALSE(gate.ShouldNap());
+  for (int w = 1; w < Gate::kTrickleWaits; ++w) {
+    gate.OnPopped(1, /*from_full=*/false);
+    EXPECT_FALSE(gate.ShouldNap());
+  }
+  // So does a pop from a full ring, however few items it took: a ring of
+  // one slot that its producers keep full is backpressure, not trickle.
+  for (int w = 0; w < 4 * Gate::kTrickleWaits; ++w) {
+    gate.OnPopped(1, /*from_full=*/true);
+    EXPECT_FALSE(gate.ShouldNap()) << "wait " << w;
   }
 }
 

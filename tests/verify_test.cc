@@ -71,7 +71,8 @@ TEST(IntersectCountTest, MatchesOverlapSizeOnBothCodePaths) {
   Rng rng(9);
   for (int trial = 0; trial < 2000; ++trial) {
     const auto probe = RandomSet(rng, 60, 120);
-    // Small diff exercises the galloping path; larger the merge path.
+    // A diff under 1/8 of the probe takes the per-token binary search; a
+    // larger one the plain merge.
     const auto diff = RandomSet(rng, trial % 2 == 0 ? 3 : 40, 120);
     EXPECT_EQ(IntersectCount(probe, diff), OverlapSize(probe, diff));
   }

@@ -35,6 +35,18 @@ cmake --build build-werror -j
 cmake -B build-werror-release -S . -DCMAKE_BUILD_TYPE=Release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build build-werror-release -j
 
+echo "== ring wake edges (Release) =="
+# A lost wake never hangs a ring: ParkingLot re-checks its predicate every
+# 5 ms, so it shows only as latency, and TSan does not model the fences
+# the wake protocol pairs. ring_wake_test bounds the median wake latency
+# of both park edges (a push onto an empty ring, a pop from a full one);
+# repeat it in the optimized tree. The tiny-ring batch-claim stress runs
+# with it: rings of one to three slots are where a consumer stuck in
+# trickle naps turns milliseconds into seconds.
+(cd build-werror-release && ctest -R '^ring_wake_test$' --repeat until-fail:50 --output-on-failure)
+(cd build-werror-release && GTEST_FILTER='*BatchClaimStress*' \
+  ctest -R '^ring_queue_test$' --repeat until-fail:20 --output-on-failure)
+
 echo "== overload scenarios =="
 (cd build && ctest -L overload --output-on-failure)
 # Repeated: the shed cases engage only because the joiner counts the batch
