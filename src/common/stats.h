@@ -65,8 +65,9 @@ class RunningStat {
 };
 
 /// Log-bucketed histogram of non-negative 64-bit values (e.g., latencies in
-/// microseconds). 64 power-of-two buckets, each split into 16 linear
-/// sub-buckets: <= 3.2% quantile error, constant memory. Thread-safe adds.
+/// microseconds). 64 power-of-two buckets, each split into 64 linear
+/// sub-buckets: a quantile reads at most 1/64 (1.6%) high, in 32 KiB of
+/// constant memory. Thread-safe adds.
 class Histogram {
  public:
   Histogram();
@@ -89,7 +90,7 @@ class Histogram {
   /// "count=... mean=... p50=... p95=... p99=... max=..."
   std::string Summary() const;
 
-  static constexpr int kSubBucketsLog2 = 4;
+  static constexpr int kSubBucketsLog2 = 6;
   static constexpr int kSubBuckets = 1 << kSubBucketsLog2;
   static constexpr int kNumBuckets = 64 * kSubBuckets;
 

@@ -59,7 +59,13 @@ struct SharedState {
 };
 
 /// Replays a pre-built record vector as a stream, optionally paced to an
-/// arrival rate. Tuple layout: [record payload, emit-time micros].
+/// arrival rate. Tuple layout: [record payload, stamp micros]. A paced run
+/// stamps each record's due time, so the latency histogram also counts how
+/// late the source emitted it; an unpaced run stamps the emit time.
+///
+/// Pacing sleeps once to the due time of a record not yet due and emits a
+/// due record at once: a sleep that overshoots (timer slack, tens of
+/// microseconds) is caught up in a burst, so the offered rate holds.
 ///
 /// Under sharded ingestion (spout parallelism N > 1) lane i replays the
 /// records at global indices ≡ i (mod N): a round-robin stripe, so the N
@@ -81,21 +87,18 @@ class RecordStreamSpout : public stream::Spout {
   bool NextTuple(stream::OutputCollector& out) override {
     const size_t idx = static_cast<size_t>(lane_) + pos_ * static_cast<size_t>(lanes_);
     if (idx >= input_->size()) return false;
+    int64_t stamp_us = NowMicros();
     if (rate_ > 0.0) {
-      const int64_t target_us =
+      const int64_t due_us =
           start_us_ + static_cast<int64_t>(static_cast<double>(idx) * 1e6 / rate_);
-      int64_t now = NowMicros();
-      while (now < target_us) {
-        if (target_us - now > 200) {
-          std::this_thread::sleep_for(std::chrono::microseconds(target_us - now - 100));
-        }
-        now = NowMicros();
+      if (due_us > stamp_us) {
+        std::this_thread::sleep_for(std::chrono::microseconds(due_us - stamp_us));
       }
+      stamp_us = due_us;
     }
     const RecordPtr& r = (*input_)[idx];
     ++pos_;
-    stream::Tuple t = stream::MakeTuple(std::shared_ptr<const void>(r),
-                                        static_cast<int64_t>(NowMicros()));
+    stream::Tuple t = stream::MakeTuple(std::shared_ptr<const void>(r), stamp_us);
     t.set_payload_bytes(r->SerializedBytes());
     out.Emit(std::move(t));
     return true;
@@ -104,8 +107,8 @@ class RecordStreamSpout : public stream::Spout {
   /// Checkpoint = lane-local replay offset (the lane/stripe layout is a
   /// pure function of the task context, so it is not serialized). A
   /// restored spout continues from the next unread record; pacing restarts
-  /// from the new Open time (emit timestamps shift, but they only feed the
-  /// latency histogram, which is documented as distorted under faults).
+  /// from the new Open time (stamps shift, but they only feed the latency
+  /// histogram, which is documented as distorted under faults).
   bool SupportsSnapshot() const override { return true; }
   void Snapshot(std::string* out) const override { BinaryWriter(out).WriteU64(pos_); }
   void Restore(const std::string& blob) override {

@@ -277,8 +277,8 @@ TEST(HistogramTest, QuantilesWithinBucketError) {
   Histogram h;
   for (uint64_t v = 1; v <= 10000; ++v) h.Add(v);
   EXPECT_EQ(h.count(), 10000u);
-  EXPECT_NEAR(static_cast<double>(h.p50()), 5000.0, 5000.0 * 0.04);
-  EXPECT_NEAR(static_cast<double>(h.p99()), 9900.0, 9900.0 * 0.04);
+  EXPECT_NEAR(static_cast<double>(h.p50()), 5000.0, 5000.0 * 0.02);
+  EXPECT_NEAR(static_cast<double>(h.p99()), 9900.0, 9900.0 * 0.02);
   EXPECT_EQ(h.min(), 1u);
   EXPECT_EQ(h.max(), 10000u);
   EXPECT_NEAR(h.mean(), 5000.5, 0.5);

@@ -4,12 +4,22 @@
 
 #include "core/join_topology.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "dssj.h"  // umbrella header must compile and suffice on its own
 
 namespace dssj {
 namespace {
+
+std::vector<ResultPair> SortedPairs(std::vector<ResultPair> pairs) {
+  std::sort(pairs.begin(), pairs.end(), [](const ResultPair& a, const ResultPair& b) {
+    return std::tie(a.probe_seq, a.partner_seq) < std::tie(b.probe_seq, b.partner_seq);
+  });
+  return pairs;
+}
 
 TEST(NamesTest, AllEnumeratorsHaveNames) {
   EXPECT_STREQ(DistributionStrategyName(DistributionStrategy::kLengthBased), "length");
@@ -90,15 +100,45 @@ TEST(RunDistributedJoinTest, IdenticalRunsGiveIdenticalResultSets) {
   options.strategy = DistributionStrategy::kLengthBased;
   options.length_partition =
       PlanLengthPartition(stream, options.sim, 4, PartitionMethod::kLoadAwareGreedy);
-  auto canonical = [](std::vector<ResultPair> pairs) {
-    std::sort(pairs.begin(), pairs.end(), [](const ResultPair& a, const ResultPair& b) {
-      return std::tie(a.probe_seq, a.partner_seq) < std::tie(b.probe_seq, b.partner_seq);
-    });
-    return pairs;
-  };
-  const auto a = canonical(RunDistributedJoin(stream, options).pairs);
-  const auto b = canonical(RunDistributedJoin(stream, options).pairs);
+  const auto a = SortedPairs(RunDistributedJoin(stream, options).pairs);
+  const auto b = SortedPairs(RunDistributedJoin(stream, options).pairs);
   EXPECT_EQ(a, b);
+}
+
+// A paced source waits for each record's due time by sleeping, so its
+// thread uses a small fraction of the run's wall time (a source that polled
+// the clock between records 50 us apart would use nearly all of it), while
+// catching up after each oversleep keeps the offered rate. Pacing changes
+// only when records arrive, never the result set. A CPU ratio means little
+// under a sanitizer's slowdown, so this suite stays out of the sanitizer
+// sets.
+TEST(RunDistributedJoinTest, PacedSourceSleepsAndHoldsTheOfferedRate) {
+  constexpr double kRate = 20000;
+  WorkloadOptions wo;
+  wo.seed = 74;
+  wo.token_universe = 300;
+  wo.duplicate_fraction = 0.4;
+  const auto stream = WorkloadGenerator(wo).Generate(8000);  // 0.4 s at kRate
+  DistributedJoinOptions options;
+  options.num_joiners = 4;
+  options.strategy = DistributionStrategy::kLengthBased;
+  options.length_partition =
+      PlanLengthPartition(stream, options.sim, 4, PartitionMethod::kLoadAwareGreedy);
+  const auto unpaced = SortedPairs(RunDistributedJoin(stream, options).pairs);
+  ASSERT_FALSE(unpaced.empty());
+
+  options.arrival_rate_per_sec = kRate;
+  const DistributedJoinResult paced = RunDistributedJoin(stream, options);
+  ASSERT_TRUE(paced.ok) << paced.failure_message;
+  EXPECT_EQ(SortedPairs(paced.pairs), unpaced);
+  EXPECT_NEAR(paced.throughput_rps, kRate, kRate * 0.05);
+  const auto source = std::find_if(
+      paced.stage_times.begin(), paced.stage_times.end(),
+      [](const DistributedJoinResult::StageTime& st) { return st.component == "source"; });
+  ASSERT_NE(source, paced.stage_times.end());
+  EXPECT_LT(static_cast<double>(source->busy_micros), paced.elapsed_seconds * 1e6 / 4)
+      << "the paced source used " << source->busy_micros << " us of CPU in a "
+      << paced.elapsed_seconds << " s run";
 }
 
 TEST(WindowSpecTest, ToStringAndPredicates) {
