@@ -1,4 +1,4 @@
-// docs/INTERNALS.md §9/§11 — what the real wire costs, per codec. The
+// docs/INTERNALS.md §9/§11 — what the real wire costs. The
 // encode and parse micro-benches use the SAME denominators — tuples per
 // second via items, wire bytes per second via bytes, both counted against
 // the identical frame buffer — so the two axes are directly comparable
@@ -8,13 +8,15 @@
 // arena (the copy is part of the measured work, exactly as in the TCP
 // reader) and decoded records borrow token storage from it.
 //
-// Per-codec counters:
-//   bytes_per_tuple  — wire bytes / tuple for this codec
-//   wire_ratio       — this codec's bytes-on-wire / raw codec's bytes
+// Counters:
+//   bytes_per_tuple  — wire bytes / tuple
+//   wire_ratio       — wire bytes / the batch's Tuple::SerializedBytes, the
+//                      estimate the stream layer's communication accounting
+//                      charges
 //
 // Macro-benches run the identical join over the three transports: inproc
 // (pointer-passing queues), loopback (every cross-worker tuple
-// wire-encoded and re-parsed in process, per codec), and tcp (two ranks
+// wire-encoded and re-parsed in process), and tcp (two ranks
 // over localhost sockets, worker rank on a thread). The inproc → loopback
 // gap is pure serialization/framing; loopback → tcp adds syscalls and the
 // kernel loopback path. remote_byte_cost_ns is 0 here: the usual simulated
@@ -52,44 +54,35 @@ std::vector<stream::Envelope> DispatcherBatch(const std::vector<RecordPtr>& stre
   return batch;
 }
 
-std::string EncodedBatch(net::WireCodec wire, const net::PayloadCodec& codec,
-                         const std::vector<stream::Envelope>& batch) {
-  std::string bytes;
-  net::AppendEnvelopeFrames(wire, 2, batch, &codec, &bytes);
-  return bytes;
-}
-
-void ReportWireCounters(benchmark::State& state, net::WireCodec wire,
-                        const net::PayloadCodec& codec,
-                        const std::vector<stream::Envelope>& batch,
+void ReportWireCounters(benchmark::State& state, const std::vector<stream::Envelope>& batch,
                         size_t wire_bytes) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kFrameBatch));
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * wire_bytes));
   state.counters["bytes_per_tuple"] =
       static_cast<double>(wire_bytes) / static_cast<double>(kFrameBatch);
-  const size_t raw_bytes = wire == net::WireCodec::kRaw
-                               ? wire_bytes
-                               : EncodedBatch(net::WireCodec::kRaw, codec, batch).size();
+  size_t modeled_bytes = 0;
+  for (const stream::Envelope& e : batch) modeled_bytes += e.tuple.SerializedBytes();
   state.counters["wire_ratio"] =
-      static_cast<double>(wire_bytes) / static_cast<double>(raw_bytes);
+      static_cast<double>(wire_bytes) / static_cast<double>(modeled_bytes);
 }
 
-void BM_WireEncodeFrames(benchmark::State& state, net::WireCodec wire) {
+void BM_WireEncodeFrames(benchmark::State& state) {
   const net::PayloadCodec codec = RecordWireCodec();
   const auto batch = DispatcherBatch(CachedStream(DatasetPreset::kTweet, 4096));
   std::string bytes;
   for (auto _ : state) {
     bytes.clear();
-    net::AppendEnvelopeFrames(wire, 2, batch, &codec, &bytes);
+    net::AppendEnvelopeFrames(2, batch, &codec, &bytes);
     benchmark::DoNotOptimize(bytes.data());
   }
-  ReportWireCounters(state, wire, codec, batch, bytes.size());
+  ReportWireCounters(state, batch, bytes.size());
 }
 
-void BM_WireParseFrames(benchmark::State& state, net::WireCodec wire) {
+void BM_WireParseFrames(benchmark::State& state) {
   const net::PayloadCodec codec = RecordWireCodec();
   const auto batch = DispatcherBatch(CachedStream(DatasetPreset::kTweet, 4096));
-  const std::string bytes = EncodedBatch(wire, codec, batch);
+  std::string bytes;
+  net::AppendEnvelopeFrames(2, batch, &codec, &bytes);
   net::FrameArenaPool pool(8);
   net::Frame frame;  // reused: ParseFrame keeps envelope capacity across frames
   for (auto _ : state) {
@@ -112,7 +105,7 @@ void BM_WireParseFrames(benchmark::State& state, net::WireCodec wire) {
       benchmark::DoNotOptimize(frame.envelopes.data());
     }
   }
-  ReportWireCounters(state, wire, codec, batch, bytes.size());
+  ReportWireCounters(state, batch, bytes.size());
 }
 
 DistributedJoinOptions TransportJoinOptions(const std::vector<RecordPtr>& stream) {
@@ -124,12 +117,10 @@ DistributedJoinOptions TransportJoinOptions(const std::vector<RecordPtr>& stream
   return options;
 }
 
-void RunTransportJoin(benchmark::State& state, JoinTransport transport,
-                      net::WireCodec wire) {
+void RunTransportJoin(benchmark::State& state, JoinTransport transport) {
   const auto& stream = CachedStream(DatasetPreset::kTweet, kRecords);
   DistributedJoinOptions options = TransportJoinOptions(stream);
   options.transport = transport;
-  options.wire_codec = wire;
   DistributedJoinResult result;
   for (auto _ : state) {
     if (transport == JoinTransport::kTcp) {
@@ -154,25 +145,18 @@ void RunTransportJoin(benchmark::State& state, JoinTransport transport,
   ReportJoinResult(state, result);
 }
 
-void BM_JoinInproc(benchmark::State& state) {
-  RunTransportJoin(state, JoinTransport::kInproc, net::WireCodec::kDelta);
-}
-void BM_JoinLoopback(benchmark::State& state, net::WireCodec wire) {
-  RunTransportJoin(state, JoinTransport::kLoopback, wire);
+void BM_JoinInproc(benchmark::State& state) { RunTransportJoin(state, JoinTransport::kInproc); }
+void BM_JoinLoopback(benchmark::State& state) {
+  RunTransportJoin(state, JoinTransport::kLoopback);
 }
 void BM_JoinTcpLocalhost(benchmark::State& state) {
-  RunTransportJoin(state, JoinTransport::kTcp, net::WireCodec::kDelta);
+  RunTransportJoin(state, JoinTransport::kTcp);
 }
 
-BENCHMARK_CAPTURE(BM_WireEncodeFrames, raw, net::WireCodec::kRaw);
-BENCHMARK_CAPTURE(BM_WireEncodeFrames, delta, net::WireCodec::kDelta);
-BENCHMARK_CAPTURE(BM_WireParseFrames, raw, net::WireCodec::kRaw);
-BENCHMARK_CAPTURE(BM_WireParseFrames, delta, net::WireCodec::kDelta);
+BENCHMARK(BM_WireEncodeFrames);
+BENCHMARK(BM_WireParseFrames);
 BENCHMARK(BM_JoinInproc)->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
-BENCHMARK_CAPTURE(BM_JoinLoopback, raw, net::WireCodec::kRaw)
-    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
-BENCHMARK_CAPTURE(BM_JoinLoopback, delta, net::WireCodec::kDelta)
-    ->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
+BENCHMARK(BM_JoinLoopback)->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 BENCHMARK(BM_JoinTcpLocalhost)->Unit(benchmark::kMillisecond)->Iterations(1)->UseRealTime();
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "common/flags.h"
 #include "core/join_topology.h"
+#include "net/transport.h"
 
 namespace dssj_examples {
 
@@ -31,7 +32,6 @@ inline const char* JoinFlagsUsage() {
          "          [--local=record|bundle] [--window=N] [--qgram=Q]\n"
          "          [--batch_size=N] [--ingest_lanes=N]\n"
          "          [--transport=inproc|loopback|tcp] [--workers=N]\n"
-         "          [--wire_codec=raw|delta]\n"
          "          [--connect=host:port,host:port,...] [--listen=host:port]\n"
          "          [--checkpoint_interval=N] [--max_restarts=N]\n"
          "          [--fault_script='kill:joiner:0@500; migrate:joiner:1->2@800; ...']\n"
@@ -56,12 +56,24 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
 
   cfg->function = flags.GetString("function", "jaccard");
   const int64_t threshold = flags.GetInt("threshold", 800);
-  const int joiners = static_cast<int>(flags.GetInt("joiners", 4));
+  const int64_t joiners = flags.GetInt("joiners", 4);
   cfg->strategy = flags.GetString("strategy", "length");
   cfg->local = flags.GetString("local", "record");
   const int64_t window = flags.GetInt("window", 0);
   cfg->qgram = flags.GetInt("qgram", 0);
   cfg->max_pairs = flags.GetInt("max-pairs", 20);
+  if (threshold < 1 || threshold > 1000) {
+    std::fprintf(stderr, "--threshold must be in [1, 1000] (permille)\n");
+    return false;
+  }
+  if (joiners < 1) {
+    std::fprintf(stderr, "--joiners must be >= 1\n");
+    return false;
+  }
+  if (window < 0 || cfg->qgram < 0) {
+    std::fprintf(stderr, "--window and --qgram must be >= 0\n");
+    return false;
+  }
   const int64_t batch_size = flags.GetInt("batch_size", 32);
   if (batch_size < 1) {
     std::fprintf(stderr, "--batch_size must be >= 1\n");
@@ -100,10 +112,17 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
     std::fprintf(stderr, "--workers and --rank must be >= 0\n");
     return false;
   }
-  const std::string wire_codec = flags.GetString("wire_codec", "delta");
-  if (!dssj::net::ParseWireCodec(wire_codec, &options.wire_codec)) {
-    std::fprintf(stderr, "--wire_codec expects raw|delta, got '%s'\n", wire_codec.c_str());
-    return false;
+  if (options.transport == dssj::JoinTransport::kTcp) {
+    const auto cluster = dssj::net::ParseClusterSpec(connect);
+    if (!cluster.ok()) {
+      std::fprintf(stderr, "bad --connect: %s\n", cluster.status().message().c_str());
+      return false;
+    }
+    if (rank >= static_cast<int64_t>(cluster.value().size())) {
+      std::fprintf(stderr, "--rank must be below the --connect cluster size (%zu)\n",
+                   cluster.value().size());
+      return false;
+    }
   }
   options.num_workers = static_cast<int>(workers);
   options.cluster = connect;
@@ -198,7 +217,7 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
   }
 
   options.sim = dssj::SimilaritySpec(fn, threshold);
-  options.num_joiners = joiners;
+  options.num_joiners = static_cast<int>(joiners);
   options.collect_results = true;
   options.batch_size = static_cast<size_t>(batch_size);
   options.ingest_lanes = static_cast<int>(ingest_lanes);
@@ -208,12 +227,6 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
   // store_dir requires checkpoint_interval > 0 (validated above), so the
   // supervise branch below always runs for store-enabled invocations.
   if (!fault_script.empty() || checkpoint_interval > 0) {
-    // Validate here so a typo'd script is a usage error, not an abort.
-    auto script = dssj::stream::FaultScript::Parse(fault_script);
-    if (!script.ok()) {
-      std::fprintf(stderr, "bad --fault_script: %s\n", script.status().message().c_str());
-      return false;
-    }
     options.supervise = true;
     options.fault_script = fault_script;
     options.supervision.checkpoint_interval = static_cast<uint64_t>(checkpoint_interval);
@@ -250,6 +263,15 @@ inline bool ParseJoinFlags(const dssj::Flags& flags, JoinCliConfig* cfg) {
   } else if (cfg->local != "record") {
     std::fprintf(stderr, "unknown local algorithm '%s'\n", cfg->local.c_str());
     return false;
+  }
+  if (!fault_script.empty()) {
+    // Resolved against this run's topology, so a typo'd or out-of-range
+    // statement is a usage error, not an abort.
+    const dssj::Status status = dssj::CheckFaultScript(options);
+    if (!status.ok()) {
+      std::fprintf(stderr, "bad --fault_script: %s\n", status.message().c_str());
+      return false;
+    }
   }
   return true;
 }

@@ -778,7 +778,85 @@ LengthRouting EffectiveLengthRouting(const DistributedJoinOptions& options) {
   return routing;
 }
 
+/// Declares the join's components on `builder`: `lanes` source/dispatcher
+/// pairs, the joiners, and the sink when results are collected. Under a
+/// transport, source, dispatchers and sink sit on worker 0 and joiner i on
+/// worker i % (initial workers). Returns the initial worker count (elastic
+/// runs may start packed onto fewer). The factories borrow `input` and
+/// `options`, so both must outlive the built topology.
+int DeclareJoinComponents(const std::vector<RecordPtr>& input,
+                          const DistributedJoinOptions& options, int workers,
+                          const std::shared_ptr<SharedState>& shared,
+                          const std::shared_ptr<AdaptiveRouterState>& adaptive_state,
+                          stream::TopologyBuilder* builder) {
+  const int lanes = std::max(1, options.ingest_lanes);
+  const bool pin = options.transport != JoinTransport::kInproc;
+  // Sharded front end: `lanes` spout/dispatcher pairs, wired one-to-one so
+  // lane i's stripe of the input flows through lane i's router instance.
+  stream::SpoutDeclarer source = builder->SetSpout(
+      kSourceName,
+      [&input, &options] {
+        return std::make_unique<RecordStreamSpout>(&input, options.arrival_rate_per_sec);
+      },
+      lanes);
+  if (pin) source.SetPlacement(std::vector<int>(lanes, 0));
+  stream::BoltDeclarer dispatcher = builder->SetBolt(
+      kDispatcherName,
+      [&options, shared, adaptive_state] {
+        return std::make_unique<DispatcherBolt>(&options, shared, adaptive_state);
+      },
+      lanes);
+  if (lanes > 1) {
+    dispatcher.PartnerGrouping(kSourceName);
+  } else {
+    dispatcher.ShuffleGrouping(kSourceName);
+  }
+  if (pin) dispatcher.SetPlacement(std::vector<int>(lanes, 0));
+  stream::BoltDeclarer joiner =
+      builder
+          ->SetBolt(
+              kJoinerName,
+              [&options, shared] { return std::make_unique<JoinerBolt>(&options, shared); },
+              options.num_joiners)
+          .DirectGrouping(kDispatcherName);
+  // Elastic runs may start packed onto fewer workers; the controller
+  // spreads/packs the joiner tasks at runtime.
+  const int init_workers = options.elastic && options.elastic_initial_workers > 0
+                               ? std::min(options.elastic_initial_workers, workers)
+                               : workers;
+  if (pin || options.elastic) {
+    std::vector<int> placement(options.num_joiners);
+    for (int i = 0; i < options.num_joiners; ++i) placement[i] = i % init_workers;
+    joiner.SetPlacement(std::move(placement));
+  }
+  if (options.collect_results) {
+    stream::BoltDeclarer sink =
+        builder->SetBolt(kSinkName, [shared] { return std::make_unique<SinkBolt>(shared); }, 1)
+            .GlobalGrouping(kJoinerName);
+    if (pin) sink.SetPlacement({0});
+  }
+  return init_workers;
+}
+
 }  // namespace
+
+Status CheckFaultScript(const DistributedJoinOptions& options) {
+  StatusOr<stream::FaultScript> script = stream::FaultScript::Parse(options.fault_script);
+  if (!script.ok()) return script.status();
+  int workers = options.num_workers > 0 ? options.num_workers : options.num_joiners;
+  if (options.transport == JoinTransport::kTcp) {
+    StatusOr<std::vector<net::Endpoint>> cluster = net::ParseClusterSpec(options.cluster);
+    if (!cluster.ok()) return cluster.status();
+    workers = static_cast<int>(cluster.value().size());
+  }
+  const std::vector<RecordPtr> no_input;
+  stream::TopologyBuilder builder;
+  builder.SetNumWorkers(workers);
+  DeclareJoinComponents(no_input, options, workers, nullptr, nullptr, &builder);
+  return stream::ResolveFaultScript(
+             script.value(), builder.Shape(options.transport != JoinTransport::kTcp))
+      .status();
+}
 
 const char* DistributionStrategyName(DistributionStrategy s) {
   switch (s) {
@@ -820,40 +898,28 @@ const char* JoinTransportName(JoinTransport t) {
 
 net::PayloadCodec RecordWireCodec() {
   net::PayloadCodec codec;
-  codec.encode = [](net::WireCodec wire, const std::shared_ptr<const void>& payload,
-                    std::string* out) {
-    const Record& r = *static_cast<const Record*>(payload.get());
-    if (wire == net::WireCodec::kRaw) {
-      EncodeRecord(r, out);
-    } else {
-      EncodeRecordDelta(r, out);
-    }
+  codec.encode = [](const std::shared_ptr<const void>& payload, std::string* out) {
+    EncodeRecordDelta(*static_cast<const Record*>(payload.get()), out);
   };
-  codec.decode = [](net::WireCodec wire, const char* data, size_t size,
-                    const std::shared_ptr<net::FrameArena>& arena,
+  codec.decode = [](const char* data, size_t size, const std::shared_ptr<net::FrameArena>& arena,
                     std::shared_ptr<const void>* out) {
-    const bool raw = wire == net::WireCodec::kRaw;
     if (arena == nullptr) {
       // Materializing path (no stable frame storage): the record owns its
       // tokens.
       auto record = std::make_shared<Record>();
-      const bool ok = raw ? DecodeRecord(data, size, record.get())
-                          : DecodeRecordDelta(data, size, record.get());
-      if (!ok) return false;
+      if (!DecodeRecordDelta(data, size, record.get())) return false;
       *out = std::shared_ptr<const void>(std::move(record));
       return true;
     }
     // Zero-copy path: the record lives in arena storage and its tokens
-    // either alias the frame bytes (raw, aligned, little-endian) or decode
-    // into arena token chunks. The aliasing shared_ptr pins the arena, so
-    // the views stay valid for as long as anyone holds the payload.
+    // decode into arena token chunks. The aliasing shared_ptr pins the
+    // arena, so the views stay valid for as long as anyone holds the
+    // payload.
     const auto alloc = [](void* ctx, size_t n) -> TokenId* {
       return static_cast<net::FrameArena*>(ctx)->AllocTokens(n);
     };
     Record* record = arena->AllocRecord();
-    const bool ok = raw ? DecodeRecordBorrowed(data, size, alloc, arena.get(), record)
-                        : DecodeRecordDeltaBorrowed(data, size, alloc, arena.get(), record);
-    if (!ok) return false;
+    if (!DecodeRecordDeltaBorrowed(data, size, alloc, arena.get(), record)) return false;
     *out = std::shared_ptr<const void>(arena, record);
     return true;
   };
@@ -993,8 +1059,8 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
 
   std::shared_ptr<stream::Transport> transport;
   if (options.transport == JoinTransport::kLoopback) {
-    transport = std::make_shared<net::LoopbackTransport>(
-        workers, RecordWireCodec(), options.wire_codec, options.net_arena_pool);
+    transport = std::make_shared<net::LoopbackTransport>(workers, RecordWireCodec(),
+                                                         options.net_arena_pool);
   } else if (options.transport == JoinTransport::kTcp) {
     StatusOr<std::vector<net::Endpoint>> cluster = net::ParseClusterSpec(options.cluster);
     CHECK(cluster.ok()) << "bad cluster spec: " << cluster.status().message();
@@ -1005,10 +1071,8 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
     net_options.cluster = std::move(cluster).value();
     net_options.rank = options.rank;
     net_options.listen_override = options.listen;
-    net_options.send_queue_capacity = options.net_send_queue;
     net_options.connect_timeout_micros = options.net_connect_timeout_micros;
     net_options.codec = RecordWireCodec();
-    net_options.wire_codec = options.wire_codec;
     net_options.arena_pool_capacity = options.net_arena_pool;
     transport = std::make_shared<net::TcpTransport>(std::move(net_options));
   }
@@ -1044,53 +1108,8 @@ DistributedJoinResult RunDistributedJoin(const std::vector<RecordPtr>& input,
   overload.stall_timeout_micros = options.stall_timeout_micros;
   if (overload.enabled()) builder.SetOverload(overload);
   if (transport != nullptr) builder.SetTransport(transport);
-  const bool pin = transport != nullptr;
-  // Sharded front end: `lanes` spout/dispatcher pairs, wired one-to-one so
-  // lane i's stripe of the input flows through lane i's router instance.
-  // The spouts borrow `input` as the factories borrow `options`: this call
-  // returns only after the topology is destroyed.
-  stream::SpoutDeclarer source = builder.SetSpout(
-      kSourceName,
-      [&input, &options] {
-        return std::make_unique<RecordStreamSpout>(&input, options.arrival_rate_per_sec);
-      },
-      lanes);
-  if (pin) source.SetPlacement(std::vector<int>(lanes, 0));
-  stream::BoltDeclarer dispatcher = builder.SetBolt(
-      kDispatcherName,
-      [&options, shared, adaptive_state] {
-        return std::make_unique<DispatcherBolt>(&options, shared, adaptive_state);
-      },
-      lanes);
-  if (lanes > 1) {
-    dispatcher.PartnerGrouping(kSourceName);
-  } else {
-    dispatcher.ShuffleGrouping(kSourceName);
-  }
-  if (pin) dispatcher.SetPlacement(std::vector<int>(lanes, 0));
-  stream::BoltDeclarer joiner =
-      builder
-          .SetBolt(
-              kJoinerName,
-              [&options, shared] { return std::make_unique<JoinerBolt>(&options, shared); },
-              options.num_joiners)
-          .DirectGrouping(kDispatcherName);
-  // Elastic runs may start packed onto fewer workers; the controller
-  // spreads/packs the joiner tasks at runtime.
-  const int init_workers = options.elastic && options.elastic_initial_workers > 0
-                               ? std::min(options.elastic_initial_workers, workers)
-                               : workers;
-  if (pin || options.elastic) {
-    std::vector<int> placement(options.num_joiners);
-    for (int i = 0; i < options.num_joiners; ++i) placement[i] = i % init_workers;
-    joiner.SetPlacement(std::move(placement));
-  }
-  if (options.collect_results) {
-    stream::BoltDeclarer sink =
-        builder.SetBolt(kSinkName, [shared] { return std::make_unique<SinkBolt>(shared); }, 1)
-            .GlobalGrouping(kJoinerName);
-    if (pin) sink.SetPlacement({0});
-  }
+  const int init_workers =
+      DeclareJoinComponents(input, options, workers, shared, adaptive_state, &builder);
 
   std::unique_ptr<stream::Topology> topology = builder.Build();
   // The elastic controller runs beside Wait(): it samples per-joiner

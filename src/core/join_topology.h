@@ -42,13 +42,11 @@ const char* LocalAlgorithmName(LocalAlgorithm a);
 enum class JoinTransport { kInproc, kLoopback, kTcp };
 const char* JoinTransportName(JoinTransport t);
 
-/// Payload codec for Record payloads crossing process boundaries. Dispatches
-/// on the per-call wire codec: raw (EncodeRecord/DecodeRecord) or delta
+/// Payload codec for Record payloads crossing process boundaries
 /// (EncodeRecordDelta/DecodeRecordDelta). When the transport supplies a
 /// frame arena, decoding is zero-copy: records and their token arrays live
-/// in arena storage (raw token bytes alias the frame buffer directly) and
-/// are handed out as aliasing shared_ptrs pinning the arena. Shared by the
-/// join topology and the transport tests.
+/// in arena storage and are handed out as aliasing shared_ptrs pinning the
+/// arena. Shared by the join topology and the transport tests.
 net::PayloadCodec RecordWireCodec();
 
 /// How to derive the length partition for the length-based strategy.
@@ -145,14 +143,10 @@ struct DistributedJoinOptions {
   /// Optional bind override for this rank ("0.0.0.0:port"); default is
   /// cluster[rank].
   std::string listen;
-  /// Per-peer bounded send buffer, in frames (network backpressure bound).
-  size_t net_send_queue = 1024;
   /// How long TCP connect retries cover workers starting out of order.
   int64_t net_connect_timeout_micros = 30'000'000;
-  /// Tuple-section coding for frames this process sends under kLoopback /
-  /// kTcp (--wire_codec=raw|delta). Frames are self-describing, so
-  /// mixed-codec clusters still interoperate; results are byte-identical
-  /// across codecs.
+  /// Inert: nothing reads it, since every frame uses the one tuple coding.
+  /// perfbench/workloads.cc still sets it (see net::WireCodec).
   net::WireCodec wire_codec = net::WireCodec::kDelta;
   /// Frame-arena recycling bound for the zero-copy receive path (0 = free
   /// every arena immediately; used by borrow-lifetime tests under ASan).
@@ -179,7 +173,7 @@ struct DistributedJoinOptions {
   /// Deterministic fault schedule (FaultScript DSL, e.g.
   /// "kill:joiner:0@500; drop:dispatcher:0->joiner:1@100"); empty = none.
   /// A non-empty script implies `supervise`. Parse or resolution errors
-  /// abort (they are test-configuration errors).
+  /// abort RunDistributedJoin; CheckFaultScript reports them first.
   std::string fault_script;
 
   /// Overload control (docs/INTERNALS.md §8). With a policy other than
@@ -326,6 +320,12 @@ struct DistributedJoinResult : stream::CounterTotals {
   /// collect_results (empty unless options enable a shed policy).
   std::vector<std::pair<uint64_t, int>> shed_probe_seqs;
 };
+
+/// Parses `options.fault_script` and resolves it against the topology
+/// RunDistributedJoin builds for `options` (stream::ResolveFaultScript):
+/// InvalidArgument naming the statement where the run would abort, or the
+/// cluster spec's error under kTcp. Requires num_joiners >= 1.
+Status CheckFaultScript(const DistributedJoinOptions& options);
 
 /// Runs the distributed streaming join over `input` (replayed in order as a
 /// stream) and blocks until completion.

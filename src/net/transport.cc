@@ -20,6 +20,17 @@
 namespace dssj::net {
 namespace {
 
+/// Bounded send buffer per peer connection, in frames. A full buffer blocks
+/// the producer — backpressure extends across the wire.
+constexpr size_t kSendQueueFrames = 1024;
+/// Connect retry schedule: exponential backoff from 1 ms, doubling up to
+/// 200 ms, each sleep scaled by a factor in [1 - jitter, 1 + jitter) drawn
+/// deterministically per rank pair and attempt, so many links dropped at
+/// once do not redial in lockstep.
+constexpr int64_t kConnectBackoffInitialMicros = 1'000;
+constexpr int64_t kConnectBackoffCapMicros = 200'000;
+constexpr double kConnectBackoffJitter = 0.25;
+
 int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -155,11 +166,11 @@ class LoopbackChannel final : public stream::Channel {
   size_t PushBatch(std::vector<stream::Envelope>* envs) override {
     if (envs->empty()) return 1;
     // Encode straight into arena-owned storage, then parse with that arena:
-    // decoded payloads borrow the frame bytes (zero extra copy) and pin the
-    // arena via aliasing shared_ptrs until the last consumer drops them.
+    // decoded payloads borrow arena storage and pin the arena via aliasing
+    // shared_ptrs until the last consumer drops them.
     std::shared_ptr<FrameArena> arena = transport_->arena_pool_.Acquire();
     std::string& bytes = arena->bytes();
-    AppendEnvelopeFrames(transport_->wire_, dst_task_, *envs, &transport_->codec_, &bytes);
+    AppendEnvelopeFrames(dst_task_, *envs, &transport_->codec_, &bytes);
     size_t depth = 0;
     size_t off = 0;
     Frame frame;  // reused: ParseFrame keeps envelope capacity across frames
@@ -232,8 +243,7 @@ class TcpChannel final : public stream::Channel {
   size_t PushBatch(std::vector<stream::Envelope>* envs) override {
     if (envs->empty()) return 1;
     TcpTransport::OutFrame out;
-    AppendEnvelopeFrames(transport_->options_.wire_codec, dst_task_, *envs,
-                         &transport_->options_.codec, &out.bytes);
+    AppendEnvelopeFrames(dst_task_, *envs, &transport_->options_.codec, &out.bytes);
     const size_t depth = conn_->queue->Push(std::move(out));
     if (depth == 0) return 0;  // transport shut down; remainder rejected
     envs->clear();
@@ -378,7 +388,7 @@ TcpTransport::SenderConn* TcpTransport::GetSender(int peer_rank) {
   if (slot == nullptr) {
     slot = std::make_unique<SenderConn>();
     slot->peer_rank = peer_rank;
-    slot->queue = std::make_unique<stream::RingQueue<OutFrame>>(options_.send_queue_capacity);
+    slot->queue = std::make_unique<stream::RingQueue<OutFrame>>(kSendQueueFrames);
     slot->thread = std::thread(&TcpTransport::SenderLoop, this, slot.get());
   }
   return slot.get();
@@ -387,9 +397,7 @@ TcpTransport::SenderConn* TcpTransport::GetSender(int peer_rank) {
 int TcpTransport::DialPeer(int peer_rank) {
   const Endpoint& ep = options_.cluster[peer_rank];
   const int64_t deadline = NowMicros() + options_.connect_timeout_micros;
-  const int64_t cap_micros = std::max<int64_t>(options_.connect_backoff_cap_micros, 1);
-  int64_t backoff_micros =
-      std::min<int64_t>(std::max<int64_t>(options_.connect_backoff_initial_micros, 1), cap_micros);
+  int64_t backoff_micros = kConnectBackoffInitialMicros;
   uint64_t attempt = 0;
   while (!shutdown_.load()) {
     ++attempt;
@@ -412,18 +420,14 @@ int TcpTransport::DialPeer(int peer_rank) {
     // Peers may start in any order: retry with capped exponential backoff.
     // The jitter factor is deterministic per (local rank, peer, attempt), so
     // many links dropped at once spread their redials instead of pounding
-    // the listener in lockstep — and tests replay the exact schedule.
-    int64_t sleep_micros = backoff_micros;
-    const double jitter = options_.connect_backoff_jitter;
-    if (jitter > 0) {
-      const uint64_t h = Mix64((static_cast<uint64_t>(options_.rank) << 40) ^
-                               (static_cast<uint64_t>(peer_rank) << 20) ^ attempt);
-      const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-      sleep_micros = static_cast<int64_t>(static_cast<double>(backoff_micros) *
-                                          (1.0 - jitter + 2.0 * jitter * unit));
-    }
-    SleepMicros(std::max<int64_t>(sleep_micros, 1));
-    backoff_micros = std::min<int64_t>(backoff_micros * 2, cap_micros);
+    // the listener in lockstep.
+    const uint64_t h = Mix64((static_cast<uint64_t>(options_.rank) << 40) ^
+                             (static_cast<uint64_t>(peer_rank) << 20) ^ attempt);
+    const double unit = static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
+    SleepMicros(static_cast<int64_t>(
+        static_cast<double>(backoff_micros) *
+        (1.0 - kConnectBackoffJitter + 2.0 * kConnectBackoffJitter * unit)));
+    backoff_micros = std::min(backoff_micros * 2, kConnectBackoffCapMicros);
   }
   return -1;
 }

@@ -46,14 +46,11 @@ std::vector<uint16_t> PickFreePorts(int n);
 /// remote_byte_cost model and real sockets.
 class LoopbackTransport final : public stream::Transport {
  public:
-  /// `wire` picks the tuple-section coding for every frame this transport
-  /// encodes; `arena_pool_capacity` bounds the recycled frame-arena free
-  /// list (0 = never recycle, the ASan-friendly borrow-test mode).
-  LoopbackTransport(int num_workers, PayloadCodec codec,
-                    WireCodec wire = WireCodec::kDelta, size_t arena_pool_capacity = 8)
+  /// `arena_pool_capacity` bounds the recycled frame-arena free list (0 =
+  /// never recycle, the ASan-friendly borrow-test mode).
+  LoopbackTransport(int num_workers, PayloadCodec codec, size_t arena_pool_capacity = 8)
       : num_workers_(num_workers),
         codec_(std::move(codec)),
-        wire_(wire),
         arena_pool_(arena_pool_capacity) {}
 
   int local_rank() const override { return 0; }
@@ -71,7 +68,6 @@ class LoopbackTransport final : public stream::Transport {
 
   const int num_workers_;
   const PayloadCodec codec_;
-  const WireCodec wire_;
   FrameArenaPool arena_pool_;
   InboundSink sink_;
   FailureSink on_failure_;
@@ -86,27 +82,13 @@ struct TcpTransportOptions {
   /// Optional bind override ("host:port"); defaults to cluster[rank]. Lets
   /// a worker bind 0.0.0.0 while peers dial a routable name.
   std::string listen_override;
-  /// Bounded send buffer per peer connection, in frames. A full buffer
-  /// blocks the producer — backpressure extends across the wire.
-  size_t send_queue_capacity = 1024;
   uint32_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// How long a sender retries dialing a peer (covers workers starting in
   /// any order) before the run is failed.
   int64_t connect_timeout_micros = 30'000'000;
-  /// Connect retry schedule: exponential backoff from the initial delay up
-  /// to the cap, with deterministic ±jitter (seeded per rank pair and
-  /// attempt) so many links dropped at once do not redial in lockstep.
-  int64_t connect_backoff_initial_micros = 1'000;
-  int64_t connect_backoff_cap_micros = 200'000;
-  /// Jitter fraction in [0, 1): each sleep is scaled by a factor drawn from
-  /// [1 - jitter, 1 + jitter). 0 restores the fixed schedule.
-  double connect_backoff_jitter = 0.25;
   /// Coordinator's budget for the end-of-run barrier (workers' DONE frames).
   int64_t finish_timeout_micros = 120'000'000;
   PayloadCodec codec;
-  /// Tuple-section coding for frames this rank sends. Receivers decode
-  /// whatever the frame's codec byte announces, so ranks may differ.
-  WireCodec wire_codec = WireCodec::kDelta;
   /// Recycled frame-arena free list bound for the zero-copy receive path
   /// (0 = never recycle; see FrameArenaPool).
   size_t arena_pool_capacity = 8;

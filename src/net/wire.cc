@@ -55,29 +55,22 @@ bool ParseHello(SafeBinaryReader& r, Frame* frame, std::string* error) {
 
 bool ParseData(SafeBinaryReader& r, const PayloadCodec* codec,
                const std::shared_ptr<FrameArena>& arena, Frame* frame, std::string* error) {
-  uint8_t codec_byte = 0;
   int32_t source_task = 0;
   uint32_t count = 0;
   {
     uint32_t src_u = 0;
     uint32_t dst_u = 0;
-    if (!r.ReadU8(&codec_byte) || !r.ReadU32(&src_u) || !r.ReadU32(&dst_u) ||
-        !r.ReadU32(&count)) {
+    if (!r.ReadU32(&src_u) || !r.ReadU32(&dst_u) || !r.ReadU32(&count)) {
       return SetError(error, "truncated DATA header");
     }
     source_task = static_cast<int32_t>(src_u);
     frame->dst_task = static_cast<int32_t>(dst_u);
   }
-  if (codec_byte > static_cast<uint8_t>(WireCodec::kDelta)) {
-    return SetError(error, "unknown wire codec " + std::to_string(codec_byte) + " in DATA");
-  }
-  const WireCodec wire = static_cast<WireCodec>(codec_byte);
 
-  // Cheap per-envelope size floors stop a corrupt count from driving a huge
-  // reserve: raw needs link_seq (8) + tuple header (8) per envelope, delta
-  // at least one byte each for link_seq / payload_bytes / num_fields.
-  const uint64_t floor_per_env = wire == WireCodec::kRaw ? 16 : 3;
-  if (static_cast<uint64_t>(count) * floor_per_env > r.remaining()) {
+  // A cheap per-envelope size floor stops a corrupt count from driving a
+  // huge reserve: at least one byte each for link_seq, payload_bytes and
+  // num_fields.
+  if (static_cast<uint64_t>(count) * 3 > r.remaining()) {
     return SetError(error, "DATA count exceeds frame size");
   }
   frame->envelopes.reserve(count);
@@ -85,19 +78,15 @@ bool ParseData(SafeBinaryReader& r, const PayloadCodec* codec,
   for (uint32_t i = 0; i < count; ++i) {
     stream::Envelope& env = frame->envelopes.emplace_back();
     env.source_task = source_task;
-    if (wire == WireCodec::kRaw) {
-      if (!r.ReadU64(&env.link_seq)) return SetError(error, "truncated DATA envelope");
+    if (i == 0) {
+      if (!r.ReadVarint(&env.link_seq)) return SetError(error, "truncated DATA envelope");
     } else {
-      if (i == 0) {
-        if (!r.ReadVarint(&env.link_seq)) return SetError(error, "truncated DATA envelope");
-      } else {
-        int64_t gap = 0;
-        if (!r.ReadVarintI64(&gap)) return SetError(error, "truncated DATA envelope");
-        env.link_seq = prev_seq + static_cast<uint64_t>(gap);
-      }
-      prev_seq = env.link_seq;
+      int64_t gap = 0;
+      if (!r.ReadVarintI64(&gap)) return SetError(error, "truncated DATA envelope");
+      env.link_seq = prev_seq + static_cast<uint64_t>(gap);
     }
-    if (!DecodeTuple(wire, r, codec, arena, &env.tuple)) {
+    prev_seq = env.link_seq;
+    if (!DecodeTuple(r, codec, arena, &env.tuple)) {
       return SetError(error, "malformed tuple in DATA");
     }
   }
@@ -153,47 +142,15 @@ bool ParseState(SafeBinaryReader& r, Frame* frame, std::string* error) {
 
 }  // namespace
 
-const char* WireCodecName(WireCodec codec) {
-  switch (codec) {
-    case WireCodec::kRaw:
-      return "raw";
-    case WireCodec::kDelta:
-      return "delta";
-  }
-  return "?";
-}
-
-bool ParseWireCodec(const std::string& name, WireCodec* out) {
-  if (name == "raw") {
-    *out = WireCodec::kRaw;
-  } else if (name == "delta") {
-    *out = WireCodec::kDelta;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-void EncodeTuple(WireCodec wire, const stream::Tuple& tuple, const PayloadCodec* codec,
-                 std::string* out) {
-  const bool delta = wire == WireCodec::kDelta;
+void EncodeTuple(const stream::Tuple& tuple, const PayloadCodec* codec, std::string* out) {
   BinaryWriter w(out);
-  if (delta) {
-    w.WriteVarint(tuple.payload_bytes());
-    w.WriteVarint(tuple.num_fields());
-  } else {
-    w.WriteU32(static_cast<uint32_t>(tuple.payload_bytes()));
-    w.WriteU32(static_cast<uint32_t>(tuple.num_fields()));
-  }
+  w.WriteVarint(tuple.payload_bytes());
+  w.WriteVarint(tuple.num_fields());
   for (size_t i = 0; i < tuple.num_fields(); ++i) {
     const stream::Value& v = tuple.field(i);
     if (const auto* n = std::get_if<int64_t>(&v)) {
       w.WriteU8(kTagInt);
-      if (delta) {
-        w.WriteVarintI64(*n);
-      } else {
-        w.WriteI64(*n);
-      }
+      w.WriteVarintI64(*n);
     } else {
       const auto& p = std::get<std::shared_ptr<const void>>(v);
       if (p == nullptr) {
@@ -202,39 +159,23 @@ void EncodeTuple(WireCodec wire, const stream::Tuple& tuple, const PayloadCodec*
         CHECK(codec != nullptr && codec->encode)
             << "tuple carries an opaque payload but the transport has no payload codec";
         w.WriteU8(kTagPayload);
-        if (delta) {
-          // Varint length prefix: encode to scratch first (the length is
-          // variable width, so no patch-in-place like the raw path).
-          thread_local std::string scratch;
-          scratch.clear();
-          codec->encode(wire, p, &scratch);
-          w.WriteVarint(scratch.size());
-          out->append(scratch);
-        } else {
-          const size_t len_at = out->size();
-          w.WriteU32(0);  // patched below
-          codec->encode(wire, p, out);
-          const uint32_t len = static_cast<uint32_t>(out->size() - len_at - sizeof(uint32_t));
-          std::memcpy(out->data() + len_at, &len, sizeof(len));
-        }
+        // Varint length prefix: encode to scratch first, since the prefix's
+        // width depends on the length.
+        thread_local std::string scratch;
+        scratch.clear();
+        codec->encode(p, &scratch);
+        w.WriteVarint(scratch.size());
+        out->append(scratch);
       }
     }
   }
 }
 
-bool DecodeTuple(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
+bool DecodeTuple(SafeBinaryReader& r, const PayloadCodec* codec,
                  const std::shared_ptr<FrameArena>& arena, stream::Tuple* out) {
-  const bool delta = wire == WireCodec::kDelta;
   uint64_t payload_bytes = 0;
   uint64_t num_fields = 0;
-  if (delta) {
-    if (!r.ReadVarint(&payload_bytes) || !r.ReadVarint(&num_fields)) return false;
-  } else {
-    uint32_t pb = 0, nf = 0;
-    if (!r.ReadU32(&pb) || !r.ReadU32(&nf)) return false;
-    payload_bytes = pb;
-    num_fields = nf;
-  }
+  if (!r.ReadVarint(&payload_bytes) || !r.ReadVarint(&num_fields)) return false;
   // Checked before any field: Tuple::Append CHECKs its bound, and wire
   // bytes must never reach a CHECK.
   if (num_fields > stream::Tuple::kMaxFields) return false;
@@ -248,22 +189,18 @@ bool DecodeTuple(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
     switch (tag) {
       case kTagInt: {
         int64_t n = 0;
-        if (delta ? !r.ReadVarintI64(&n) : !r.ReadI64(&n)) return false;
+        if (!r.ReadVarintI64(&n)) return false;
         tuple.Append(n);
         break;
       }
       case kTagPayload: {
         const char* data = nullptr;
         size_t size = 0;
-        if (delta) {
-          uint64_t len = 0;
-          if (!r.ReadVarint(&len) || !r.ReadSpan(&data, &size, len)) return false;
-        } else {
-          if (!r.ReadSpanU32(&data, &size)) return false;
-        }
+        uint64_t len = 0;
+        if (!r.ReadVarint(&len) || !r.ReadSpan(&data, &size, len)) return false;
         if (codec == nullptr || !codec->decode) return false;
         std::shared_ptr<const void> p;
-        if (!codec->decode(wire, data, size, arena, &p)) return false;
+        if (!codec->decode(data, size, arena, &p)) return false;
         tuple.Append(std::move(p));
         break;
       }
@@ -290,45 +227,40 @@ void AppendHelloFrame(uint16_t rank, uint32_t connection, std::string* out) {
 
 namespace {
 
-void AppendDataFrameRange(WireCodec wire, int32_t source_task, int32_t dst_task,
-                          const stream::Envelope* envs, size_t count,
-                          const PayloadCodec* codec, std::string* out) {
+void AppendDataFrameRange(int32_t source_task, int32_t dst_task, const stream::Envelope* envs,
+                          size_t count, const PayloadCodec* codec, std::string* out) {
   const size_t at = BeginFrame(FrameType::kData, out);
   BinaryWriter w(out);
-  w.WriteU8(static_cast<uint8_t>(wire));
   w.WriteU32(static_cast<uint32_t>(source_task));
   w.WriteU32(static_cast<uint32_t>(dst_task));
   w.WriteU32(static_cast<uint32_t>(count));
-  // Per envelope a link_seq, then the tuple. delta codes the first link_seq
-  // as a plain varint and the rest as zigzag gaps to the previous one.
+  // Per envelope a link_seq, then the tuple: the first link_seq as a plain
+  // varint, the rest as zigzag gaps to the previous one.
   uint64_t prev_seq = 0;
   for (size_t i = 0; i < count; ++i) {
     DCHECK(!envs[i].eos) << "EOS markers travel as kEos frames";
     const uint64_t seq = envs[i].link_seq;
-    if (wire == WireCodec::kRaw) {
-      w.WriteU64(seq);
-    } else if (i == 0) {
+    if (i == 0) {
       w.WriteVarint(seq);
     } else {
       w.WriteVarintI64(static_cast<int64_t>(seq - prev_seq));
     }
     prev_seq = seq;
-    EncodeTuple(wire, envs[i].tuple, codec, out);
+    EncodeTuple(envs[i].tuple, codec, out);
   }
   EndFrame(at, out);
 }
 
 }  // namespace
 
-void AppendDataFrame(WireCodec wire, int32_t source_task, int32_t dst_task,
+void AppendDataFrame(int32_t source_task, int32_t dst_task,
                      const std::vector<stream::Envelope>& batch, const PayloadCodec* codec,
                      std::string* out) {
-  AppendDataFrameRange(wire, source_task, dst_task, batch.data(), batch.size(), codec, out);
+  AppendDataFrameRange(source_task, dst_task, batch.data(), batch.size(), codec, out);
 }
 
-void AppendEnvelopeFrames(WireCodec wire, int32_t dst_task,
-                          const std::vector<stream::Envelope>& envs, const PayloadCodec* codec,
-                          std::string* out) {
+void AppendEnvelopeFrames(int32_t dst_task, const std::vector<stream::Envelope>& envs,
+                          const PayloadCodec* codec, std::string* out) {
   size_t i = 0;
   while (i < envs.size()) {
     if (envs[i].eos) {
@@ -338,7 +270,7 @@ void AppendEnvelopeFrames(WireCodec wire, int32_t dst_task,
     }
     size_t j = i + 1;
     while (j < envs.size() && !envs[j].eos && envs[j].source_task == envs[i].source_task) ++j;
-    AppendDataFrameRange(wire, envs[i].source_task, dst_task, &envs[i], j - i, codec, out);
+    AppendDataFrameRange(envs[i].source_task, dst_task, &envs[i], j - i, codec, out);
     i = j;
   }
 }

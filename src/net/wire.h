@@ -29,13 +29,9 @@ namespace dssj::net {
 ///             per redial). First frame on every connection; both sides
 ///             reject a mismatched magic/version, and the receiver delivers
 ///             a rank's connections in index order.
-///   kData:    u8 wire codec, i32 source_task, i32 dst_task, u32 count,
-///             then a tuple section whose layout the codec byte picks (the
-///             frame is self-describing — receivers never consult local
-///             configuration):
-///               raw:   count x [u64 link_seq][raw tuple]
-///               delta: count x [link_seq: first vu, then vz of the gap to
-///                      the previous envelope][delta tuple]
+///   kData:    i32 source_task, i32 dst_task, u32 count, then count x
+///             [link_seq: first vu, then vz of the gap to the previous
+///             envelope][tuple] (see EncodeTuple).
 ///   kEos:     i32 source_task, i32 dst_task, u64 final link count
 ///             (Envelope::link_seq semantics for EOS markers).
 ///   kMetrics: i32 task_id, u32-length-prefixed SerializeTaskCounters blob,
@@ -79,29 +75,8 @@ enum class FrameType : uint8_t {
   kAck = 10,
 };
 
-/// Tuple-section coding for kData frames, selectable per transport via
-/// --wire_codec. Inside a frame the codec is a self-describing byte, so
-/// mixed-codec peers interoperate (each side decodes what it is sent).
-///
-///   kRaw:     fixed-width fields, token arrays as plain u32 arrays. The
-///             v1-equivalent layout; also the zero-copy sweet spot (token
-///             arrays alias the frame buffer directly on little-endian
-///             hosts).
-///   kDelta:   varint lengths/ids everywhere it pays, sorted token arrays
-///             delta-coded (gap - 1 per step; strict ascent makes that
-///             bijective). The default: the dominant payload bytes are
-///             token gaps, which are small.
-enum class WireCodec : uint8_t {
-  kRaw = 0,
-  kDelta = 1,
-};
-
-/// "raw" / "delta" (flag spelling).
-const char* WireCodecName(WireCodec codec);
-bool ParseWireCodec(const std::string& name, WireCodec* out);
-
 inline constexpr uint32_t kWireMagic = 0x314a5344;  // "DSJ1"
-inline constexpr uint16_t kWireVersion = 6;
+inline constexpr uint16_t kWireVersion = 7;
 
 /// Hard ceiling on a single frame's `length` field. A peer announcing more
 /// is malformed (or malicious) and the connection is failed rather than
@@ -113,47 +88,51 @@ inline constexpr uint32_t kDefaultMaxFrameBytes = 16u << 20;
 /// boundary the application supplies the byte encoding (the join topology
 /// registers a Record codec).
 ///
-/// Both callbacks receive the frame's codec, which picks the payload
-/// coding. encode appends to *out; decode returns false on malformed bytes.
+/// encode appends to *out; decode returns false on malformed bytes.
 ///
 /// decode additionally receives the frame arena (may be null). When
 /// non-null, `data` points into arena-owned storage and the codec may
-/// return a *borrowed* payload — views into `data` or into arena
-/// allocations — wrapped in an aliasing shared_ptr that owns the arena, so
-/// the backing memory outlives every handed-out pointer. When null, the
-/// payload must own all its storage.
+/// return a *borrowed* payload — views into arena allocations — wrapped in
+/// an aliasing shared_ptr that owns the arena, so the backing memory
+/// outlives every handed-out pointer. When null, the payload must own all
+/// its storage.
 struct PayloadCodec {
-  std::function<void(WireCodec wire, const std::shared_ptr<const void>& payload,
-                     std::string* out)>
-      encode;
-  std::function<bool(WireCodec wire, const char* data, size_t size,
-                     const std::shared_ptr<FrameArena>& arena,
+  std::function<void(const std::shared_ptr<const void>& payload, std::string* out)> encode;
+  std::function<bool(const char* data, size_t size, const std::shared_ptr<FrameArena>& arena,
                      std::shared_ptr<const void>* out)>
       decode;
 };
 
-/// Appends one tuple's field encoding (used inside kData bodies). For kRaw:
-/// u32 payload_bytes, u32 num_fields, then per field a u8 tag — 0 int64,
-/// 3 payload via codec (u32 len + bytes), 4 null payload. For kDelta the
-/// same tag stream with varint coding: vu payload_bytes, vu num_fields,
-/// ints as vz, payloads as vu len + bytes. Requires a codec when the tuple
-/// carries a non-null payload field (CHECK otherwise).
-void EncodeTuple(WireCodec wire, const stream::Tuple& tuple, const PayloadCodec* codec,
-                 std::string* out);
+/// Appends one tuple's field encoding (used inside kData bodies): vu
+/// payload_bytes, vu num_fields, then per field a u8 tag — 0 int64 (vz),
+/// 3 payload via codec (vu len + bytes), 4 null payload. Requires a codec
+/// when the tuple carries a non-null payload field (CHECK otherwise).
+void EncodeTuple(const stream::Tuple& tuple, const PayloadCodec* codec, std::string* out);
 
 /// Decodes one EncodeTuple blob from `r`'s current position. Returns false
 /// on more than Tuple::kMaxFields fields (before decoding any), truncation,
 /// unknown tags, non-canonical varints, or codec failure.
 /// `arena` is forwarded to the payload codec (see PayloadCodec).
-bool DecodeTuple(WireCodec wire, SafeBinaryReader& r, const PayloadCodec* codec,
+bool DecodeTuple(SafeBinaryReader& r, const PayloadCodec* codec,
                  const std::shared_ptr<FrameArena>& arena, stream::Tuple* out);
 
 /// Frame builders. Each appends one complete frame (length prefix included)
 /// to *out, so a send buffer concatenates frames directly.
 void AppendHelloFrame(uint16_t rank, uint32_t connection, std::string* out);
-void AppendDataFrame(WireCodec wire, int32_t source_task, int32_t dst_task,
+void AppendDataFrame(int32_t source_task, int32_t dst_task,
                      const std::vector<stream::Envelope>& batch, const PayloadCodec* codec,
                      std::string* out);
+
+/// Inert: there is one tuple coding. perfbench/probes.cc still encodes its
+/// wire probe through this overload (and perfbench/workloads.cc sets
+/// DistributedJoinOptions::wire_codec); the benchmark change that next
+/// edits those lines removes both names.
+enum class WireCodec : uint8_t { kDelta };
+inline void AppendDataFrame(WireCodec, int32_t source_task, int32_t dst_task,
+                            const std::vector<stream::Envelope>& batch,
+                            const PayloadCodec* codec, std::string* out) {
+  AppendDataFrame(source_task, dst_task, batch, codec, out);
+}
 void AppendEosFrame(int32_t source_task, int32_t dst_task, uint64_t final_count,
                     std::string* out);
 
@@ -161,9 +140,8 @@ void AppendEosFrame(int32_t source_task, int32_t dst_task, uint64_t final_count,
 /// maximal runs of data envelopes sharing a source task become one kData
 /// frame, each EOS marker becomes a kEos frame in position. This is what a
 /// channel submits per PushBatch.
-void AppendEnvelopeFrames(WireCodec wire, int32_t dst_task,
-                          const std::vector<stream::Envelope>& envs, const PayloadCodec* codec,
-                          std::string* out);
+void AppendEnvelopeFrames(int32_t dst_task, const std::vector<stream::Envelope>& envs,
+                          const PayloadCodec* codec, std::string* out);
 void AppendMetricsFrame(int32_t task_id, const std::string& blob, std::string* out);
 void AppendDoneFrame(uint16_t rank, std::string* out);
 void AppendFailFrame(uint16_t rank, const std::string& message, std::string* out);
@@ -216,7 +194,7 @@ enum class ParseStatus {
 /// Incremental frame parser over a receive buffer. Examines `size` bytes at
 /// `data`; on kFrame sets *consumed to the full frame size (prefix
 /// included) and fills *frame. Rejects frames whose announced length
-/// exceeds max_frame_bytes, unknown types and codecs, truncated bodies,
+/// exceeds max_frame_bytes, unknown types, truncated bodies,
 /// non-canonical varints, non-monotone token deltas, trailing garbage
 /// inside a body, and kHello magic/version mismatches (*error gets a
 /// description on kError).
@@ -224,9 +202,9 @@ enum class ParseStatus {
 /// Zero-copy contract: when `arena` is non-null, `data` MUST point into
 /// storage owned by that arena (the transport copies or encodes each
 /// complete frame into arena->bytes() before parsing). Decoded payloads may
-/// then borrow — they alias the frame bytes or arena allocations, pinned by
-/// aliasing shared_ptrs that own the arena. With a null arena every decoded
-/// payload owns its storage and `data` may be any transient buffer.
+/// then borrow arena allocations, pinned by aliasing shared_ptrs that own
+/// the arena. With a null arena every decoded payload owns its storage and
+/// `data` may be any transient buffer.
 ParseStatus ParseFrame(const char* data, size_t size, const PayloadCodec* codec,
                        uint32_t max_frame_bytes, Frame* frame, size_t* consumed,
                        std::string* error,

@@ -98,7 +98,110 @@ Status ParseLinkFault(LinkFaultKind kind, const std::string& stmt, const std::st
   return Status::OK();
 }
 
+/// A task address in the DSL's spelling, "<comp>:<index>".
+std::string Address(const std::string& component, int index) {
+  return component + ":" + std::to_string(index);
+}
+
+/// One task of a TopologyShape; id -1 when the address does not resolve.
+struct ShapeTask {
+  int id = -1;
+  const TopologyShape::Component* comp = nullptr;
+  int worker = 0;
+};
+
+ShapeTask FindTask(const TopologyShape& shape, const std::string& component, int index,
+                   std::string* why) {
+  int first_task = 0;
+  for (const TopologyShape::Component& c : shape.components) {
+    const int parallelism = static_cast<int>(c.workers.size());
+    if (c.name == component) {
+      if (index >= 0 && index < parallelism) {
+        return ShapeTask{first_task + index, &c, c.workers[static_cast<size_t>(index)]};
+      }
+      *why = "task index " + std::to_string(index) + " out of range for " + component +
+             " (parallelism " + std::to_string(parallelism) + ")";
+      return ShapeTask{};
+    }
+    first_task += parallelism;
+  }
+  *why = "unknown component '" + component + "'";
+  return ShapeTask{};
+}
+
 }  // namespace
+
+StatusOr<ResolvedFaultScript> ResolveFaultScript(const FaultScript& script,
+                                                 const TopologyShape& shape) {
+  ResolvedFaultScript out;
+  std::string why;
+  const auto fail = [&why](const std::string& statement) {
+    return Status::InvalidArgument(statement + ": " + why);
+  };
+  for (const KillFault& kill : script.kills()) {
+    const ShapeTask task = FindTask(shape, kill.component, kill.task_index, &why);
+    if (task.id < 0) return fail("kill " + Address(kill.component, kill.task_index));
+    out.kills.push_back(ResolvedFaultScript::Kill{task.id, kill.at_count});
+  }
+  for (const LinkFault& fault : script.link_faults()) {
+    const std::string statement = "link " + Address(fault.src_component, fault.src_index) +
+                                  "->" + Address(fault.dst_component, fault.dst_index);
+    const ShapeTask src = FindTask(shape, fault.src_component, fault.src_index, &why);
+    if (src.id < 0) return fail(statement);
+    const ShapeTask dst = FindTask(shape, fault.dst_component, fault.dst_index, &why);
+    if (dst.id < 0) return fail(statement);
+    bool edge = false;
+    for (const int consumer : src.comp->consumers) {
+      if (&shape.components[static_cast<size_t>(consumer)] == dst.comp) edge = true;
+    }
+    if (!edge) {
+      why = fault.src_component + "->" + fault.dst_component + " is not an edge of the topology";
+      return fail(statement);
+    }
+    if (!shape.hosts_all_tasks && src.worker != dst.worker &&
+        (fault.kind == LinkFaultKind::kDrop || fault.kind == LinkFaultKind::kDuplicate)) {
+      // Drop retention (and the consumer-side gap recovery that drains it)
+      // lives in one process; across real workers only disconnect faults
+      // model network loss.
+      why = "drop/dup must stay within one process, and the link crosses workers " +
+            std::to_string(src.worker) + "->" + std::to_string(dst.worker);
+      return fail(statement);
+    }
+    out.links.push_back(ResolvedFaultScript::Link{src.id, dst.id, fault.kind, fault.at_seq,
+                                                  fault.delay_micros});
+  }
+  // kill_worker / migrate: the action driver reads every task's progress
+  // and flips routes directly, so both need the whole topology in one
+  // process (real ranks migrate through Topology::MigrateTask).
+  const auto check_worker = [&](int worker, const char* what) {
+    if (!shape.hosts_all_tasks) {
+      why = "kill_worker and migrate need a single-process topology";
+    } else if (worker < 0 || worker >= shape.num_workers) {
+      why = std::string(what) + " " + std::to_string(worker) + " outside [0, " +
+            std::to_string(shape.num_workers) + ")";
+    } else {
+      return true;
+    }
+    return false;
+  };
+  for (const WorkerKillFault& kill : script.worker_kills()) {
+    if (!check_worker(kill.rank, "rank")) return fail("kill_worker " + std::to_string(kill.rank));
+    out.actions.push_back(ResolvedFaultScript::Action{kill.at_seq, -1, kill.rank});
+  }
+  for (const MigrateAction& mig : script.migrations()) {
+    const std::string statement = "migrate " + Address(mig.component, mig.task_index) + "->" +
+                                  std::to_string(mig.target_worker);
+    if (!check_worker(mig.target_worker, "target")) return fail(statement);
+    const ShapeTask task = FindTask(shape, mig.component, mig.task_index, &why);
+    if (task.id < 0) return fail(statement);
+    if (task.comp->is_spout) {
+      why = "cannot migrate spout component " + mig.component;
+      return fail(statement);
+    }
+    out.actions.push_back(ResolvedFaultScript::Action{mig.at_seq, task.id, mig.target_worker});
+  }
+  return out;
+}
 
 StatusOr<FaultScript> FaultScript::Parse(const std::string& text) {
   FaultScript script;

@@ -91,9 +91,9 @@ struct LinkFault {
 };
 
 /// A deterministic schedule of injected faults, resolved against the
-/// topology at Build() (unknown components / out-of-range task indices are
-/// build errors). Construct programmatically with the builder methods or
-/// from the CLI DSL via Parse():
+/// topology at Build() by ResolveFaultScript (unknown components /
+/// out-of-range task indices are build errors). Construct programmatically
+/// with the builder methods or from the CLI DSL via Parse():
 ///
 ///   kill:<comp>:<task>@<count>
 ///   kill_worker:<rank>@<seq>
@@ -176,6 +176,60 @@ class FaultScript {
   std::vector<WorkerKillFault> worker_kills_;
   std::vector<MigrateAction> migrations_;
 };
+
+/// What a fault script is resolved against: a topology's components in
+/// declaration order (task ids count through them in that order), its
+/// worker count, and whether one process hosts every task.
+struct TopologyShape {
+  struct Component {
+    std::string name;
+    bool is_spout = false;
+    /// Worker of each task, by task index; its size is the parallelism.
+    std::vector<int> workers;
+    /// Components subscribed to this one, as indices into `components`.
+    std::vector<int> consumers;
+  };
+  std::vector<Component> components;
+  int num_workers = 1;
+  bool hosts_all_tasks = true;
+};
+
+/// A fault script with every statement's component/index addresses turned
+/// into task ids of one TopologyShape.
+struct ResolvedFaultScript {
+  struct Kill {
+    int task = -1;
+    uint64_t at_count = 0;
+  };
+  struct Link {
+    int src_task = -1;
+    int dst_task = -1;
+    LinkFaultKind kind = LinkFaultKind::kDrop;
+    uint64_t at_seq = 0;
+    int64_t delay_micros = 0;
+  };
+  /// A statement that fires on source progress: kill_worker (task = -1,
+  /// every bolt on `worker` dies) or migrate (`task` moves to `worker`).
+  struct Action {
+    uint64_t at_seq = 0;
+    int task = -1;
+    int worker = -1;
+  };
+  std::vector<Kill> kills;
+  std::vector<Link> links;
+  std::vector<Action> actions;  ///< kill_worker statements, then migrates
+};
+
+/// Resolves `script` against `shape`. Returns InvalidArgument naming the
+/// statement ("kill joiner:9: ...") when it references an unknown
+/// component, a task index or worker out of range, a link that is not an
+/// edge, or a spout to migrate; when a drop/dup link crosses workers and
+/// the process does not host every task (drop retention lives in one
+/// process); and for kill_worker or migrate unless the process hosts every
+/// task. TopologyBuilder::Build aborts on these errors; the CLI reports
+/// them as usage errors.
+StatusOr<ResolvedFaultScript> ResolveFaultScript(const FaultScript& script,
+                                                 const TopologyShape& shape);
 
 }  // namespace dssj::stream
 

@@ -216,17 +216,10 @@ struct TopologyImpl {
   std::vector<std::thread> elastic_threads;  ///< adopted executors (mig_mu)
 
   // Progress-driven fault actions (kill_worker / migrate statements),
-  // resolved at Build and fired by a driver thread watching total spout
-  // emissions. `dyn_kill` flags a task for a simulated crash at its next
-  // execution boundary.
-  struct ResolvedAction {
-    uint64_t at_seq = 0;
-    bool is_kill = false;
-    int rank = -1;           ///< kill_worker target rank
-    int task_id = -1;        ///< migrate source task
-    int target_worker = -1;  ///< migrate target rank
-  };
-  std::vector<ResolvedAction> actions;
+  // resolved at Build, sorted by at_seq and fired by a driver thread
+  // watching total spout emissions. `dyn_kill` flags a task for a simulated
+  // crash at its next execution boundary.
+  std::vector<ResolvedFaultScript::Action> actions;
   std::unique_ptr<std::atomic<uint8_t>[]> dyn_kill;
   std::thread action_driver;
   std::atomic<bool> driver_stop{false};
@@ -2017,18 +2010,18 @@ void TopologyImpl::RunActionDriver() {
       }
     }
     while (next < actions.size() && actions[next].at_seq <= emitted) {
-      const ResolvedAction& action = actions[next++];
-      if (action.is_kill) {
+      const ResolvedFaultScript::Action& action = actions[next++];
+      if (action.task < 0) {
         // "Kill worker": every bolt task currently placed on the rank
         // crashes at its next execution step (spouts are the workload
         // source; killing them would change the input, not test recovery).
         for (Task& task : tasks) {
-          if (!comps[task.comp]->is_spout && WorkerOf(task.id) == action.rank) {
+          if (!comps[task.comp]->is_spout && WorkerOf(task.id) == action.worker) {
             dyn_kill[static_cast<size_t>(task.id)].store(1, std::memory_order_release);
           }
         }
       } else {
-        const Status status = MigrateTaskId(action.task_id, action.target_worker);
+        const Status status = MigrateTaskId(action.task, action.worker);
         if (!status.ok() && status.code() != StatusCode::kFailedPrecondition) {
           // FailedPrecondition = the task finished before the scripted
           // point — benign for schedules that race stream end.
@@ -2048,9 +2041,40 @@ void TopologyImpl::RunActionDriver() {
 
 using internal_topology::ComponentSpec;
 using internal_topology::ResolvedLinkFault;
+using internal_topology::TopologyImpl;
+
+namespace {
+
+/// The declared components' shape: placement as Build assigns it and
+/// consumers from the declared subscriptions.
+TopologyShape ShapeOf(const TopologyImpl& t, bool hosts_all) {
+  TopologyShape shape;
+  shape.num_workers = t.num_workers;
+  shape.hosts_all_tasks = hosts_all;
+  shape.components.resize(t.comps.size());
+  for (size_t ci = 0; ci < t.comps.size(); ++ci) {
+    const ComponentSpec& comp = *t.comps[ci];
+    TopologyShape::Component& c = shape.components[ci];
+    c.name = comp.name;
+    c.is_spout = comp.is_spout;
+    const bool placed = comp.placement.size() == static_cast<size_t>(comp.parallelism);
+    for (int i = 0; i < comp.parallelism; ++i) {
+      c.workers.push_back(placed ? comp.placement[i] : i % t.num_workers);
+    }
+    for (const auto& input : comp.inputs) {
+      const auto it = t.comp_index.find(input.first);
+      if (it != t.comp_index.end()) {
+        shape.components[it->second].consumers.push_back(static_cast<int>(ci));
+      }
+    }
+  }
+  return shape;
+}
+
+}  // namespace
+
 using internal_topology::Subscription;
 using internal_topology::Task;
-using internal_topology::TopologyImpl;
 
 // --- Declarers ---------------------------------------------------------
 
@@ -2217,6 +2241,11 @@ TopologyBuilder& TopologyBuilder::SetTransport(std::shared_ptr<Transport> transp
   return *this;
 }
 
+TopologyShape TopologyBuilder::Shape(bool hosts_all_tasks) const {
+  CHECK(impl_ != nullptr) << "builder already consumed";
+  return ShapeOf(*impl_, hosts_all_tasks);
+}
+
 std::unique_ptr<Topology> TopologyBuilder::Build() {
   CHECK(impl_ != nullptr) << "builder already consumed";
   TopologyImpl& t = *impl_;
@@ -2273,13 +2302,12 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
           << "SetNumWorkers must equal the transport's world size";
     }
   }
-  if (t.fault_script.has_progress_actions()) {
-    // The action driver reads every task's progress and flips routes
-    // directly; both need the whole topology in one process.
-    CHECK(hosts_all) << "kill_worker/migrate fault actions require a single-process "
-                        "(hosts-all) topology; drive real ranks via Topology::MigrateTask";
-    t.elastic = true;
-  }
+  // Script errors are configuration errors, so they abort like every other
+  // Build() check; ResolveFaultScript holds the rules.
+  const TopologyShape shape = ShapeOf(t, hosts_all);
+  StatusOr<ResolvedFaultScript> resolved = ResolveFaultScript(t.fault_script, shape);
+  CHECK(resolved.ok()) << "fault script: " << resolved.status().message();
+  if (t.fault_script.has_progress_actions()) t.elastic = true;
   if (t.elastic) t.supervised = true;  // the migration blob doubles as a checkpoint
   for (auto& comp_ptr : t.comps) {
     ComponentSpec& comp = *comp_ptr;
@@ -2293,7 +2321,7 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
       task.id = static_cast<int>(t.tasks.size());
       task.comp = static_cast<int>(&comp_ptr - t.comps.data());
       task.local_index = i;
-      task.worker = comp.placement.empty() ? i % t.num_workers : comp.placement[i];
+      task.worker = shape.components[task.comp].workers[i];
       CHECK_GE(task.worker, 0);
       CHECK_LT(task.worker, t.num_workers);
       task.metrics = std::make_unique<TaskMetrics>();
@@ -2373,48 +2401,16 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
     }
   }
 
-  // Resolve the fault script against the materialized tasks. Script errors
-  // are configuration errors, so they abort like every other Build() check.
+  // Fault plans, indexed by task id.
   t.kill_plan.assign(t.tasks.size(), {});
   t.link_plan.assign(t.tasks.size(), {});
-  const auto resolve_task = [&t](const std::string& component, int index,
-                                 const char* what) -> int {
-    const auto it = t.comp_index.find(component);
-    CHECK(it != t.comp_index.end())
-        << "fault script " << what << " references unknown component '" << component << "'";
-    const ComponentSpec& comp = *t.comps[it->second];
-    CHECK(index >= 0 && index < comp.parallelism)
-        << "fault script " << what << " task index " << index << " out of range for "
-        << component << " (parallelism " << comp.parallelism << ")";
-    return comp.first_task + index;
-  };
-  for (const KillFault& kill : t.fault_script.kills()) {
-    t.kill_plan[resolve_task(kill.component, kill.task_index, "kill")].push_back(
-        kill.at_count);
+  for (const ResolvedFaultScript::Kill& kill : resolved.value().kills) {
+    t.kill_plan[kill.task].push_back(kill.at_count);
   }
   for (std::vector<uint64_t>& kills : t.kill_plan) std::sort(kills.begin(), kills.end());
-  for (const LinkFault& fault : t.fault_script.link_faults()) {
-    const int src = resolve_task(fault.src_component, fault.src_index, "link fault source");
-    const int dst =
-        resolve_task(fault.dst_component, fault.dst_index, "link fault destination");
-    const ComponentSpec& src_comp = *t.comps[t.tasks[src].comp];
-    bool edge = false;
-    for (const Subscription& sub : src_comp.subs_out) {
-      if (t.comps[sub.consumer_comp].get() == t.comps[t.tasks[dst].comp].get()) edge = true;
-    }
-    CHECK(edge) << "fault script link " << fault.src_component << "->" << fault.dst_component
-                << " is not an edge of the topology";
-    if (!hosts_all &&
-        (fault.kind == LinkFaultKind::kDrop || fault.kind == LinkFaultKind::kDuplicate)) {
-      // Drop retention (and the consumer-side gap recovery that drains it)
-      // lives in one process; across real workers only disconnect faults
-      // model network loss.
-      CHECK_EQ(t.tasks[src].worker, t.tasks[dst].worker)
-          << "scripted drop/dup on " << fault.src_component << "->" << fault.dst_component
-          << " crosses workers; with a real transport these faults must stay co-located";
-    }
-    t.link_plan[src][dst].push_back(
-        ResolvedLinkFault{fault.kind, fault.at_seq, fault.delay_micros});
+  for (const ResolvedFaultScript::Link& link : resolved.value().links) {
+    t.link_plan[link.src_task][link.dst_task].push_back(
+        ResolvedLinkFault{link.kind, link.at_seq, link.delay_micros});
   }
   for (auto& per_dst : t.link_plan) {
     for (auto& [dst, faults] : per_dst) {
@@ -2424,28 +2420,11 @@ std::unique_ptr<Topology> TopologyBuilder::Build() {
                 });
     }
   }
-
-  // Resolve progress-driven actions (kill_worker / migrate statements).
-  for (const WorkerKillFault& kill : t.fault_script.worker_kills()) {
-    CHECK(kill.rank >= 0 && kill.rank < t.num_workers)
-        << "fault script kill_worker rank " << kill.rank << " outside [0, " << t.num_workers
-        << ")";
-    t.actions.push_back(
-        TopologyImpl::ResolvedAction{kill.at_seq, /*is_kill=*/true, kill.rank, -1, -1});
-  }
-  for (const MigrateAction& mig : t.fault_script.migrations()) {
-    const int task_id = resolve_task(mig.component, mig.task_index, "migrate");
-    CHECK(!t.comps[t.tasks[task_id].comp]->is_spout)
-        << "fault script cannot migrate spout component " << mig.component;
-    CHECK(mig.target_worker >= 0 && mig.target_worker < t.num_workers)
-        << "fault script migrate target " << mig.target_worker << " outside [0, "
-        << t.num_workers << ")";
-    t.actions.push_back(TopologyImpl::ResolvedAction{mig.at_seq, /*is_kill=*/false, -1,
-                                                     task_id, mig.target_worker});
-  }
+  t.actions = std::move(resolved.value().actions);
   std::stable_sort(t.actions.begin(), t.actions.end(),
-                   [](const TopologyImpl::ResolvedAction& a,
-                      const TopologyImpl::ResolvedAction& b) { return a.at_seq < b.at_seq; });
+                   [](const ResolvedFaultScript::Action& a, const ResolvedFaultScript::Action& b) {
+                     return a.at_seq < b.at_seq;
+                   });
   if (!t.actions.empty()) {
     t.action_hold.store(t.actions.front().at_seq, std::memory_order_relaxed);
     t.dyn_kill = std::make_unique<std::atomic<uint8_t>[]>(t.tasks.size());

@@ -244,6 +244,12 @@ class TopologyBuilder {
   /// own metrics view and surfaces remote failures through ok().
   TopologyBuilder& SetTransport(std::shared_ptr<Transport> transport);
 
+  /// The declared topology's shape, as Build() resolves the fault script
+  /// against it (see ResolveFaultScript) under a transport that does or
+  /// does not host every task in this process. Lets a caller reject a
+  /// script before building.
+  TopologyShape Shape(bool hosts_all_tasks) const;
+
   /// Validates the dataflow (existing sources, a DAG, bolts have inputs),
   /// instantiates components, and returns the runnable topology. The
   /// builder is consumed.

@@ -8,33 +8,6 @@
 namespace dssj {
 namespace {
 
-#if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__)
-constexpr bool kHostLittleEndian = __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
-#else
-constexpr bool kHostLittleEndian = false;
-#endif
-
-bool StrictlyAscending(const TokenId* t, size_t n) {
-  for (size_t i = 1; i < n; ++i) {
-    if (t[i - 1] >= t[i]) return false;
-  }
-  return true;
-}
-
-/// Shared raw-format decode: header + count validation, then hands the
-/// trailing little-endian token bytes to `sink`.
-template <typename TokenSink>
-bool DecodeRecordImpl(const char* data, size_t size, Record* out, TokenSink&& sink) {
-  SafeBinaryReader r(data, size);
-  uint32_t n = 0;
-  if (!r.ReadU64(&out->id) || !r.ReadU64(&out->seq) || !r.ReadI64(&out->timestamp) ||
-      !r.ReadU32(&n)) {
-    return false;
-  }
-  if (r.remaining() != static_cast<size_t>(n) * sizeof(TokenId)) return false;
-  return sink(data + (size - r.remaining()), static_cast<size_t>(n));
-}
-
 /// Shared delta-format decode; `alloc_tokens(n)` returns writable storage
 /// for the decoded array (vector resize or arena alloc).
 template <typename TokenAlloc>
@@ -142,33 +115,20 @@ void EncodeRecordDelta(const Record& r, std::string* out) {
 }
 
 bool DecodeRecord(const char* data, size_t size, Record* out) {
-  std::vector<TokenId> tokens;
-  const bool ok = DecodeRecordImpl(data, size, out, [&](const char* bytes, size_t n) {
-    tokens.resize(n);
-    if (n > 0) std::memcpy(tokens.data(), bytes, n * sizeof(TokenId));
-    return StrictlyAscending(tokens.data(), n);
-  });
-  if (!ok) return false;
+  SafeBinaryReader r(data, size);
+  uint32_t n = 0;
+  if (!r.ReadU64(&out->id) || !r.ReadU64(&out->seq) || !r.ReadI64(&out->timestamp) ||
+      !r.ReadU32(&n)) {
+    return false;
+  }
+  if (r.remaining() != static_cast<size_t>(n) * sizeof(TokenId)) return false;
+  std::vector<TokenId> tokens(n);
+  if (n > 0) std::memcpy(tokens.data(), data + (size - r.remaining()), n * sizeof(TokenId));
+  for (size_t i = 1; i < tokens.size(); ++i) {
+    if (tokens[i - 1] >= tokens[i]) return false;
+  }
   out->tokens = TokenArray(std::move(tokens));
   return true;
-}
-
-bool DecodeRecordBorrowed(const char* data, size_t size, TokenAllocFn alloc, void* ctx,
-                          Record* out) {
-  return DecodeRecordImpl(data, size, out, [&](const char* bytes, size_t n) {
-    const TokenId* t = nullptr;
-    if (kHostLittleEndian && reinterpret_cast<uintptr_t>(bytes) % alignof(TokenId) == 0) {
-      // The wire bytes *are* the host representation: alias them directly.
-      t = reinterpret_cast<const TokenId*>(bytes);
-    } else {
-      TokenId* dst = alloc(ctx, n);
-      if (n > 0) std::memcpy(dst, bytes, n * sizeof(TokenId));
-      t = dst;
-    }
-    if (!StrictlyAscending(t, n)) return false;
-    out->tokens = TokenArray::Borrow(t, n);
-    return true;
-  });
 }
 
 bool DecodeRecordDelta(const char* data, size_t size, Record* out) {

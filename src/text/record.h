@@ -42,8 +42,8 @@ class TokenSpan {
 
 /// Token storage that either *owns* its elements (a heap vector, the default)
 /// or *borrows* a span owned by someone else — in practice the network frame
-/// arena, so a record decoded off the wire can point straight into the frame
-/// buffer without re-materializing its token array.
+/// arena, so a record decoded off the wire keeps its token array in arena
+/// storage instead of a heap vector of its own.
 ///
 /// Lifetime contract for borrowed arrays: the borrow itself holds no
 /// keepalive (a record living *inside* an arena must not pin its own arena —
@@ -186,16 +186,17 @@ size_t OverlapSize(TokenSpan a, TokenSpan b);
 RecordPtr MakeRecord(uint64_t id, uint64_t seq, std::vector<TokenId> tokens,
                      int64_t timestamp = 0);
 
-/// Appends the record's raw wire encoding (id, seq, timestamp, token count,
-/// then the token array as little-endian u32s) to `*out`. The inverse of
-/// DecodeRecord; the `raw` network payload codec for record-carrying tuples.
+/// Appends the record's fixed-width encoding (id, seq, timestamp, token
+/// count, then the token array as little-endian u32s) to `*out`. The inverse
+/// of DecodeRecord; the joiners' lane-merge checkpoint stores records this
+/// way.
 void EncodeRecord(const Record& r, std::string* out);
 
 /// Compact wire encoding: varint id/seq, zigzag-varint timestamp, varint
 /// token count, then the token array delta-coded — first token verbatim,
 /// every later token as varint(token[i] - token[i-1] - 1). Strict ascent
 /// makes every gap representable and the coding bijective; the inverse is
-/// DecodeRecordDelta. The `delta` network payload codec.
+/// DecodeRecordDelta. The network payload coding of record-carrying tuples.
 void EncodeRecordDelta(const Record& r, std::string* out);
 
 /// Decodes an EncodeRecord blob. Returns false on truncated or malformed
@@ -208,21 +209,16 @@ bool DecodeRecord(const char* data, size_t size, Record* out);
 /// Non-canonical varints and deltas that overflow TokenId are rejected.
 bool DecodeRecordDelta(const char* data, size_t size, Record* out);
 
-/// Token allocator callback for the borrowing decoders below: returns
-/// storage for `n` tokens that outlives the decoded record (the net layer
-/// passes its frame arena). Plain function pointer + context so the per-
-/// record decode path stays allocation-free.
+/// Token allocator callback for DecodeRecordDeltaBorrowed: returns storage
+/// for `n` tokens that outlives the decoded record (the net layer passes its
+/// frame arena). Plain function pointer + context so the per-record decode
+/// path stays allocation-free.
 using TokenAllocFn = TokenId* (*)(void* ctx, size_t n);
 
-/// Zero-copy variants: `out->tokens` *borrows* its storage instead of
-/// heap-allocating a vector. For the raw format the tokens alias `data`
-/// directly when the host is little-endian and the array happens to be
-/// 4-aligned, else they are bulk-copied into `alloc`-provided memory (still
-/// no per-record heap allocation). The delta format always decodes into
-/// `alloc` storage. Caller must keep both `data` and the allocator's memory
-/// alive for the record's lifetime — see TokenArray's contract.
-bool DecodeRecordBorrowed(const char* data, size_t size, TokenAllocFn alloc, void* ctx,
-                          Record* out);
+/// Zero-copy variant of DecodeRecordDelta: the tokens decode into
+/// `alloc`-provided memory and `out->tokens` *borrows* it instead of
+/// heap-allocating a vector. Caller must keep the allocator's memory alive
+/// for the record's lifetime — see TokenArray's contract.
 bool DecodeRecordDeltaBorrowed(const char* data, size_t size, TokenAllocFn alloc, void* ctx,
                                Record* out);
 

@@ -227,28 +227,62 @@ TEST_F(NetSmokeTest, GarbageLinesMatchSingleProcess) {
   EXPECT_EQ(tcp, reference);
 }
 
-// A malformed flag value or an unsupported combination is a usage error:
-// both binaries exit 2 with a message naming the flag, never a CHECK abort
-// (134). Needs no sockets — every case fails before the transport starts.
+// A malformed flag value, an out-of-range value or an unsupported
+// combination is a usage error: both binaries exit 2 with a message naming
+// the flag or the fault statement, never a CHECK abort (134) and never a
+// silent default. Needs no sockets — every case fails before the transport
+// starts.
 TEST_F(NetSmokeTest, BadFlagsAreUsageErrors) {
   const std::string dir = ::testing::TempDir();
+  const std::vector<std::string> cli = {DSSJ_CLI_BIN, corpus_};
+  const std::vector<std::string> worker = {DSSJ_WORKER_BIN, "--rank=1", "--transport=tcp",
+                                           "--connect=127.0.0.1:1,127.0.0.1:2"};
+  const auto with = [](std::vector<std::string> argv, std::vector<std::string> extra) {
+    argv.insert(argv.end(), extra.begin(), extra.end());
+    return argv;
+  };
   const struct {
     std::vector<std::string> argv;
     std::string expected;
   } cases[] = {
-      {{DSSJ_CLI_BIN, corpus_, "--threshold=abc"}, "--threshold expects an integer"},
-      {{DSSJ_CLI_BIN, corpus_, "--arrival_rate=fast"}, "--arrival_rate expects a number"},
-      {{DSSJ_CLI_BIN, corpus_, "--elastic=maybe"}, "--elastic expects a boolean"},
-      {{DSSJ_CLI_BIN, corpus_, "--local=bundle", "--strategy=prefix"},
+      {with(cli, {"--threshold=abc"}), "--threshold expects an integer"},
+      {with(cli, {"--arrival_rate=fast"}), "--arrival_rate expects a number"},
+      {with(cli, {"--elastic=maybe"}), "--elastic expects a boolean"},
+      {with(cli, {"--local=bundle", "--strategy=prefix"}),
        "--local=bundle does not support --strategy=prefix"},
-      {{DSSJ_WORKER_BIN, "--rank=1", "--transport=tcp", "--connect=127.0.0.1:1,127.0.0.1:2",
-        "--joiners=4x"},
-       "--joiners expects an integer"},
-      // Codec names that earlier versions accepted.
-      {{DSSJ_CLI_BIN, corpus_, "--wire_codec=delta-lz"}, "--wire_codec expects raw|delta"},
-      {{DSSJ_WORKER_BIN, "--rank=1", "--transport=tcp", "--connect=127.0.0.1:1,127.0.0.1:2",
-        "--wire_codec=lz"},
-       "--wire_codec expects raw|delta"},
+      {with(worker, {"--joiners=4x"}), "--joiners expects an integer"},
+      // Out-of-range values that used to abort or run as if absent.
+      {with(cli, {"--joiners=0"}), "--joiners must be >= 1"},
+      {with(cli, {"--joiners=-2"}), "--joiners must be >= 1"},
+      {with(worker, {"--joiners=0"}), "--joiners must be >= 1"},
+      {with(cli, {"--threshold=0"}), "--threshold must be in [1, 1000]"},
+      {with(cli, {"--threshold=-5"}), "--threshold must be in [1, 1000]"},
+      {with(cli, {"--threshold=1001"}), "--threshold must be in [1, 1000]"},
+      {with(worker, {"--threshold=1001"}), "--threshold must be in [1, 1000]"},
+      {with(cli, {"--window=-3"}), "--window and --qgram must be >= 0"},
+      {with(worker, {"--window=-3"}), "--window and --qgram must be >= 0"},
+      {with(cli, {"--qgram=-1"}), "--window and --qgram must be >= 0"},
+      {with(worker, {"--rank=2"}), "--rank must be below the --connect cluster size"},
+      // Fault statements that parse but do not fit the join topology.
+      {with(cli, {"--fault_script=kill:joiner:9@5"}),
+       "kill joiner:9: task index 9 out of range for joiner"},
+      {with(worker, {"--fault_script=kill:joiner:9@5"}),
+       "kill joiner:9: task index 9 out of range for joiner"},
+      {with(cli, {"--fault_script=kill:nosuch:0@5"}),
+       "kill nosuch:0: unknown component 'nosuch'"},
+      {with(cli, {"--fault_script=migrate:joiner:0->7@100"}),
+       "migrate joiner:0->7: target 7 outside [0, 4)"},
+      {with(cli, {"--fault_script=drop:joiner:0->dispatcher:0@3"}),
+       "link joiner:0->dispatcher:0: joiner->dispatcher is not an edge"},
+      {with(worker, {"--fault_script=migrate:joiner:1->0@5"}),
+       "migrate joiner:1->0: kill_worker and migrate need a single-process topology"},
+      {with(worker, {"--fault_script=drop:dispatcher:0->joiner:1@3"}),
+       "link dispatcher:0->joiner:1: drop/dup must stay within one process"},
+      // The deleted codec flag, and codec names that earlier versions
+      // accepted.
+      {with(cli, {"--wire_codec=delta"}), "unknown flag --wire_codec"},
+      {with(cli, {"--wire_codec=delta-lz"}), "unknown flag --wire_codec"},
+      {with(worker, {"--wire_codec=raw"}), "unknown flag --wire_codec"},
   };
   for (const auto& c : cases) {
     const pid_t pid = Spawn(c.argv, dir + "/usage.out");

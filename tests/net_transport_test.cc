@@ -381,7 +381,7 @@ class RawPeerTest : public ::testing::Test {
       e.link_seq = seq;
       batch.push_back(std::move(e));
     }
-    net::AppendDataFrame(net::WireCodec::kDelta, 1, 0, batch, nullptr, &bytes);
+    net::AppendDataFrame(1, 0, batch, nullptr, &bytes);
     return bytes;
   }
 

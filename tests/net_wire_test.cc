@@ -1,5 +1,5 @@
-// Wire-format tests: tuple encoding round-trips every Value alternative in
-// every codec, frame parsing is incremental, and malformed inputs (truncated
+// Wire-format tests: tuple encoding round-trips every Value alternative,
+// frame parsing is incremental, and malformed inputs (truncated
 // bodies, oversized lengths, non-canonical varints, non-monotone token
 // deltas, lying length prefixes, too many tuple fields, unknown field tags)
 // are rejected instead of crashing — the parser faces bytes from the
@@ -10,8 +10,8 @@
 // malformed or addressed to no task.
 //
 // The fuzz battery at the bottom runs >= 5000 structured mutational
-// iterations over seed frame streams in every codec plus the migration
-// control frames, parsed both with and without a frame arena (the zero-copy
+// iterations over a seed data-frame stream and the migration control
+// frames, each parsed both with and without a frame arena (the zero-copy
 // path), under ASan/UBSan in CI.
 #include <cstdint>
 #include <cstring>
@@ -37,8 +37,6 @@ using stream::Envelope;
 using stream::MakeTuple;
 using stream::Tuple;
 
-constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta};
-
 Record MakeTestRecord(uint64_t id, std::vector<TokenId> tokens) {
   Record r;
   r.id = id;
@@ -48,56 +46,50 @@ Record MakeTestRecord(uint64_t id, std::vector<TokenId> tokens) {
   return r;
 }
 
-Tuple RoundTrip(WireCodec wire, const Tuple& in, const PayloadCodec* codec) {
+Tuple RoundTrip(const Tuple& in, const PayloadCodec* codec) {
   std::string bytes;
-  EncodeTuple(wire, in, codec, &bytes);
+  EncodeTuple(in, codec, &bytes);
   SafeBinaryReader r(bytes.data(), bytes.size());
   Tuple out;
-  EXPECT_TRUE(DecodeTuple(wire, r, codec, nullptr, &out));
+  EXPECT_TRUE(DecodeTuple(r, codec, nullptr, &out));
   EXPECT_TRUE(r.AtEnd());
   return out;
 }
 
 TEST(WireTupleTest, RoundTripsScalarsAndStrings) {
-  for (const WireCodec wire : kAllCodecs) {
-    Tuple in = MakeTuple(int64_t{-42}, int64_t{INT64_MIN}, int64_t{0}, int64_t{INT64_MAX});
-    in.set_payload_bytes(99);
-    const Tuple out = RoundTrip(wire, in, nullptr);
-    ASSERT_EQ(out.num_fields(), 4u);
-    EXPECT_EQ(out.Int(0), -42);
-    EXPECT_EQ(out.Int(1), INT64_MIN);
-    EXPECT_EQ(out.Int(2), 0);
-    EXPECT_EQ(out.Int(3), INT64_MAX);
-    EXPECT_EQ(out.payload_bytes(), 99u);
-  }
+  Tuple in = MakeTuple(int64_t{-42}, int64_t{INT64_MIN}, int64_t{0}, int64_t{INT64_MAX});
+  in.set_payload_bytes(99);
+  const Tuple out = RoundTrip(in, nullptr);
+  ASSERT_EQ(out.num_fields(), 4u);
+  EXPECT_EQ(out.Int(0), -42);
+  EXPECT_EQ(out.Int(1), INT64_MIN);
+  EXPECT_EQ(out.Int(2), 0);
+  EXPECT_EQ(out.Int(3), INT64_MAX);
+  EXPECT_EQ(out.payload_bytes(), 99u);
 }
 
 TEST(WireTupleTest, RoundTripsRecordPayloadViaCodec) {
   const PayloadCodec codec = RecordWireCodec();
-  for (const WireCodec wire : kAllCodecs) {
-    auto record = std::make_shared<Record>(MakeTestRecord(7, {1, 5, 9, 200000}));
-    Tuple in = MakeTuple(std::shared_ptr<const void>(record), int64_t{3});
-    const Tuple out = RoundTrip(wire, in, &codec);
-    ASSERT_EQ(out.num_fields(), 2u);
-    const auto decoded = out.Ptr<Record>(0);
-    ASSERT_NE(decoded, nullptr);
-    EXPECT_NE(decoded.get(), record.get());  // a real copy crossed the "wire"
-    EXPECT_EQ(decoded->id, record->id);
-    EXPECT_EQ(decoded->seq, record->seq);
-    EXPECT_EQ(decoded->timestamp, record->timestamp);
-    EXPECT_EQ(decoded->tokens, record->tokens);
-    EXPECT_FALSE(decoded->tokens.borrowed());  // null arena => owning decode
-    EXPECT_EQ(out.Int(1), 3);
-  }
+  auto record = std::make_shared<Record>(MakeTestRecord(7, {1, 5, 9, 200000}));
+  Tuple in = MakeTuple(std::shared_ptr<const void>(record), int64_t{3});
+  const Tuple out = RoundTrip(in, &codec);
+  ASSERT_EQ(out.num_fields(), 2u);
+  const auto decoded = out.Ptr<Record>(0);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_NE(decoded.get(), record.get());  // a real copy crossed the "wire"
+  EXPECT_EQ(decoded->id, record->id);
+  EXPECT_EQ(decoded->seq, record->seq);
+  EXPECT_EQ(decoded->timestamp, record->timestamp);
+  EXPECT_EQ(decoded->tokens, record->tokens);
+  EXPECT_FALSE(decoded->tokens.borrowed());  // null arena => owning decode
+  EXPECT_EQ(out.Int(1), 3);
 }
 
 TEST(WireTupleTest, RoundTripsNullPayload) {
-  for (const WireCodec wire : kAllCodecs) {
-    Tuple in = MakeTuple(std::shared_ptr<const void>(), int64_t{1});
-    const Tuple out = RoundTrip(wire, in, nullptr);  // null payload needs no codec
-    ASSERT_EQ(out.num_fields(), 2u);
-    EXPECT_EQ(std::get<std::shared_ptr<const void>>(out.field(0)), nullptr);
-  }
+  Tuple in = MakeTuple(std::shared_ptr<const void>(), int64_t{1});
+  const Tuple out = RoundTrip(in, nullptr);  // null payload needs no codec
+  ASSERT_EQ(out.num_fields(), 2u);
+  EXPECT_EQ(std::get<std::shared_ptr<const void>>(out.field(0)), nullptr);
 }
 
 TEST(WireRecordTest, DeltaRoundTripsEdgeTokenShapes) {
@@ -143,8 +135,8 @@ TEST(WireRecordTest, DecodeRejectsTruncatedAndMalformed) {
 }
 
 TEST(WireRecordTest, RejectsNonMonotoneTokens) {
-  // Raw coding can express an unsorted array; the decoder must refuse it
-  // (every downstream index assumes strict ascent).
+  // The fixed-width coding can express an unsorted array; the decoder must
+  // refuse it (every downstream index assumes strict ascent).
   Record unsorted = MakeTestRecord(1, {5, 3, 9});
   std::string bytes;
   EncodeRecord(unsorted, &bytes);
@@ -215,59 +207,32 @@ std::vector<Envelope> SmallBatch() {
   return envs;
 }
 
-std::string OneDataFrame(WireCodec wire, const PayloadCodec* codec) {
+std::string OneDataFrame(const PayloadCodec* codec) {
   std::string bytes;
-  AppendDataFrame(wire, 4, 9, SmallBatch(), codec, &bytes);
+  AppendDataFrame(4, 9, SmallBatch(), codec, &bytes);
   return bytes;
 }
 
-TEST(WireFrameTest, DataFrameRoundTripAllCodecs) {
-  for (const WireCodec wire : kAllCodecs) {
-    const std::string bytes = OneDataFrame(wire, nullptr);
-    Frame frame;
-    size_t consumed = 0;
-    std::string error;
-    ASSERT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes,
-                         &frame, &consumed, &error),
-              ParseStatus::kFrame)
-        << WireCodecName(wire) << ": " << error;
-    EXPECT_EQ(consumed, bytes.size());
-    EXPECT_EQ(frame.type, FrameType::kData);
-    EXPECT_EQ(frame.dst_task, 9);
-    ASSERT_EQ(frame.envelopes.size(), 3u);
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(frame.envelopes[i].source_task, 4);
-      EXPECT_EQ(frame.envelopes[i].link_seq, static_cast<uint64_t>(i + 1));
-      EXPECT_EQ(frame.envelopes[i].tuple.Int(0), i);
-      EXPECT_EQ(frame.envelopes[i].tuple.Int(1), -i);
-      EXPECT_FALSE(frame.envelopes[i].eos);
-    }
+TEST(WireFrameTest, DataFrameRoundTrip) {
+  const std::string bytes = OneDataFrame(nullptr);
+  Frame frame;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes, &frame,
+                       &consumed, &error),
+            ParseStatus::kFrame)
+      << error;
+  EXPECT_EQ(consumed, bytes.size());
+  EXPECT_EQ(frame.type, FrameType::kData);
+  EXPECT_EQ(frame.dst_task, 9);
+  ASSERT_EQ(frame.envelopes.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(frame.envelopes[i].source_task, 4);
+    EXPECT_EQ(frame.envelopes[i].link_seq, static_cast<uint64_t>(i + 1));
+    EXPECT_EQ(frame.envelopes[i].tuple.Int(0), i);
+    EXPECT_EQ(frame.envelopes[i].tuple.Int(1), -i);
+    EXPECT_FALSE(frame.envelopes[i].eos);
   }
-}
-
-TEST(WireFrameTest, MixedCodecPeersInteroperate) {
-  // The codec byte is per frame: a stream holding one frame of each codec
-  // parses with no out-of-band configuration.
-  std::string bytes;
-  for (const WireCodec wire : kAllCodecs) {
-    AppendDataFrame(wire, 4, 9, SmallBatch(), nullptr, &bytes);
-  }
-  size_t pos = 0;
-  size_t frames = 0;
-  while (pos < bytes.size()) {
-    Frame frame;
-    size_t consumed = 0;
-    std::string error;
-    ASSERT_EQ(ParseFrame(bytes.data() + pos, bytes.size() - pos, nullptr,
-                         kDefaultMaxFrameBytes, &frame, &consumed, &error),
-              ParseStatus::kFrame)
-        << error;
-    ASSERT_EQ(frame.envelopes.size(), 3u);
-    EXPECT_EQ(frame.envelopes[2].tuple.Int(0), 2);
-    pos += consumed;
-    ++frames;
-  }
-  EXPECT_EQ(frames, std::size(kAllCodecs));
 }
 
 TEST(WireFrameTest, EnvelopeFramesSplitRunsAndEos) {
@@ -286,7 +251,7 @@ TEST(WireFrameTest, EnvelopeFramesSplitRunsAndEos) {
   eos.link_seq = 17;  // final link count rides the EOS marker
   envs.push_back(eos);
   std::string bytes;
-  AppendEnvelopeFrames(WireCodec::kDelta, 5, envs, nullptr, &bytes);
+  AppendEnvelopeFrames(5, envs, nullptr, &bytes);
 
   std::vector<Frame> frames;
   size_t pos = 0;
@@ -376,22 +341,20 @@ TEST(WireFrameTest, ControlFramesRoundTrip) {
 }
 
 TEST(WireFrameTest, PrefixesAskForMoreBytes) {
-  for (const WireCodec wire : kAllCodecs) {
-    const std::string bytes = OneDataFrame(wire, nullptr);
-    for (size_t cut = 0; cut < bytes.size(); ++cut) {
-      Frame frame;
-      size_t consumed = 0;
-      std::string error;
-      EXPECT_EQ(ParseFrame(bytes.data(), cut, nullptr, kDefaultMaxFrameBytes, &frame,
-                           &consumed, &error),
-                ParseStatus::kNeedMore)
-          << WireCodecName(wire) << " prefix " << cut;
-    }
+  const std::string bytes = OneDataFrame(nullptr);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    Frame frame;
+    size_t consumed = 0;
+    std::string error;
+    EXPECT_EQ(ParseFrame(bytes.data(), cut, nullptr, kDefaultMaxFrameBytes, &frame, &consumed,
+                         &error),
+              ParseStatus::kNeedMore)
+        << "prefix " << cut;
   }
 }
 
 TEST(WireFrameTest, RejectsOversizedLength) {
-  std::string bytes = OneDataFrame(WireCodec::kDelta, nullptr);
+  std::string bytes = OneDataFrame(nullptr);
   const uint32_t huge = kDefaultMaxFrameBytes + 1;
   std::memcpy(bytes.data(), &huge, 4);
   Frame frame;
@@ -404,7 +367,7 @@ TEST(WireFrameTest, RejectsOversizedLength) {
 }
 
 TEST(WireFrameTest, RejectsUnknownType) {
-  std::string bytes = OneDataFrame(WireCodec::kDelta, nullptr);
+  std::string bytes = OneDataFrame(nullptr);
   bytes[4] = 0x7f;  // type byte
   Frame frame;
   size_t consumed = 0;
@@ -414,40 +377,21 @@ TEST(WireFrameTest, RejectsUnknownType) {
             ParseStatus::kError);
 }
 
-TEST(WireFrameTest, RejectsUnknownCodecByte) {
-  // Only 0 (raw) and 1 (delta) are assigned; a v3 peer could send 2.
-  for (const char codec_byte : {'\x02', '\x09'}) {
-    std::string bytes = OneDataFrame(WireCodec::kDelta, nullptr);
-    bytes[5] = codec_byte;
-    Frame frame;
-    size_t consumed = 0;
-    std::string error;
-    EXPECT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes,
-                         &frame, &consumed, &error),
-              ParseStatus::kError)
-        << "codec byte " << int{codec_byte};
-    EXPECT_FALSE(error.empty());
-  }
-}
-
 TEST(WireFrameTest, RejectsBodyTruncatedInsideAnnouncedLength) {
   // Shrink the announced length so it cuts a tuple mid-field: the body is
   // "complete" per the length prefix but malformed inside.
-  for (const WireCodec wire : kAllCodecs) {
-    std::string bytes = OneDataFrame(wire, nullptr);
-    uint32_t len;
-    std::memcpy(&len, bytes.data(), 4);
-    const uint32_t cut_len = len - 3;
-    std::memcpy(bytes.data(), &cut_len, 4);
-    bytes.resize(4 + cut_len);
-    Frame frame;
-    size_t consumed = 0;
-    std::string error;
-    EXPECT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes,
-                         &frame, &consumed, &error),
-              ParseStatus::kError)
-        << WireCodecName(wire);
-  }
+  std::string bytes = OneDataFrame(nullptr);
+  uint32_t len;
+  std::memcpy(&len, bytes.data(), 4);
+  const uint32_t cut_len = len - 3;
+  std::memcpy(bytes.data(), &cut_len, 4);
+  bytes.resize(4 + cut_len);
+  Frame frame;
+  size_t consumed = 0;
+  std::string error;
+  EXPECT_EQ(ParseFrame(bytes.data(), bytes.size(), nullptr, kDefaultMaxFrameBytes, &frame,
+                       &consumed, &error),
+            ParseStatus::kError);
 }
 
 TEST(WireFrameTest, RejectsBadHelloMagic) {
@@ -470,14 +414,16 @@ TEST(WireFrameTest, RejectsCodecFailureInPayload) {
   e.source_task = 0;
   e.link_seq = 1;
   std::string bytes;
-  AppendDataFrame(WireCodec::kRaw, 0, 1, {e}, &codec, &bytes);
-  // Corrupt the encoded record's token count so only the codec fails (the
-  // frame and tuple structure stay valid). The record blob is the frame's
-  // final payload; its token count sits 24 bytes in (after
-  // id/seq/timestamp).
-  const size_t record_bytes = 28 + sizeof(TokenId) * record->tokens.size();
-  const size_t count_offset = bytes.size() - record_bytes + 24;
-  bytes[count_offset] ^= 0x01;
+  AppendDataFrame(0, 1, {e}, &codec, &bytes);
+  // Raise the encoded record's token count past its token bytes so only the
+  // codec fails (the frame and tuple structure stay valid). The record blob
+  // is the frame's final payload; its token count is the fourth varint,
+  // after a one-byte id, seq and timestamp each.
+  std::string blob;
+  EncodeRecordDelta(*record, &blob);
+  const size_t count_offset = bytes.size() - blob.size() + 3;
+  ASSERT_EQ(bytes[count_offset], 2);
+  bytes[count_offset] = 3;
   Frame frame;
   size_t consumed = 0;
   std::string error;
@@ -533,22 +479,15 @@ TEST(WireFrameTest, RejectsMalformedStateFrames) {
 
 // A DATA frame holding one envelope whose tuple announces `num_fields`
 // fields, followed by `fields` (tags and values) verbatim.
-std::string DataFrameWithFields(WireCodec wire, uint64_t num_fields, const std::string& fields) {
+std::string DataFrameWithFields(uint64_t num_fields, const std::string& fields) {
   std::string body;
   BinaryWriter w(&body);
-  w.WriteU8(static_cast<uint8_t>(wire));
-  w.WriteU32(1);  // source task
-  w.WriteU32(2);  // dst task
-  w.WriteU32(1);  // envelope count
-  if (wire == WireCodec::kRaw) {
-    w.WriteU64(1);  // link_seq
-    w.WriteU32(0);  // payload_bytes
-    w.WriteU32(static_cast<uint32_t>(num_fields));
-  } else {
-    w.WriteVarint(1);
-    w.WriteVarint(0);
-    w.WriteVarint(num_fields);
-  }
+  w.WriteU32(1);      // source task
+  w.WriteU32(2);      // dst task
+  w.WriteU32(1);      // envelope count
+  w.WriteVarint(1);   // link_seq
+  w.WriteVarint(0);   // payload_bytes
+  w.WriteVarint(num_fields);
   body.append(fields);
   return RawFrame(FrameType::kData, body);
 }
@@ -569,53 +508,52 @@ TEST(WireFrameTest, RejectsWideTuplesAndUnassignedTags) {
     return ParseFrame(data, bytes.size(), &codec, kDefaultMaxFrameBytes, &frame, &consumed,
                       error, arena);
   };
-  for (const WireCodec wire : kAllCodecs) {
-    const bool raw = wire == WireCodec::kRaw;
-    // Tag 0 and the value 0: eight raw bytes, or one zigzag varint byte.
-    const std::string int_field(raw ? 9 : 2, '\0');
-    const auto ints = [&](int n) {
-      std::string out;
-      for (int i = 0; i < n; ++i) out.append(int_field);
-      return out;
-    };
-    // Tag 1 followed by eight bytes, and tag 2 followed by a zero length.
-    std::string tag1(9, '\0');
-    tag1[0] = '\x01';
-    std::string tag2(raw ? 5 : 2, '\0');
-    tag2[0] = '\x02';
-    const struct {
-      const char* what;
-      std::string bytes;
-      ParseStatus want;
-    } cases[] = {
-        {"four fields", DataFrameWithFields(wire, 4, ints(4)), ParseStatus::kFrame},
-        {"five fields", DataFrameWithFields(wire, 5, ints(5)), ParseStatus::kError},
-        {"2^32-1 fields", DataFrameWithFields(wire, 0xffffffffu, ints(4)), ParseStatus::kError},
-        {"tag 1", DataFrameWithFields(wire, 2, ints(1).append(tag1)), ParseStatus::kError},
-        {"tag 2", DataFrameWithFields(wire, 2, ints(1).append(tag2)), ParseStatus::kError},
-    };
-    for (const auto& c : cases) {
-      for (const bool use_arena : {false, true}) {
-        std::string error;
-        EXPECT_EQ(parse(c.bytes, use_arena, &error), c.want)
-            << WireCodecName(wire) << " " << c.what << (use_arena ? " (arena)" : "");
-        EXPECT_EQ(error.empty(), c.want == ParseStatus::kFrame) << error;
-      }
+  // Tag 0 and the value 0 as one zigzag varint byte.
+  const std::string int_field(2, '\0');
+  const auto ints = [&](int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out.append(int_field);
+    return out;
+  };
+  // Tag 1 followed by eight bytes, and tag 2 followed by a zero length.
+  std::string tag1(9, '\0');
+  tag1[0] = '\x01';
+  std::string tag2(2, '\0');
+  tag2[0] = '\x02';
+  const struct {
+    const char* what;
+    std::string bytes;
+    ParseStatus want;
+  } cases[] = {
+      {"four fields", DataFrameWithFields(4, ints(4)), ParseStatus::kFrame},
+      {"five fields", DataFrameWithFields(5, ints(5)), ParseStatus::kError},
+      {"2^32-1 fields", DataFrameWithFields(0xffffffffu, ints(4)), ParseStatus::kError},
+      {"tag 1", DataFrameWithFields(2, ints(1).append(tag1)), ParseStatus::kError},
+      {"tag 2", DataFrameWithFields(2, ints(1).append(tag2)), ParseStatus::kError},
+  };
+  for (const auto& c : cases) {
+    for (const bool use_arena : {false, true}) {
+      std::string error;
+      EXPECT_EQ(parse(c.bytes, use_arena, &error), c.want)
+          << c.what << (use_arena ? " (arena)" : "");
+      EXPECT_EQ(error.empty(), c.want == ParseStatus::kFrame) << error;
     }
   }
 }
 
 TEST(WireFrameTest, RejectsHelloFromOtherWireVersion) {
   // A peer on another wire version codes some bodies differently (v3 sent
-  // STATE blobs compressed), so HELLO refuses it before any other frame.
-  std::string bytes;
-  AppendHelloFrame(1, 0, &bytes);
-  const uint16_t v3 = 3;
-  std::memcpy(bytes.data() + 4 + 1 + 4, &v3, sizeof(v3));  // past prefix, type, magic
-  std::string error;
-  EXPECT_EQ(ParseOne(bytes, &error), ParseStatus::kError);
-  EXPECT_NE(error.find("peer 3"), std::string::npos) << error;
-  EXPECT_NE(error.find("local " + std::to_string(kWireVersion)), std::string::npos) << error;
+  // STATE blobs compressed, v6 opened each DATA body with a codec byte), so
+  // HELLO refuses it before any other frame.
+  for (const uint16_t version : {uint16_t{3}, uint16_t{6}}) {
+    std::string bytes;
+    AppendHelloFrame(1, 0, &bytes);
+    std::memcpy(bytes.data() + 4 + 1 + 4, &version, sizeof(version));  // past prefix, type, magic
+    std::string error;
+    EXPECT_EQ(ParseOne(bytes, &error), ParseStatus::kError) << "version " << version;
+    EXPECT_NE(error.find("peer " + std::to_string(version)), std::string::npos) << error;
+    EXPECT_NE(error.find("local " + std::to_string(kWireVersion)), std::string::npos) << error;
+  }
 }
 
 // METRICS blobs are generated from the counter table (DSSJ_TASK_COUNTERS),
@@ -713,8 +651,8 @@ TEST(WireMetricsTest, RejectedBlobsLeaveTheMetricsUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// Fuzz battery: >= 5000 structured mutational iterations over seed frame
-// streams, one per codec plus one of migration control frames. Mutation
+// Fuzz battery: >= 5000 structured mutational iterations over two seed
+// frame streams, one of data frames and one of migration control frames. Mutation
 // classes: random bit flips, truncations, length-field lies, varint padding
 // injection (non-canonical encodings), 0xff runs (huge varints /
 // non-monotone deltas / blob length lies), and chunk splices. Every outcome
@@ -741,15 +679,13 @@ std::vector<std::string> FuzzSeeds(const PayloadCodec* codec) {
     envs.push_back(std::move(e));
   }
   std::vector<std::string> seeds;
-  for (const WireCodec wire : kAllCodecs) {
-    std::string s;
-    AppendHelloFrame(1, 0, &s);
-    AppendDataFrame(wire, 1, 2, envs, codec, &s);
-    AppendEosFrame(1, 2, 55, &s);
-    AppendMetricsFrame(3, std::string(40, 'x'), &s);
-    AppendFailFrame(1, "boom", &s);
-    seeds.push_back(std::move(s));
-  }
+  std::string data;
+  AppendHelloFrame(1, 0, &data);
+  AppendDataFrame(1, 2, envs, codec, &data);
+  AppendEosFrame(1, 2, 55, &data);
+  AppendMetricsFrame(3, std::string(40, 'x'), &data);
+  AppendFailFrame(1, "boom", &data);
+  seeds.push_back(std::move(data));
   std::string control;
   AppendHelloFrame(1, 2, &control);
   AppendPrepareFrame(9, 2, 1, &control);
@@ -817,12 +753,12 @@ TEST(WireFuzzTest, StructuredMutationsNeverCrash) {
     const int rounds = 1 + static_cast<int>(rng() % 3);
     for (int m = 0; m < rounds; ++m) Mutate(rng, &mutated);
 
-    // Alternate between the owning path and the zero-copy arena path; the
-    // arena path must copy the bytes into arena storage first (that is the
-    // ParseFrame contract the transports uphold).
+    // Each seed alternates between the owning path and the zero-copy arena
+    // path; the arena path must copy the bytes into arena storage first
+    // (that is the ParseFrame contract the transports uphold).
     std::shared_ptr<FrameArena> arena;
     const char* data = mutated.data();
-    if (iter % 2 == 1) {
+    if ((static_cast<size_t>(iter) / seeds.size()) % 2 == 1) {
       arena = pool.Acquire();
       arena->bytes() = mutated;
       data = arena->bytes().data();

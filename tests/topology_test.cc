@@ -236,6 +236,86 @@ TEST(TopologyDeathTest, RejectsUnknownSourceAndCycles) {
   }
 }
 
+/// src (1 task, worker 0) -> mid (2 tasks, workers 0 and 1) -> sink (1 task,
+/// worker 0): task ids 0, 1-2, 3.
+TopologyShape ThreeStageShape(bool hosts_all_tasks) {
+  TopologyShape shape;
+  shape.num_workers = 2;
+  shape.hosts_all_tasks = hosts_all_tasks;
+  shape.components = {{"src", true, {0}, {1}}, {"mid", false, {0, 1}, {2}},
+                      {"sink", false, {0}, {}}};
+  return shape;
+}
+
+TEST(FaultScriptResolveTest, TurnsAddressesIntoTaskIds) {
+  FaultScript script;
+  script.KillAt("mid", 1, 5)
+      .DropAt("src", 0, "mid", 1, 3)
+      .MigrateAt("mid", 0, 1, 40)
+      .KillWorkerAt(1, 20);
+  const StatusOr<ResolvedFaultScript> resolved =
+      ResolveFaultScript(script, ThreeStageShape(true));
+  ASSERT_TRUE(resolved.ok()) << resolved.status().message();
+  const ResolvedFaultScript& r = resolved.value();
+  ASSERT_EQ(r.kills.size(), 1u);
+  EXPECT_EQ(r.kills[0].task, 2);
+  EXPECT_EQ(r.kills[0].at_count, 5u);
+  ASSERT_EQ(r.links.size(), 1u);
+  EXPECT_EQ(r.links[0].src_task, 0);
+  EXPECT_EQ(r.links[0].dst_task, 2);
+  EXPECT_EQ(r.links[0].kind, LinkFaultKind::kDrop);
+  EXPECT_EQ(r.links[0].at_seq, 3u);
+  ASSERT_EQ(r.actions.size(), 2u);
+  EXPECT_EQ(r.actions[0].task, -1);  // kill_worker
+  EXPECT_EQ(r.actions[0].worker, 1);
+  EXPECT_EQ(r.actions[1].task, 1);   // migrate mid:0
+  EXPECT_EQ(r.actions[1].worker, 1);
+}
+
+TEST(FaultScriptResolveTest, RejectsStatementsThatDoNotFitTheShape) {
+  const struct {
+    std::string script;
+    bool hosts_all_tasks;
+    std::string expected;
+  } cases[] = {
+      {"kill:nosuch:0@5", true, "kill nosuch:0: unknown component 'nosuch'"},
+      {"kill:mid:2@5", true, "task index 2 out of range for mid (parallelism 2)"},
+      {"delay:mid:0->src:0@3x10", true, "mid->src is not an edge"},
+      {"dup:src:0->sink:0@3", true, "src->sink is not an edge"},
+      {"drop:src:0->mid:1@3", false, "link src:0->mid:1: drop/dup must stay within one"},
+      {"kill_worker:2@5", true, "rank 2 outside [0, 2)"},
+      {"kill_worker:1@5", false, "need a single-process topology"},
+      {"migrate:src:0->1@5", true, "cannot migrate spout component src"},
+      {"migrate:mid:0->2@5", true, "target 2 outside [0, 2)"},
+      {"migrate:mid:0->1@5", false, "need a single-process topology"},
+  };
+  for (const auto& c : cases) {
+    const StatusOr<FaultScript> script = FaultScript::Parse(c.script);
+    ASSERT_TRUE(script.ok()) << c.script;
+    const StatusOr<ResolvedFaultScript> resolved =
+        ResolveFaultScript(script.value(), ThreeStageShape(c.hosts_all_tasks));
+    ASSERT_FALSE(resolved.ok()) << c.script;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(resolved.status().message().find(c.expected), std::string::npos)
+        << resolved.status().message();
+  }
+  // Faults that stay within one worker are fine under a real transport.
+  const StatusOr<FaultScript> local = FaultScript::Parse("drop:src:0->mid:0@3");
+  ASSERT_TRUE(local.ok());
+  EXPECT_TRUE(ResolveFaultScript(local.value(), ThreeStageShape(false)).ok());
+}
+
+TEST(TopologyDeathTest, BuildAbortsOnAFaultScriptThatDoesNotFit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TopologyBuilder b;
+  b.SetSpout("src", [] { return std::make_unique<CountingSpout>(1); });
+  auto seen = std::make_shared<Seen>();
+  b.SetBolt("sink", [seen] { return std::make_unique<CollectBolt>(seen); })
+      .ShuffleGrouping("src");
+  b.SetFaultScript(FaultScript().KillAt("sink", 3, 1));
+  EXPECT_DEATH(b.Build(), "task index 3 out of range for sink");
+}
+
 TEST(TupleTest, FieldAccessAndBytes) {
   auto payload = std::make_shared<const int64_t>(7);
   Tuple t = MakeTuple(int64_t{42}, std::shared_ptr<const void>(payload), int64_t{-1});

@@ -25,14 +25,10 @@
 namespace dssj {
 namespace {
 
-using net::WireCodec;
 using stream::Envelope;
 using stream::MakeTuple;
 
-constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta};
-
-std::string OneRecordFrame(WireCodec wire, const net::PayloadCodec& codec,
-                           std::vector<TokenId> tokens) {
+std::string OneRecordFrame(const net::PayloadCodec& codec, std::vector<TokenId> tokens) {
   auto record = std::make_shared<Record>();
   record->id = 5;
   record->seq = 6;
@@ -43,7 +39,7 @@ std::string OneRecordFrame(WireCodec wire, const net::PayloadCodec& codec,
   e.source_task = 1;
   e.link_seq = 1;
   std::string bytes;
-  net::AppendDataFrame(wire, 1, 2, {e}, &codec, &bytes);
+  net::AppendDataFrame(1, 2, {e}, &codec, &bytes);
   return bytes;
 }
 
@@ -69,18 +65,16 @@ TEST(BorrowLifetimeTest, BorrowedTokensOutliveTheArenaHandle) {
   const net::PayloadCodec codec = RecordWireCodec();
   const std::vector<TokenId> tokens = {2, 9, 11, 400000};
   net::FrameArenaPool pool(0);  // freed, not recycled: ASan sees any dangle
-  for (const WireCodec wire : kAllCodecs) {
-    const std::string bytes = OneRecordFrame(wire, codec, tokens);
-    auto arena = pool.Acquire();
-    RecordPtr record = ParseOneRecord(bytes, codec, arena);
-    ASSERT_NE(record, nullptr);
-    // Drop our arena handle: the record's aliasing owner must keep the
-    // arena (and with it the frame buffer) alive on its own.
-    arena.reset();
-    EXPECT_EQ(record->tokens, tokens) << net::WireCodecName(wire);
-    // The arena decode path hands out borrows, not copies.
-    EXPECT_TRUE(record->tokens.borrowed()) << net::WireCodecName(wire);
-  }
+  const std::string bytes = OneRecordFrame(codec, tokens);
+  auto arena = pool.Acquire();
+  RecordPtr record = ParseOneRecord(bytes, codec, arena);
+  ASSERT_NE(record, nullptr);
+  // Drop our arena handle: the record's aliasing owner must keep the arena
+  // (and with it the token storage) alive on its own.
+  arena.reset();
+  EXPECT_EQ(record->tokens, tokens);
+  // The arena decode path hands out borrows, not copies.
+  EXPECT_TRUE(record->tokens.borrowed());
 }
 
 // A task that keeps one received tuple (a replay-log entry waiting for a
@@ -106,42 +100,37 @@ TEST(BorrowLifetimeTest, ArenaMemoryIsProportionalToTheFrame) {
     e.link_seq = i + 1;
     envs.push_back(std::move(e));
   }
-  for (const WireCodec wire : kAllCodecs) {
-    std::string bytes;
-    net::AppendDataFrame(wire, 1, 2, envs, &codec, &bytes);
-    net::FrameArenaPool pool(0);
-    auto arena = pool.Acquire();
-    arena->bytes() = bytes;
-    net::Frame frame;
-    size_t consumed = 0;
-    std::string error;
-    ASSERT_EQ(net::ParseFrame(arena->bytes().data(), bytes.size(), &codec,
-                              net::kDefaultMaxFrameBytes, &frame, &consumed, &error, arena),
-              net::ParseStatus::kFrame)
-        << error;
-    ASSERT_EQ(frame.envelopes.size(), kRecords);
-    const size_t bound =
-        2 * bytes.size() + sizeof(TokenId) * bytes.size() + kRecords * sizeof(Record);
-    EXPECT_LE(arena->MemoryBytes(), bound)
-        << net::WireCodecName(wire) << ": " << bytes.size() << "-byte frame";
-  }
+  std::string bytes;
+  net::AppendDataFrame(1, 2, envs, &codec, &bytes);
+  net::FrameArenaPool pool(0);
+  auto arena = pool.Acquire();
+  arena->bytes() = bytes;
+  net::Frame frame;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(net::ParseFrame(arena->bytes().data(), bytes.size(), &codec,
+                            net::kDefaultMaxFrameBytes, &frame, &consumed, &error, arena),
+            net::ParseStatus::kFrame)
+      << error;
+  ASSERT_EQ(frame.envelopes.size(), kRecords);
+  const size_t bound =
+      2 * bytes.size() + sizeof(TokenId) * bytes.size() + kRecords * sizeof(Record);
+  EXPECT_LE(arena->MemoryBytes(), bound) << bytes.size() << "-byte frame";
 }
 
 TEST(BorrowLifetimeTest, NullArenaDecodesOwnEverything) {
   const net::PayloadCodec codec = RecordWireCodec();
-  for (const WireCodec wire : kAllCodecs) {
-    const std::string bytes = OneRecordFrame(wire, codec, {1, 2, 3});
-    RecordPtr record = ParseOneRecord(bytes, codec, nullptr);
-    ASSERT_NE(record, nullptr);
-    EXPECT_FALSE(record->tokens.borrowed()) << net::WireCodecName(wire);
-  }
+  const std::string bytes = OneRecordFrame(codec, {1, 2, 3});
+  RecordPtr record = ParseOneRecord(bytes, codec, nullptr);
+  ASSERT_NE(record, nullptr);
+  EXPECT_FALSE(record->tokens.borrowed());
 }
 
 TEST(BorrowLifetimeTest, DetachRecordProducesIndependentCopy) {
   const net::PayloadCodec codec = RecordWireCodec();
   net::FrameArenaPool pool(0);
   const std::vector<TokenId> tokens = {2, 9, 11};
-  const std::string bytes = OneRecordFrame(WireCodec::kRaw, codec, tokens);
+  const std::string bytes = OneRecordFrame(codec, tokens);
   auto arena = pool.Acquire();
   RecordPtr borrowed = ParseOneRecord(bytes, codec, arena);
   ASSERT_NE(borrowed, nullptr);
@@ -155,7 +144,8 @@ TEST(BorrowLifetimeTest, DetachRecordProducesIndependentCopy) {
   EXPECT_EQ(detached->seq, borrowed->seq);
 
   // Release every reference into the arena; the detached copy must be
-  // self-sufficient (ASan catches it if any byte still points at the frame).
+  // self-sufficient (ASan catches it if any byte still points into the
+  // arena).
   borrowed.reset();
   arena.reset();
   EXPECT_EQ(detached->tokens, tokens);
@@ -230,12 +220,9 @@ TEST(BorrowLifetimeTest, StoredIndexSurvivesArenaChurn) {
   inproc_options.transport = JoinTransport::kInproc;
   const DistributedJoinResult inproc = RunDistributedJoin(stream, inproc_options);
   ASSERT_GT(inproc.result_count, 0u);
-  for (const WireCodec wire : kAllCodecs) {
-    options.wire_codec = wire;
-    const DistributedJoinResult got = RunDistributedJoin(stream, options);
-    ASSERT_TRUE(got.ok) << got.failure_message;
-    EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs)) << net::WireCodecName(wire);
-  }
+  const DistributedJoinResult got = RunDistributedJoin(stream, options);
+  ASSERT_TRUE(got.ok) << got.failure_message;
+  EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs));
 }
 
 TEST(BorrowLifetimeTest, DetachOnCheckpointPath) {
@@ -251,13 +238,10 @@ TEST(BorrowLifetimeTest, DetachOnCheckpointPath) {
   options.supervise = true;
   options.supervision.checkpoint_interval = 16;
   options.fault_script = "kill:joiner:1@40";
-  for (const WireCodec wire : kAllCodecs) {
-    options.wire_codec = wire;
-    const DistributedJoinResult got = RunDistributedJoin(stream, options);
-    ASSERT_TRUE(got.ok) << got.failure_message;
-    EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs)) << net::WireCodecName(wire);
-    EXPECT_GE(got.restarts, 1u);
-  }
+  const DistributedJoinResult got = RunDistributedJoin(stream, options);
+  ASSERT_TRUE(got.ok) << got.failure_message;
+  EXPECT_EQ(Canonical(got.pairs), Canonical(inproc.pairs));
+  EXPECT_GE(got.restarts, 1u);
 }
 
 TEST(BorrowLifetimeTest, DetachOnShedPath) {
@@ -274,22 +258,17 @@ TEST(BorrowLifetimeTest, DetachOnShedPath) {
   options.shed_policy = stream::ShedPolicy::kProbe;
   options.shed_watermark = 0.02;  // tiny queue fraction: shedding is likely
   options.queue_capacity = 256;
-  for (const WireCodec wire : kAllCodecs) {
-    options.wire_codec = wire;
-    const DistributedJoinResult got = RunDistributedJoin(stream, options);
-    ASSERT_TRUE(got.ok) << got.failure_message;
-    const auto ref_pairs = Canonical(reference.pairs);
-    for (const ResultPair& pair : Canonical(got.pairs)) {
-      EXPECT_TRUE(std::binary_search(
-          ref_pairs.begin(), ref_pairs.end(), pair,
-          [](const ResultPair& a, const ResultPair& b) {
-            return std::tie(a.probe_seq, a.partner_seq) <
-                   std::tie(b.probe_seq, b.partner_seq);
-          }))
-          << net::WireCodecName(wire);
-    }
-    EXPECT_LE(got.result_count, reference.result_count);
+  const DistributedJoinResult got = RunDistributedJoin(stream, options);
+  ASSERT_TRUE(got.ok) << got.failure_message;
+  const auto ref_pairs = Canonical(reference.pairs);
+  for (const ResultPair& pair : Canonical(got.pairs)) {
+    EXPECT_TRUE(std::binary_search(ref_pairs.begin(), ref_pairs.end(), pair,
+                                   [](const ResultPair& a, const ResultPair& b) {
+                                     return std::tie(a.probe_seq, a.partner_seq) <
+                                            std::tie(b.probe_seq, b.partner_seq);
+                                   }));
   }
+  EXPECT_LE(got.result_count, reference.result_count);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// Wire-codec equivalence battery: both codecs (raw, delta) must produce
-// byte-identical join results across every transport (inproc, loopback,
-// tcp) at every batch size — the codec is an encoding choice, not a
-// semantics choice. Edge values ride along: records with empty token
-// arrays, singleton tokens, and ceiling token ids flow through the join;
+// Wire equivalence battery: the tuple coding must produce byte-identical
+// join results across every transport (inproc, loopback, tcp) at every
+// batch size — serialization is an encoding choice, not a semantics
+// choice. Edge values ride along: records with empty token arrays,
+// singleton tokens, and ceiling token ids flow through the join;
 // INT64_MIN/INT64_MAX fields and null payloads flow through the envelope
 // coding directly. A scripted mid-stream disconnect must not break equivalence
 // either (frames cross the cut via FIN-after-data + exactly-once replay).
@@ -25,12 +25,9 @@
 namespace dssj {
 namespace {
 
-using net::WireCodec;
 using stream::Envelope;
 using stream::MakeTuple;
 using stream::Tuple;
-
-constexpr WireCodec kAllCodecs[] = {WireCodec::kRaw, WireCodec::kDelta};
 
 std::vector<ResultPair> Canonical(std::vector<ResultPair> pairs) {
   std::sort(pairs.begin(), pairs.end(), [](const ResultPair& a, const ResultPair& b) {
@@ -41,8 +38,8 @@ std::vector<ResultPair> Canonical(std::vector<ResultPair> pairs) {
 
 /// Workload stream plus hand-built edge records: empty token array,
 /// singleton, and tokens at the id ceiling. The join must route and match
-/// them identically on every codec (empty records match nothing, but they
-/// still cross the wire and the exactly-once ledger).
+/// them identically on every transport (empty records match nothing, but
+/// they still cross the wire and the exactly-once ledger).
 std::vector<RecordPtr> MakeStream(uint64_t seed, size_t n) {
   WorkloadOptions options;
   options.seed = seed;
@@ -113,7 +110,7 @@ ClusterRun RunTcpCluster(const std::vector<RecordPtr>& input,
   return run;
 }
 
-class WireCodecEquivalenceTest : public ::testing::Test {
+class WireEquivalenceTest : public ::testing::Test {
  protected:
   std::string ClusterOrSkip(int ranks) {
     const std::vector<uint16_t> ports = net::PickFreePorts(ranks);
@@ -122,7 +119,7 @@ class WireCodecEquivalenceTest : public ::testing::Test {
   }
 };
 
-TEST_F(WireCodecEquivalenceTest, LoopbackMatchesInprocForEveryCodecAndBatchSize) {
+TEST_F(WireEquivalenceTest, LoopbackMatchesInprocForEveryBatchSize) {
   const auto stream = MakeStream(61, 600);
   DistributedJoinOptions options = BaseOptions(stream);
   const DistributedJoinResult inproc = RunDistributedJoin(stream, options);
@@ -130,101 +127,57 @@ TEST_F(WireCodecEquivalenceTest, LoopbackMatchesInprocForEveryCodecAndBatchSize)
   const auto reference = Canonical(inproc.pairs);
   options.transport = JoinTransport::kLoopback;
   options.num_workers = 2;
-  for (const WireCodec wire : kAllCodecs) {
-    options.wire_codec = wire;
-    for (const size_t batch : {size_t{1}, size_t{16}, size_t{128}}) {
-      options.batch_size = batch;
-      const DistributedJoinResult got = RunDistributedJoin(stream, options);
-      ASSERT_TRUE(got.ok) << got.failure_message;
-      EXPECT_EQ(Canonical(got.pairs), reference)
-          << net::WireCodecName(wire) << " batch=" << batch;
-      EXPECT_EQ(got.result_count, inproc.result_count);
-    }
+  for (const size_t batch : {size_t{1}, size_t{16}, size_t{128}}) {
+    options.batch_size = batch;
+    const DistributedJoinResult got = RunDistributedJoin(stream, options);
+    ASSERT_TRUE(got.ok) << got.failure_message;
+    EXPECT_EQ(Canonical(got.pairs), reference) << "batch=" << batch;
+    EXPECT_EQ(got.result_count, inproc.result_count);
   }
 }
 
-TEST_F(WireCodecEquivalenceTest, TcpMatchesInprocForEveryCodecAndBatchSize) {
+TEST_F(WireEquivalenceTest, TcpMatchesInprocForEveryBatchSize) {
   const auto stream = MakeStream(67, 500);
   DistributedJoinOptions base = BaseOptions(stream);
   const DistributedJoinResult inproc = RunDistributedJoin(stream, base);
   ASSERT_GT(inproc.result_count, 0u) << "vacuous stream";
   const auto reference = Canonical(inproc.pairs);
-  for (const WireCodec wire : kAllCodecs) {
-    base.wire_codec = wire;
-    for (const size_t batch : {size_t{1}, size_t{16}, size_t{128}}) {
-      const std::string cluster = ClusterOrSkip(2);
-      if (cluster.empty()) GTEST_SKIP() << "no localhost sockets available";
-      base.batch_size = batch;
-      const ClusterRun run = RunTcpCluster(stream, base, cluster, 2);
-      ASSERT_TRUE(run.coordinator.ok) << run.coordinator.failure_message;
-      ASSERT_TRUE(run.workers[0].ok) << run.workers[0].failure_message;
-      EXPECT_EQ(Canonical(run.coordinator.pairs), reference)
-          << net::WireCodecName(wire) << " batch=" << batch;
-    }
+  for (const size_t batch : {size_t{1}, size_t{16}, size_t{128}}) {
+    const std::string cluster = ClusterOrSkip(2);
+    if (cluster.empty()) GTEST_SKIP() << "no localhost sockets available";
+    base.batch_size = batch;
+    const ClusterRun run = RunTcpCluster(stream, base, cluster, 2);
+    ASSERT_TRUE(run.coordinator.ok) << run.coordinator.failure_message;
+    ASSERT_TRUE(run.workers[0].ok) << run.workers[0].failure_message;
+    EXPECT_EQ(Canonical(run.coordinator.pairs), reference) << "batch=" << batch;
   }
 }
 
-TEST_F(WireCodecEquivalenceTest, ScriptedDisconnectPreservesEquivalence) {
+TEST_F(WireEquivalenceTest, ScriptedDisconnectPreservesEquivalence) {
   const auto stream = MakeStream(71, 500);
   DistributedJoinOptions base = BaseOptions(stream);
   const DistributedJoinResult inproc = RunDistributedJoin(stream, base);
   const auto reference = Canonical(inproc.pairs);
   // joiner:1 lives on rank 1 (placement i % workers): the cut severs a real
   // socket mid-stream and redials after 20ms. Exactly-once replay must make
-  // every codec's result identical to the unfaulted single-process run.
+  // the result identical to the unfaulted single-process run.
   base.fault_script = "disconnect:dispatcher:0->joiner:1@10x20000";
   base.supervise = true;
   base.supervision.checkpoint_interval = 16;
-  for (const WireCodec wire : kAllCodecs) {
-    base.wire_codec = wire;
-    const std::string cluster = ClusterOrSkip(2);
-    if (cluster.empty()) GTEST_SKIP() << "no localhost sockets available";
-    const ClusterRun run = RunTcpCluster(stream, base, cluster, 2);
-    ASSERT_TRUE(run.coordinator.ok) << run.coordinator.failure_message;
-    ASSERT_TRUE(run.workers[0].ok) << run.workers[0].failure_message;
-    EXPECT_EQ(Canonical(run.coordinator.pairs), reference) << net::WireCodecName(wire);
-    EXPECT_EQ(run.coordinator.result_count, inproc.result_count);
-  }
-}
-
-TEST_F(WireCodecEquivalenceTest, MixedCodecRanksInteroperate) {
-  // The codec byte is per frame, so a cluster whose ranks disagree on
-  // --wire_codec must still join correctly: each receiver decodes what it
-  // is sent, not what it would send.
-  const auto stream = MakeStream(73, 400);
-  DistributedJoinOptions base = BaseOptions(stream);
-  const DistributedJoinResult inproc = RunDistributedJoin(stream, base);
   const std::string cluster = ClusterOrSkip(2);
   if (cluster.empty()) GTEST_SKIP() << "no localhost sockets available";
-
-  ClusterRun run;
-  run.workers.resize(1);
-  std::thread worker([&] {
-    DistributedJoinOptions options = base;
-    options.transport = JoinTransport::kTcp;
-    options.cluster = cluster;
-    options.rank = 1;
-    options.wire_codec = WireCodec::kDelta;  // worker sends delta
-    run.workers[0] = RunDistributedJoin({}, options);
-  });
-  DistributedJoinOptions options = base;
-  options.transport = JoinTransport::kTcp;
-  options.cluster = cluster;
-  options.rank = 0;
-  options.wire_codec = WireCodec::kRaw;  // coordinator sends raw
-  run.coordinator = RunDistributedJoin(stream, options);
-  worker.join();
-
+  const ClusterRun run = RunTcpCluster(stream, base, cluster, 2);
   ASSERT_TRUE(run.coordinator.ok) << run.coordinator.failure_message;
   ASSERT_TRUE(run.workers[0].ok) << run.workers[0].failure_message;
-  EXPECT_EQ(Canonical(run.coordinator.pairs), Canonical(inproc.pairs));
+  EXPECT_EQ(Canonical(run.coordinator.pairs), reference);
+  EXPECT_EQ(run.coordinator.result_count, inproc.result_count);
 }
 
 // ---------------------------------------------------------------------------
-// Envelope-level equivalence: the same batch — including INT64_MIN and
-// INT64_MAX fields, null payloads, and empty token arrays — must decode to
-// identical content from every codec's frame bytes, on both the owning and
-// the zero-copy arena parse paths.
+// Envelope-level equivalence: a batch — including INT64_MIN and INT64_MAX
+// fields, null payloads, and empty token arrays — must decode to identical
+// content from its frame bytes, on both the owning and the zero-copy arena
+// parse paths.
 // ---------------------------------------------------------------------------
 
 std::vector<Envelope> EdgeValueBatch() {
@@ -293,16 +246,14 @@ void ExpectSameContent(const std::vector<Envelope>& got,
   }
 }
 
-TEST(WireEnvelopeEquivalenceTest, EdgeValuesDecodeIdenticallyAcrossCodecs) {
+TEST(WireEnvelopeEquivalenceTest, EdgeValuesDecodeIdenticallyOnBothParsePaths) {
   const net::PayloadCodec codec = RecordWireCodec();
   const std::vector<Envelope> batch = EdgeValueBatch();
   net::FrameArenaPool pool(0);
-  for (const WireCodec wire : kAllCodecs) {
-    std::string bytes;
-    net::AppendEnvelopeFrames(wire, 7, batch, &codec, &bytes);
-    ExpectSameContent(DecodeAll(bytes, codec, nullptr), batch);
-    ExpectSameContent(DecodeAll(bytes, codec, pool.Acquire()), batch);
-  }
+  std::string bytes;
+  net::AppendEnvelopeFrames(7, batch, &codec, &bytes);
+  ExpectSameContent(DecodeAll(bytes, codec, nullptr), batch);
+  ExpectSameContent(DecodeAll(bytes, codec, pool.Acquire()), batch);
 }
 
 }  // namespace

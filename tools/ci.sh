@@ -63,8 +63,7 @@ echo "== multi-process smoke =="
 # `net`-labeled tests open localhost sockets; net_smoke_test additionally
 # fork/execs the real dssj_cli + dssj_worker binaries and diffs the result
 # set against a single-process run, and wire_codec_equivalence_test runs
-# per-codec TCP clusters (raw/delta x batch sizes x faults) plus a
-# mixed-codec cluster.
+# TCP clusters at three batch sizes and under a scripted disconnect.
 # Sandboxed runners without sockets can skip the whole surface with
 # `ctest -LE net` (the tests also self-skip when no localhost port can be
 # bound).
@@ -262,8 +261,9 @@ PYEOF
     ctest -L store --output-on-failure)
 
   echo "== wire fuzz + borrow lifetime (ASan) =="
-  # The fuzz battery (>= 5000 structured mutations over both codecs and
-  # the migration control frames, owning and arena parse paths) and the
+  # The fuzz battery (>= 5000 structured mutations over data frames and
+  # the migration control frames, each on the owning and arena parse
+  # paths) and the
   # borrow-lifetime regressions (net_arena_pool=0 frees every frame buffer
   # at last-borrower drop) are exactly the tests whose failure mode is a silent out-of-bounds read —
   # they only prove anything under ASan, so they get an explicit stage.
